@@ -1,6 +1,8 @@
 """Finite effect algebras, their unsharp implication, and the derived
 residuated structure.  See the README for the file format and CLI."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     EffectAlgebra,
     InvalidAlgebraError,
@@ -70,4 +72,8 @@ from .residuation import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .poset import Poset, Subset
+from .poset import Poset, Subset, iter_bits, iter_submasks
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
 
 SumTable = tuple[tuple[Optional[int], ...], ...]
@@ -32,10 +33,13 @@ class EffectAlgebra:
     """A validated finite effect algebra.
 
     Instances come out of :func:`validate_tables` (or the convenience
-    constructor :meth:`from_tables`) and are immutable afterwards.
+    constructor :meth:`from_tables`) and are immutable afterwards, so the
+    implication table is built on first use and kept.  The `*_bits`
+    helpers work on subsets given as bitmasks and assume the operation is
+    defined, which holds wherever the law suites call them.
     """
 
-    __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name")
+    __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name", "__dict__")
 
     def __init__(self, n, sums, comp, zero, one, labels, order, name="E"):
         self.n = n
@@ -75,6 +79,45 @@ class EffectAlgebra:
             return None
         return self.comp[self.sums[self.comp[x]][self.comp[y]]]
 
+    # -- bitmask kernel ---------------------------------------------------
+
+    def comp_bits(self, mask: int) -> int:
+        "A' = {x' : x in A}."
+        bits, comp = 0, self.comp
+        while mask:
+            low = mask & -mask
+            bits |= 1 << comp[low.bit_length() - 1]
+            mask ^= low
+        return bits
+
+    def add_bits(self, x: int, mask: int) -> int:
+        "x + A elementwise, for A below x'."
+        bits, row = 0, self.sums[x]
+        while mask:
+            low = mask & -mask
+            bits |= 1 << row[low.bit_length() - 1]
+            mask ^= low
+        return bits
+
+    def sum_bits(self, a: int, b: int) -> int:
+        "A + B elementwise, for A below B' pairwise."
+        bits = 0
+        for x in iter_bits(a):
+            bits |= self.add_bits(x, b)
+        return bits
+
+    def odot_bits(self, x: int, mask: int) -> int:
+        "x (.) A = (x' + A')' elementwise, for every element of A above x'."
+        return self.comp_bits(self.add_bits(self.comp[x], self.comp_bits(mask)))
+
+    @cached_property
+    def imp_bits(self) -> tuple[tuple[int, ...], ...]:
+        "x -> y = x' + L(x,y) for every pair, as bitmasks."
+        low = self.order.pair_lower
+        return tuple(
+            tuple(self.add_bits(self.comp[x], m) for m in low[x]) for x in range(self.n)
+        )
+
     # -- subset helpers --------------------------------------------------
 
     def subset(self, *elements: int) -> Subset:
@@ -87,25 +130,21 @@ class EffectAlgebra:
         "A' = {x' : x in A}."
         if a.n != self.n:
             raise ValueError("carrier mismatch")
-        bits = 0
-        for x in a:
-            bits |= 1 << self.comp[x]
-        return Subset(bits, self.n)
+        return Subset(self.comp_bits(a.bits), self.n)
 
     def add_elem_set(self, x: int, a: Subset) -> Subset:
         'x + A elementwise; requires A <= x-orthosupplement.'
         if a.n != self.n:
             raise ValueError("carrier mismatch")
         xc = self.comp[x]
-        bits = 0
-        for y in a:
-            if not self.order.leq(y, xc):
-                raise ValueError(
-                    f"sum undefined: {self.labels[y]} is not below "
-                    f"{self.labels[xc]} (adding {self.labels[x]})"
-                )
-            bits |= 1 << self.sums[x][y]
-        return Subset(bits, self.n)
+        outside = a.bits & ~self.order.down[xc]
+        if outside:
+            y = (outside & -outside).bit_length() - 1
+            raise ValueError(
+                f"sum undefined: {self.labels[y]} is not below "
+                f"{self.labels[xc]} (adding {self.labels[x]})"
+            )
+        return Subset(self.add_bits(x, a.bits), self.n)
 
     def add_sets(self, a: Subset, b: Subset) -> Subset:
         'A + B elementwise; requires A <= B-orthosupplement pairwise.'
@@ -121,11 +160,7 @@ class EffectAlgebra:
             raise ValueError(
                 f"set sum undefined: {self.labels[wit[0]]} + {self.labels[wit[1]]}"
             )
-        bits = 0
-        for x in a:
-            for y in b:
-                bits |= 1 << self.sums[x][y]
-        return Subset(bits, self.n)
+        return Subset(self.sum_bits(a.bits, b.bits), self.n)
 
     def render(self, a: Subset) -> str:
         'Subset as "{x,y,...}" in declared element order.'
@@ -348,23 +383,16 @@ def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
 
     L(a,b) = (a' + (a' + L(a,b))')'  and  U(a,b) = a + (a + U(a,b)')'.
     """
-    p = E.order
+    p, comp, add = E.order, E.comp_bits, E.add_bits
     low_wit = up_wit = None
     for a in range(E.n):
         ac = E.comp[a]
         for b in range(E.n):
-            pair = E.subset(a, b)
-            low = p.lower_cone(pair)
-            recon = E.set_complement(
-                E.add_elem_set(ac, E.set_complement(E.add_elem_set(ac, low)))
-            )
-            if recon != low and low_wit is None:
+            low = p.pair_lower[a][b]
+            if low_wit is None and comp(add(ac, comp(add(ac, low)))) != low:
                 low_wit = (a, b)
-            upper = p.upper_cone(pair)
-            recon = E.add_elem_set(
-                a, E.set_complement(E.add_elem_set(a, E.set_complement(upper)))
-            )
-            if recon != upper and up_wit is None:
+            upper = p.pair_upper[a][b]
+            if up_wit is None and add(a, comp(add(a, comp(upper)))) != upper:
                 up_wit = (a, b)
     return PropertyReport(
         "cone-equations",
@@ -385,78 +413,53 @@ class MonotonicityResult:
         return self.holds
 
 
-def _cone_tables(E: EffectAlgebra) -> tuple[list[int], list[int]]:
-    'Lower/upper cone bitmasks for every subset mask of a small carrier.'
-    n = E.n
-    full = (1 << n) - 1
-    low = [full] * (1 << n)
-    upp = [full] * (1 << n)
-    for mask in range(1, 1 << n):
-        lsb = mask & -mask
-        x = lsb.bit_length() - 1
-        low[mask] = low[mask ^ lsb] & E.order.down[x]
-        upp[mask] = upp[mask ^ lsb] & E.order.up[x]
-    return low, upp
-
-
 def is_monotonous(E: EffectAlgebra, samples: int = 4000, seed: int = 0) -> MonotonicityResult:
     """Does L(A) <= U(B) force L(x+A) <= U(x+B) whenever A, B <= x'?
 
     A and B range over nonempty subsets; the empty set is excluded because
     U({}) is the whole carrier by convention, which would fail the law
     vacuously even on Boolean algebras.  Exhaustive over all subset pairs
-    for n <= 9, randomly sampled above.
+    for n <= 9, randomly sampled above.  x = 0 is skipped: there x + A = A
+    and the implication is a tautology.
     """
-    n = E.n
+    n, p = E.n, E.order
+    L, U = p.lower_bits, p.upper_bits
+
+    def set_leq(a_bits, b_bits):
+        return not (b_bits & ~U(a_bits))
+
     if n <= 9:
-        low, upp = _cone_tables(E)
-
-        def set_leq(a_bits, b_bits):
-            return not (b_bits & ~upp[a_bits])
-
         for x in range(n):
-            dom = E.order.down[E.comp[x]]
-            # x + A for every submask A of dom, built by peeling low bits
-            img = [0] * (dom + 1)
-            for mask in range(1, dom + 1):
-                if mask & ~dom:
-                    continue
-                lsb = mask & -mask
-                img[mask] = img[mask ^ lsb] | 1 << E.sums[x][lsb.bit_length() - 1]
-            a = dom
-            while True:
-                b = dom
-                while True:
+            if x == E.zero:
+                continue
+            dom = p.down[E.comp[x]]
+            # per submask A of dom: U(L(A)), U(A), U(L(x+A)) and U(x+A)
+            ul, u, ul_img, u_img = ([0] * (dom + 1) for _ in range(4))
+            for mask in iter_submasks(dom):
+                img = E.add_bits(x, mask)
+                ul[mask], u[mask] = U(L(mask)), U(mask)
+                ul_img[mask], u_img[mask] = U(L(img)), U(img)
+            for a in iter_submasks(dom):
+                for b in iter_submasks(dom):
                     if (
                         a
                         and b
-                        and set_leq(low[a], upp[b])
-                        and not set_leq(low[img[a]], upp[img[b]])
+                        and not (u[b] & ~ul[a])
+                        and u_img[b] & ~ul_img[a]
                     ):
                         return MonotonicityResult(
                             False, (x, Subset(a, n), Subset(b, n)), True
                         )
-                    if b == 0:
-                        break
-                    b = (b - 1) & dom
-                if a == 0:
-                    break
-                a = (a - 1) & dom
         return MonotonicityResult(True, None, True)
 
     rng = random.Random(seed)
-    p = E.order
     for _ in range(samples):
         x = rng.randrange(n)
         dom = p.down[E.comp[x]]
         pick = lambda: dom & rng.getrandbits(n)  # noqa: E731
-        a_bits, b_bits = pick(), pick()
-        if not a_bits or not b_bits:
+        a, b = pick(), pick()
+        if not a or not b or x == E.zero or not set_leq(L(a), U(b)):
             continue
-        a, b = Subset(a_bits, n), Subset(b_bits, n)
-        if not p.set_leq(p.lower_cone(a), p.upper_cone(b)):
-            continue
-        xa, xb = E.add_elem_set(x, a), E.add_elem_set(x, b)
-        if not p.set_leq(p.lower_cone(xa), p.upper_cone(xb)):
-            return MonotonicityResult(False, (x, a, b), False)
+        if not set_leq(L(E.add_bits(x, a)), U(E.add_bits(x, b))):
+            return MonotonicityResult(False, (x, Subset(a, n), Subset(b, n)), False)
     return MonotonicityResult(True, None, False)

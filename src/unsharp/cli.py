@@ -152,6 +152,7 @@ def cmd_laws(args) -> int:
         if on
     ] or ["contraposition", "identity1", "intro-adjointness", "monotonous"]
     status = 0
+    adjointness = None
     for name in chosen:
         if name == "contraposition":
             rep = laws.counterexample_search(E)
@@ -177,7 +178,7 @@ def cmd_laws(args) -> int:
                     f"{E.render(v.lhs)} != {E.render(v.rhs)}"
                 )
         elif name == "intro-adjointness":
-            res = laws.check_cone_level_adjointness(E)
+            res = adjointness = laws.check_cone_level_adjointness(E)
             kind = (
                 "monotonous" if res.monotonicity.holds else "not monotonous"
             )
@@ -190,7 +191,7 @@ def cmd_laws(args) -> int:
                     f"({E.labels[x]},{E.labels[y]},{E.labels[z]}) ({kind})"
                 )
         else:
-            mono = is_monotonous(E)
+            mono = adjointness.monotonicity if adjointness else is_monotonous(E)
             how = "exhaustive" if mono.exhaustive else "sampled"
             if mono.holds:
                 print(f"monotonous: yes ({how})")
@@ -206,7 +207,12 @@ def cmd_laws(args) -> int:
 def cmd_enumerate(args) -> int:
     threads: Optional[int] = None
     if os.environ.get("THREADS"):
-        threads = int(os.environ["THREADS"])
+        try:
+            threads = int(os.environ["THREADS"])
+        except ValueError:
+            print(f"THREADS must be an integer, got {os.environ['THREADS']!r}",
+                  file=sys.stderr)
+            return 2
     result = enumerate_effect_algebras(
         args.n, up_to_iso=args.up_to_iso, threads=threads
     )

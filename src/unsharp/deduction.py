@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import EffectAlgebra
-from .implication import implies
-from .poset import Subset
+from .poset import Subset, iter_bits
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -40,8 +39,24 @@ class DeductiveSystem:
         return x in self.members
 
 
-def _imp_bits(E: EffectAlgebra) -> list[list[int]]:
-    return [[implies(E, x, y).bits for y in range(E.n)] for x in range(E.n)]
+def _closure_witness(E: EffectAlgebra, bits: int) -> Optional[tuple[int, int]]:
+    'First (x, y) with x in D and x -> y inside D but y outside; None when D is closed.'
+    imp = E.imp_bits
+    outside = E.order.full_bits & ~bits
+    rest = bits
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        rest ^= low
+        row = imp[x]
+        todo = outside
+        while todo:
+            ylow = todo & -todo
+            y = ylow.bit_length() - 1
+            if not row[y] & ~bits:
+                return (x, y)
+            todo ^= ylow
+    return None
 
 
 def is_deductive_system(E: EffectAlgebra, d: Subset) -> DeductiveCheck:
@@ -50,12 +65,8 @@ def is_deductive_system(E: EffectAlgebra, d: Subset) -> DeductiveCheck:
         raise ValueError("carrier mismatch")
     if E.one not in d:
         return DeductiveCheck(False, ("one",))
-    bits = d.bits
-    for x in d:
-        for y in range(E.n):
-            if not (implies(E, x, y).bits & ~bits) and not (bits >> y & 1):
-                return DeductiveCheck(False, (x, y))
-    return DeductiveCheck(True)
+    wit = _closure_witness(E, d.bits)
+    return DeductiveCheck(wit is None, wit)
 
 
 def characterize(E: EffectAlgebra, d: Subset) -> bool:
@@ -66,7 +77,7 @@ def characterize(E: EffectAlgebra, d: Subset) -> bool:
         raise ValueError("characterization needs 1 as a member")
     if d.bits == E.full_set().bits:
         raise ValueError("characterization needs a proper subset; E itself is always deductive")
-    return E.set_complement(d).isdisjoint(d)
+    return not E.comp_bits(d.bits) & d.bits
 
 
 def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
@@ -80,14 +91,14 @@ def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
     for mask in range(1 << E.n):
         if not mask & one_bit or mask == full:
             continue
-        d = Subset(mask, E.n)
-        if is_deductive_system(E, d).holds != characterize(E, d):
-            return DeductiveCheck(False, tuple(d.indices()))
+        closed = _closure_witness(E, mask) is None
+        if closed != (not E.comp_bits(mask) & mask):
+            return DeductiveCheck(False, tuple(iter_bits(mask)))
     return DeductiveCheck(True)
 
 
 def _canonical_key(bits: int, n: int):
-    return (bits.bit_count(), Subset(bits, n).indices())
+    return (bits.bit_count(), tuple(iter_bits(bits)))
 
 
 def enumerate_ded(E: EffectAlgebra) -> list[DeductiveSystem]:
@@ -97,26 +108,13 @@ def enumerate_ded(E: EffectAlgebra) -> list[DeductiveSystem]:
     n = 20; built from the complement-pair structure beyond that.
     """
     n = E.n
-    found: list[int] = []
     if n <= BRUTE_FORCE_LIMIT:
-        imp = _imp_bits(E)
         one_bit = 1 << E.one
-        for bits in range(1 << n):
-            if not bits & one_bit:
-                continue
-            ok = True
-            rest = bits
-            while rest and ok:
-                lsb = rest & -rest
-                x = lsb.bit_length() - 1
-                rest ^= lsb
-                row = imp[x]
-                for y in range(n):
-                    if not (row[y] & ~bits) and not (bits >> y & 1):
-                        ok = False
-                        break
-            if ok:
-                found.append(bits)
+        found = [
+            bits
+            for bits in range(1 << n)
+            if bits & one_bit and _closure_witness(E, bits) is None
+        ]
     else:
         pairs = [
             (x, E.comp[x])
@@ -150,32 +148,13 @@ def generate(E: EffectAlgebra, m: Subset) -> Subset:
 def atoms(E: EffectAlgebra) -> list[DeductiveSystem]:
     """Minimal systems above {1}: exactly the {1,x} with x not in {0,1}, x' != x.
 
-    Cross-checked against the covers of {1} in the enumerated lattice; an
-    empty list means the hypothesis is unsatisfiable (e.g. two-element E).
+    An empty list means the hypothesis is unsatisfiable (e.g. two-element E).
     """
-    n = E.n
-    direct = sorted(
-        (1 << E.one) | (1 << x)
-        for x in range(n)
+    return [
+        DeductiveSystem(Subset((1 << E.one) | (1 << x), E.n), E)
+        for x in range(E.n)
         if x not in (E.zero, E.one) and E.comp[x] != x
-    )
-    lat = ded_lattice(E)
-    bottom = 1 << E.one
-    members = [s.members.bits for s in lat.systems]
-    covers = []
-    for bits in members:
-        if bits == bottom or bottom & ~bits:
-            continue
-        between = [
-            o
-            for o in members
-            if o not in (bottom, bits) and not (bottom & ~o) and not (o & ~bits)
-        ]
-        if not between:
-            covers.append(bits)
-    if sorted(covers) != sorted(direct):
-        raise RuntimeError("atom structure disagrees with the lattice covers")
-    return [DeductiveSystem(Subset(bits, n), E) for bits in sorted(direct)]
+    ]
 
 
 @dataclass

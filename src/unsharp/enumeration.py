@@ -15,6 +15,7 @@ definedness pattern is forced, which keeps carriers like n = 9 tractable.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -187,11 +188,13 @@ def enumerate_effect_algebras(
             raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
         labels = _default_labels(n)
         cells = _interior_cells(n)
-        if threads and threads > 1 and cells:
+        # at most one worker per CPU and per first-cell subtree (UNDEF, 1..n-1)
+        workers = max(1, min(threads or 1, os.cpu_count() or 1, n))
+        if workers > 1 and cells:
             import multiprocessing
 
             prefixes = [(n, (v,)) for v in (UNDEF, *range(1, n))]
-            with multiprocessing.Pool(threads) as pool:
+            with multiprocessing.Pool(workers) as pool:
                 chunks = pool.map(_subtree_task, prefixes)
             chunks.sort(key=lambda pair: pair[0])
             tables = [tab for _, chunk in chunks for tab in chunk]

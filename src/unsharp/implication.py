@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Union
+import itertools
+from typing import Iterator, Union
 
 from .algebra import EffectAlgebra
 from .poset import Subset
@@ -21,8 +22,7 @@ def _as_subset(E: EffectAlgebra, v: ElemOrSet) -> Subset:
 
 def implies(E: EffectAlgebra, x: int, y: int) -> Subset:
     "x -> y = x' + L(x,y); always defined since L(x,y) <= x."
-    low = E.order.lower_cone(E.subset(x, y))
-    return E.add_elem_set(E.comp[x], low)
+    return Subset(E.imp_bits[x][y], E.n)
 
 
 def implies_sets(E: EffectAlgebra, a: ElemOrSet, b: ElemOrSet) -> Subset:
@@ -32,23 +32,19 @@ def implies_sets(E: EffectAlgebra, a: ElemOrSet, b: ElemOrSet) -> Subset:
     nothing to range over).
     """
     sa, sb = _as_subset(E, a), _as_subset(E, b)
-    low = E.order.lower_cone(sa | sb)
-    return E.add_sets(E.set_complement(sa), low)
+    low = E.order.lower_bits(sa.bits | sb.bits)
+    return Subset(E.sum_bits(E.comp_bits(sa.bits), low), E.n)
 
 
 def odot_image(E: EffectAlgebra, x: int, a: Subset) -> Subset:
     'x (.) A elementwise; every element of A must dominate x-orthosupplement.'
     if a.n != E.n:
         raise ValueError("carrier mismatch")
-    bits = 0
-    for w in a:
-        v = E.odot(x, w)
-        if v is None:
-            raise ValueError(
-                f"product undefined: {E.labels[x]} (.) {E.labels[w]}"
-            )
-        bits |= 1 << v
-    return Subset(bits, E.n)
+    outside = a.bits & ~E.order.up[E.comp[x]]
+    if outside:
+        w = (outside & -outside).bit_length() - 1
+        raise ValueError(f"product undefined: {E.labels[x]} (.) {E.labels[w]}")
+    return Subset(E.odot_bits(x, a.bits), E.n)
 
 
 class ImplicationTable:
@@ -66,10 +62,30 @@ class ImplicationTable:
 
 
 def implication_table(E: EffectAlgebra) -> ImplicationTable:
-    entries = tuple(
-        tuple(implies(E, x, y) for y in range(E.n)) for x in range(E.n)
-    )
+    entries = tuple(tuple(Subset(m, E.n) for m in row) for row in E.imp_bits)
     return ImplicationTable(E, entries)
+
+
+def _check(name: str, n: int, arity: int, holds) -> ClauseResult:
+    'A clause over all tuples of the carrier; the witness is the first failing one.'
+    wit = next(
+        (t for t in itertools.product(range(n), repeat=arity) if not holds(*t)), None
+    )
+    return ClauseResult(name, wit is None, wit)
+
+
+def exchange_failures(E: EffectAlgebra) -> Iterator[tuple[int, int, int]]:
+    """Triples breaking consequent exchange, in lexicographic order:
+    (a -> b) <= U(a',c')  iff  (a -> c) <= U(a',b')."""
+    n, p, comp = E.n, E.order, E.comp
+    for a in range(n):
+        up_imp = [p.upper_bits(m) for m in E.imp_bits[a]]
+        u_row = p.pair_upper[comp[a]]
+        for b in range(n):
+            u_ab, ui_b = u_row[comp[b]], up_imp[b]
+            for c in range(n):
+                if (not (u_row[comp[c]] & ~ui_b)) != (not (u_ab & ~up_imp[c])):
+                    yield (a, b, c)
 
 
 def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
@@ -79,98 +95,49 @@ def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
     elsewhere.  Witnesses are the lexicographically first offending
     tuples.
     """
-    n, p = E.n, E.order
-    comp = E.comp
-    imp = [[implies(E, x, y) for y in range(n)] for x in range(n)]
-    up_comp = [Subset(p.up[comp[x]], n) for x in range(n)]
-
-    def first_pair(pred):
-        return next(
-            ((a, b) for a in range(n) for b in range(n) if not pred(a, b)), None
-        )
-
-    def first_triple(pred):
-        return next(
-            (
-                (a, b, c)
-                for a in range(n)
-                for b in range(n)
-                for c in range(n)
-                if not pred(a, b, c)
-            ),
-            None,
-        )
-
-    clauses = []
-
-    wit = first_pair(lambda a, b: imp[a][b].issubset(up_comp[a]))
-    clauses.append(ClauseResult("bounded_by_complement_cone", wit is None, wit))
-
-    wit = first_pair(lambda a, b: not p.leq(a, b) or imp[a][b] == up_comp[a])
-    clauses.append(ClauseResult("constant_on_leq", wit is None, wit))
-
-    wit = first_pair(
-        lambda a, b: not p.leq(b, a)
-        or imp[a][b] == p.interval(comp[a], E.sums[comp[a]][b])
-    )
-    clauses.append(ClauseResult("interval_on_geq", wit is None, wit))
-
-    one_set = E.subset(E.one)
-    wit = next(((b,) for b in range(n) if imp[E.zero][b] != one_set), None)
-    clauses.append(ClauseResult("zero_antecedent", wit is None, wit))
-
-    wit = next(
-        ((a,) for a in range(n) if imp[a][E.zero] != E.subset(comp[a])), None
-    )
-    clauses.append(ClauseResult("zero_consequent", wit is None, wit))
-
-    wit = next(
-        (
-            (b,)
-            for b in range(n)
-            if imp[E.one][b] != p.lower_cone(E.subset(b))
-        ),
-        None,
-    )
-    clauses.append(ClauseResult("one_antecedent", wit is None, wit))
-
-    wit = first_pair(
-        lambda a, b: p.lower_cone(imp[a][b]) == p.lower_cone(E.subset(comp[a]))
-    )
-    clauses.append(ClauseResult("lower_cone_collapse", wit is None, wit))
-
-    wit = first_pair(
-        lambda a, b: odot_image(E, a, imp[a][b]) == p.lower_cone(E.subset(a, b))
-    )
-    clauses.append(ClauseResult("product_recovers_cone", wit is None, wit))
-
-    wit = first_triple(
-        lambda a, b, c: not p.leq(b, c) or imp[a][b].issubset(imp[a][c])
-    )
-    clauses.append(ClauseResult("monotone_in_consequent", wit is None, wit))
+    n, p, comp = E.n, E.order, E.comp
+    imp, up, down, low2 = E.imp_bits, p.up, p.down, p.pair_lower
 
     def complement_forms(a, b):
-        low = p.lower_cone(E.subset(a, b))
-        v1 = E.set_complement(odot_image(E, a, E.set_complement(low)))
-        v2 = E.set_complement(
-            odot_image(E, a, p.upper_cone(E.subset(comp[a], comp[b])))
-        )
-        return imp[a][b] == v1 and imp[a][b] == v2
+        v1 = E.comp_bits(E.odot_bits(a, E.comp_bits(low2[a][b])))
+        v2 = E.comp_bits(E.odot_bits(a, p.pair_upper[comp[a]][comp[b]]))
+        return imp[a][b] == v1 == v2
 
-    wit = first_pair(complement_forms)
-    clauses.append(ClauseResult("product_complement_forms", wit is None, wit))
-
-    def exchange(a, b, c):
-        lhs = p.set_leq(imp[a][b], p.upper_cone(E.subset(comp[a], comp[c])))
-        rhs = p.set_leq(imp[a][c], p.upper_cone(E.subset(comp[a], comp[b])))
-        return lhs == rhs
-
-    wit = first_triple(exchange)
-    clauses.append(ClauseResult("consequent_exchange", wit is None, wit))
-
+    exchange = next(exchange_failures(E), None)
+    clauses = [
+        _check("bounded_by_complement_cone", n, 2, lambda a, b: not imp[a][b] & ~up[comp[a]]),
+        _check(
+            "constant_on_leq", n, 2,
+            lambda a, b: not up[a] >> b & 1 or imp[a][b] == up[comp[a]],
+        ),
+        _check(
+            "interval_on_geq", n, 2,
+            lambda a, b: not up[b] >> a & 1
+            or imp[a][b] == up[comp[a]] & down[E.sums[comp[a]][b]],
+        ),
+        _check("zero_antecedent", n, 1, lambda b: imp[E.zero][b] == 1 << E.one),
+        _check("zero_consequent", n, 1, lambda a: imp[a][E.zero] == 1 << comp[a]),
+        _check("one_antecedent", n, 1, lambda b: imp[E.one][b] == down[b]),
+        _check(
+            "lower_cone_collapse", n, 2,
+            lambda a, b: p.lower_bits(imp[a][b]) == down[comp[a]],
+        ),
+        _check(
+            "product_recovers_cone", n, 2,
+            lambda a, b: E.odot_bits(a, imp[a][b]) == low2[a][b],
+        ),
+        _check(
+            "monotone_in_consequent", n, 3,
+            lambda a, b, c: not up[b] >> c & 1 or not imp[a][b] & ~imp[a][c],
+        ),
+        _check("product_complement_forms", n, 2, complement_forms),
+        ClauseResult("consequent_exchange", exchange is None, exchange),
+    ]
     if p.is_lattice():
-        wit = first_pair(lambda a, b: imp[a][p.meet(a, b)] == imp[a][b])
-        clauses.append(ClauseResult("meet_consequent_collapse", wit is None, wit))
+        clauses.append(_check(
+            "meet_consequent_collapse", n, 2,
+            lambda a, b: imp[a][p.meet(a, b)] == imp[a][b],
+        ))
     else:
         clauses.append(
             ClauseResult("meet_consequent_collapse", True, None, skipped=True,
@@ -185,92 +152,57 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
     The cone-antecedent clause checks all three pairwise equalities of
     the chained expressions against the closed form L(a') + L(a,b).
     """
-    n, p = E.n, E.order
-    comp = E.comp
-    clauses = []
+    n, p, comp, imp = E.n, E.order, E.comp, E.imp_bits
+    L, U, down, up, low2 = p.lower_bits, p.upper_bits, p.down, p.up, p.pair_lower
+    memo: dict[tuple[int, int], int] = {}
 
-    wit = next(
-        (
-            (a,)
-            for a in range(n)
-            if implies_sets(E, implies(E, a, E.zero), E.zero) != E.subset(a)
-        ),
-        None,
-    )
-    clauses.append(ClauseResult("double_negation", wit is None, wit))
+    def set_sum(a: int, b: int) -> int:
+        """A + B; A -> B is A' + L(A u B).  The same sums recur across
+        clauses, and A + B = B + A since the sum table is symmetric."""
+        key = (a, b) if a <= b else (b, a)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = E.sum_bits(a, b)
+        return out
 
-    wit = None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if implies_sets(E, a, implies(E, b, c)) != implies(E, a, comp[b]):
-                    wit = (a, b, c)
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    clauses.append(ClauseResult("nested_consequent", wit is None, wit))
+    def double_negation(a):
+        na = imp[a][E.zero]
+        return set_sum(E.comp_bits(na), L(na) & down[E.zero]) == 1 << a
 
-    wit = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if implies_sets(E, a, p.upper_cone(E.subset(b))) != implies(E, a, b)
-        ),
-        None,
-    )
-    clauses.append(ClauseResult("cone_consequent", wit is None, wit))
+    low_imp = [[L(m) for m in row] for row in imp]
 
     def cone_antecedent(a, b):
-        ua = p.upper_cone(E.subset(a))
-        first = implies_sets(E, ua, b)
-        closed = E.add_sets(
-            p.lower_cone(E.subset(comp[a])), p.lower_cone(E.subset(a, b))
-        )
+        ua_comp, uc = E.comp_bits(up[a]), p.pair_upper[comp[a]][comp[b]]
+        first = set_sum(ua_comp, L(up[a]) & down[b])
+        closed = set_sum(down[comp[a]], low2[a][b])
         return (
-            first == implies_sets(E, ua, p.upper_cone(E.subset(b)))
-            and first == implies_sets(E, p.upper_cone(E.subset(comp[a], comp[b])), comp[a])
+            first == set_sum(ua_comp, L(up[a]) & L(up[b]))
+            and first == set_sum(E.comp_bits(uc), L(uc) & down[comp[a]])
             and first == closed
         )
 
-    wit = next(
-        ((a, b) for a in range(n) for b in range(n) if not cone_antecedent(a, b)),
-        None,
-    )
-    clauses.append(ClauseResult("cone_antecedent", wit is None, wit))
-
-    wit = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if implies_sets(E, a, p.lower_cone(E.subset(a, b))) != E.subset(comp[a])
-        ),
-        None,
-    )
-    clauses.append(ClauseResult("own_lower_cone", wit is None, wit))
-
     def own_upper(a, b):
-        lhs = implies_sets(E, a, p.upper_cone(E.subset(a, b)))
-        rhs = E.add_elem_set(comp[a], p.lower_cone(E.subset(a)))
-        return lhs == rhs
+        return set_sum(1 << comp[a], down[a] & L(p.pair_upper[a][b]))
 
-    wit = next(
-        ((a, b) for a in range(n) for b in range(n) if not own_upper(a, b)), None
-    )
-    clauses.append(ClauseResult("own_upper_cone", wit is None, wit))
-
-    wit = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if p.upper_cone(implies_sets(E, a, p.upper_cone(E.subset(a, b))))
-            != E.subset(E.one)
+    clauses = [
+        _check("double_negation", n, 1, double_negation),
+        _check(
+            "nested_consequent", n, 3,
+            lambda a, b, c: set_sum(1 << comp[a], down[a] & low_imp[b][c]) == imp[a][comp[b]],
         ),
-        None,
-    )
-    clauses.append(ClauseResult("tautology_cone", wit is None, wit))
+        _check(
+            "cone_consequent", n, 2,
+            lambda a, b: set_sum(1 << comp[a], down[a] & L(up[b])) == imp[a][b],
+        ),
+        _check("cone_antecedent", n, 2, cone_antecedent),
+        _check(
+            "own_lower_cone", n, 2,
+            lambda a, b: set_sum(1 << comp[a], down[a] & L(low2[a][b])) == 1 << comp[a],
+        ),
+        _check(
+            "own_upper_cone", n, 2,
+            lambda a, b: own_upper(a, b) == E.add_bits(comp[a], down[a]),
+        ),
+        _check("tautology_cone", n, 2, lambda a, b: U(own_upper(a, b)) == 1 << E.one),
+    ]
     return PropertyReport("set-implication", clauses)

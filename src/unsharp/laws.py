@@ -12,28 +12,34 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import EffectAlgebra, MonotonicityResult, is_monotonous, validate_tables
-from .implication import implies
 from .poset import Subset
 from .reports import ClauseResult, LawReport, LawViolation, PropertyReport
 
 
+def _up_imps(E: EffectAlgebra) -> list[list[int]]:
+    'U(x -> y) for every pair, as bitmasks.'
+    return [[E.order.upper_bits(m) for m in row] for row in E.imp_bits]
+
+
 def contraposition_pair(E: EffectAlgebra, x: int, y: int):
     "U(x -> y) vs U(y' -> x'): returns (equal, lhs cone, rhs cone)."
-    p = E.order
-    lhs = p.upper_cone(implies(E, x, y))
-    rhs = p.upper_cone(implies(E, E.comp[y], E.comp[x]))
-    return lhs == rhs, lhs, rhs
+    U, imp = E.order.upper_bits, E.imp_bits
+    lhs, rhs = U(imp[x][y]), U(imp[E.comp[y]][E.comp[x]])
+    return lhs == rhs, Subset(lhs, E.n), Subset(rhs, E.n)
 
 
 def counterexample_search(E: EffectAlgebra) -> LawReport:
     """Every pair breaking contraposition, annotated comparable/incomparable."""
     report = LawReport("contraposition")
+    up_imp, comp = _up_imps(E), E.comp
     for x in range(E.n):
         for y in range(E.n):
-            equal, lhs, rhs = contraposition_pair(E, x, y)
-            if not equal:
+            lhs, rhs = up_imp[x][y], up_imp[comp[y]][comp[x]]
+            if lhs != rhs:
                 cmp = E.order.comparable(x, y)
-                report.failing_pairs.append(LawViolation(x, y, lhs, rhs, cmp))
+                report.failing_pairs.append(
+                    LawViolation(x, y, Subset(lhs, E.n), Subset(rhs, E.n), cmp)
+                )
                 if cmp:
                     report.comparable_only_status = False
     return report
@@ -45,13 +51,13 @@ def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
     The variant U(x -> y) = U((x^y)' -> x') is checked for every pair whose
     meet exists (all of them on a lattice).
     """
-    p = E.order
+    p, comp, up_imp = E.order, E.comp, _up_imps(E)
     wit = next(
         (
             (x, y)
             for x in range(E.n)
             for y in range(E.n)
-            if p.comparable(x, y) and not contraposition_pair(E, x, y)[0]
+            if p.comparable(x, y) and up_imp[x][y] != up_imp[comp[y]][comp[x]]
         ),
         None,
     )
@@ -65,9 +71,7 @@ def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
             if m is None:
                 continue
             checked += 1
-            lhs = p.upper_cone(implies(E, x, y))
-            rhs = p.upper_cone(implies(E, E.comp[m], E.comp[x]))
-            if lhs != rhs:
+            if up_imp[x][y] != up_imp[comp[m]][comp[x]]:
                 wit = (x, y)
                 break
         if wit:
@@ -163,25 +167,25 @@ def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
     The result is reported, never asserted: the law is tied to monotonicity,
     which not every algebra enjoys, so the probe result rides along.
     """
-    from .implication import odot_image
-
-    p = E.order
-    n = E.n
-    comp = E.comp
+    p, n, comp = E.order, E.n, E.comp
+    L, U, ul = p.lower_bits, p.upper_bits, p.pair_ul
+    up_imp = _up_imps(E)
     wit = None
     for x in range(n):
         for y in range(n):
-            uxy = Subset(p.up[x] & p.up[comp[y]], n)
-            image_low = p.lower_cone(odot_image(E, y, uxy))
-            low_uxy = p.lower_cone(uxy)
-            for z in range(n):
-                ul = p.upper_cone(Subset(p.down[y] & p.down[z], n))
-                lhs = p.set_leq(image_low, ul)
-                rhs = p.set_leq(low_uxy, p.upper_cone(implies(E, y, z)))
-                if lhs != rhs:
-                    wit = (x, y, z)
-                    break
-            if wit:
+            uxy = p.up[x] & p.up[comp[y]]
+            u_image_low = U(L(E.odot_bits(y, uxy)))
+            u_low_uxy = U(L(uxy))
+            z = next(
+                (
+                    z
+                    for z in range(n)
+                    if (not ul[y][z] & ~u_image_low) != (not up_imp[y][z] & ~u_low_uxy)
+                ),
+                None,
+            )
+            if z is not None:
+                wit = (x, y, z)
                 break
         if wit:
             break

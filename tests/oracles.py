@@ -1,0 +1,794 @@
+"""Reference versions of the law suites, written directly over `Subset`.
+
+Each clause is evaluated the way it is stated, with every cone, sum and
+implication cell a `Subset` computed on the spot, independently of the
+package's per-algebra bitmask tables.  They are slow and serve only as
+oracles: the tests check that the package's suites report the same
+verdicts, witnesses, skip flags and details.  Cones and implication cells
+are memoised per algebra, since the suites ask for the same ones many
+times over; `forget()` drops them.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+from dataclasses import replace
+from typing import Union
+
+from unsharp import (
+    EffectAlgebra,
+    Involution,
+    MonotonicityResult,
+    Subset,
+    UnsharpResiduatedPoset,
+    validate_involution,
+)
+from unsharp.deduction import BRUTE_FORCE_LIMIT, DeductiveCheck
+from unsharp.laws import ConeAdjointness
+from unsharp.reports import (
+    ClauseResult,
+    LawReport,
+    LawViolation,
+    PropertyReport,
+    ValidationReport,
+    Violation,
+)
+
+ElemOrSet = Union[int, Subset]
+
+
+def _as_subset(E: EffectAlgebra, v: ElemOrSet) -> Subset:
+    if isinstance(v, Subset):
+        return v
+    return Subset.single(E.n, v)
+
+
+def _odot_image(c: UnsharpResiduatedPoset, a: Subset, y: int):
+    "A (.) y elementwise; None when any product is undefined."
+    bits = 0
+    for u in a:
+        v = c.products[u][y]
+        if v is None:
+            return None
+        bits |= 1 << v
+    return Subset(bits, c.n)
+
+
+def forget():
+    'Drop the memoised cones and cells, which keep their algebras alive.'
+    for fn in (_subset, _lower, _upper, implies, implies_sets, odot_image):
+        fn.cache_clear()
+
+
+@functools.cache
+def _subset(E: EffectAlgebra, *elements: int) -> Subset:
+    return E.subset(*elements)
+
+
+@functools.cache
+def _lower(p, a: Subset) -> Subset:
+    return p.lower_cone(a)
+
+
+@functools.cache
+def _upper(p, a: Subset) -> Subset:
+    return p.upper_cone(a)
+
+
+@functools.cache
+def implies(E: EffectAlgebra, x: int, y: int) -> Subset:
+    "x -> y = x' + L(x,y); always defined since L(x,y) <= x."
+    low = E.order.lower_cone(_subset(E, x, y))
+    return E.add_elem_set(E.comp[x], low)
+
+
+@functools.cache
+def implies_sets(E: EffectAlgebra, a: ElemOrSet, b: ElemOrSet) -> Subset:
+    """A -> B = A' + L(A u B), with elements read as singletons.
+
+    An empty antecedent yields the empty set (the elementwise sum has
+    nothing to range over).
+    """
+    sa, sb = _as_subset(E, a), _as_subset(E, b)
+    low = E.order.lower_cone(sa | sb)
+    return E.add_sets(E.set_complement(sa), low)
+
+
+@functools.cache
+def odot_image(E: EffectAlgebra, x: int, a: Subset) -> Subset:
+    'x (.) A elementwise; every element of A must dominate x-orthosupplement.'
+    if a.n != E.n:
+        raise ValueError("carrier mismatch")
+    bits = 0
+    for w in a:
+        v = E.odot(x, w)
+        if v is None:
+            raise ValueError(
+                f"product undefined: {E.labels[x]} (.) {E.labels[w]}"
+            )
+        bits |= 1 << v
+    return Subset(bits, E.n)
+
+
+def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
+    """Twelve laws of element implication, one clause each.
+
+    The meet clause only applies to lattices and is marked skipped
+    elsewhere.  Witnesses are the lexicographically first offending
+    tuples.
+    """
+    n, p = E.n, E.order
+    comp = E.comp
+    imp = [[implies(E, x, y) for y in range(n)] for x in range(n)]
+    up_comp = [Subset(p.up[comp[x]], n) for x in range(n)]
+
+    def first_pair(pred):
+        return next(
+            ((a, b) for a in range(n) for b in range(n) if not pred(a, b)), None
+        )
+
+    def first_triple(pred):
+        return next(
+            (
+                (a, b, c)
+                for a in range(n)
+                for b in range(n)
+                for c in range(n)
+                if not pred(a, b, c)
+            ),
+            None,
+        )
+
+    clauses = []
+
+    wit = first_pair(lambda a, b: imp[a][b].issubset(up_comp[a]))
+    clauses.append(ClauseResult("bounded_by_complement_cone", wit is None, wit))
+
+    wit = first_pair(lambda a, b: not p.leq(a, b) or imp[a][b] == up_comp[a])
+    clauses.append(ClauseResult("constant_on_leq", wit is None, wit))
+
+    wit = first_pair(
+        lambda a, b: not p.leq(b, a)
+        or imp[a][b] == p.interval(comp[a], E.sums[comp[a]][b])
+    )
+    clauses.append(ClauseResult("interval_on_geq", wit is None, wit))
+
+    one_set = _subset(E, E.one)
+    wit = next(((b,) for b in range(n) if imp[E.zero][b] != one_set), None)
+    clauses.append(ClauseResult("zero_antecedent", wit is None, wit))
+
+    wit = next(
+        ((a,) for a in range(n) if imp[a][E.zero] != _subset(E, comp[a])), None
+    )
+    clauses.append(ClauseResult("zero_consequent", wit is None, wit))
+
+    wit = next(
+        (
+            (b,)
+            for b in range(n)
+            if imp[E.one][b] != _lower(p, _subset(E, b))
+        ),
+        None,
+    )
+    clauses.append(ClauseResult("one_antecedent", wit is None, wit))
+
+    wit = first_pair(
+        lambda a, b: _lower(p, imp[a][b]) == _lower(p, _subset(E, comp[a]))
+    )
+    clauses.append(ClauseResult("lower_cone_collapse", wit is None, wit))
+
+    wit = first_pair(
+        lambda a, b: odot_image(E, a, imp[a][b]) == _lower(p, _subset(E, a, b))
+    )
+    clauses.append(ClauseResult("product_recovers_cone", wit is None, wit))
+
+    wit = first_triple(
+        lambda a, b, c: not p.leq(b, c) or imp[a][b].issubset(imp[a][c])
+    )
+    clauses.append(ClauseResult("monotone_in_consequent", wit is None, wit))
+
+    def complement_forms(a, b):
+        low = _lower(p, _subset(E, a, b))
+        v1 = E.set_complement(odot_image(E, a, E.set_complement(low)))
+        v2 = E.set_complement(
+            odot_image(E, a, _upper(p, _subset(E, comp[a], comp[b])))
+        )
+        return imp[a][b] == v1 and imp[a][b] == v2
+
+    wit = first_pair(complement_forms)
+    clauses.append(ClauseResult("product_complement_forms", wit is None, wit))
+
+    def exchange(a, b, c):
+        lhs = p.set_leq(imp[a][b], _upper(p, _subset(E, comp[a], comp[c])))
+        rhs = p.set_leq(imp[a][c], _upper(p, _subset(E, comp[a], comp[b])))
+        return lhs == rhs
+
+    wit = first_triple(exchange)
+    clauses.append(ClauseResult("consequent_exchange", wit is None, wit))
+
+    if p.is_lattice():
+        wit = first_pair(lambda a, b: imp[a][p.meet(a, b)] == imp[a][b])
+        clauses.append(ClauseResult("meet_consequent_collapse", wit is None, wit))
+    else:
+        clauses.append(
+            ClauseResult("meet_consequent_collapse", True, None, skipped=True,
+                         detail="not a lattice")
+        )
+    return PropertyReport("element-implication", clauses)
+
+
+def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
+    """Seven laws of implication with set arguments.
+
+    The cone-antecedent clause checks all three pairwise equalities of
+    the chained expressions against the closed form L(a') + L(a,b).
+    """
+    n, p = E.n, E.order
+    comp = E.comp
+    clauses = []
+
+    wit = next(
+        (
+            (a,)
+            for a in range(n)
+            if implies_sets(E, implies(E, a, E.zero), E.zero) != _subset(E, a)
+        ),
+        None,
+    )
+    clauses.append(ClauseResult("double_negation", wit is None, wit))
+
+    wit = None
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if implies_sets(E, a, implies(E, b, c)) != implies(E, a, comp[b]):
+                    wit = (a, b, c)
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    clauses.append(ClauseResult("nested_consequent", wit is None, wit))
+
+    wit = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if implies_sets(E, a, _upper(p, _subset(E, b))) != implies(E, a, b)
+        ),
+        None,
+    )
+    clauses.append(ClauseResult("cone_consequent", wit is None, wit))
+
+    def cone_antecedent(a, b):
+        ua = _upper(p, _subset(E, a))
+        first = implies_sets(E, ua, b)
+        closed = E.add_sets(
+            _lower(p, _subset(E, comp[a])), _lower(p, _subset(E, a, b))
+        )
+        return (
+            first == implies_sets(E, ua, _upper(p, _subset(E, b)))
+            and first == implies_sets(E, _upper(p, _subset(E, comp[a], comp[b])), comp[a])
+            and first == closed
+        )
+
+    wit = next(
+        ((a, b) for a in range(n) for b in range(n) if not cone_antecedent(a, b)),
+        None,
+    )
+    clauses.append(ClauseResult("cone_antecedent", wit is None, wit))
+
+    wit = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if implies_sets(E, a, _lower(p, _subset(E, a, b))) != _subset(E, comp[a])
+        ),
+        None,
+    )
+    clauses.append(ClauseResult("own_lower_cone", wit is None, wit))
+
+    def own_upper(a, b):
+        lhs = implies_sets(E, a, _upper(p, _subset(E, a, b)))
+        rhs = E.add_elem_set(comp[a], _lower(p, _subset(E, a)))
+        return lhs == rhs
+
+    wit = next(
+        ((a, b) for a in range(n) for b in range(n) if not own_upper(a, b)), None
+    )
+    clauses.append(ClauseResult("own_upper_cone", wit is None, wit))
+
+    wit = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if _upper(p, implies_sets(E, a, _upper(p, _subset(E, a, b))))
+            != _subset(E, E.one)
+        ),
+        None,
+    )
+    clauses.append(ClauseResult("tautology_cone", wit is None, wit))
+    return PropertyReport("set-implication", clauses)
+
+
+def from_effect_algebra(E: EffectAlgebra) -> UnsharpResiduatedPoset:
+    """Derive product and implication tables from an effect algebra.
+
+    x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).
+    """
+    n = E.n
+    products = tuple(
+        tuple(E.odot(x, y) for y in range(n)) for x in range(n)
+    )
+    imps = tuple(tuple(implies(E, x, y) for y in range(n)) for x in range(n))
+    return UnsharpResiduatedPoset(E.order, E.comp, products, imps, name=E.name)
+
+
+def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
+    """Check (C1)-(C4) and set the divisibility flag per (C5).
+
+    A failed involution (C1) stops the run; the remaining conditions are
+    each checked independently with one witness apiece, since a single
+    mutation can break several at once.
+    """
+    p = c.poset
+    n = p.n
+    inv = c.inv
+    prod = c.products
+    violations: list[Violation] = []
+
+    inv_report = validate_involution(p, Involution(tuple(inv)))
+    if not inv_report.ok:
+        bad = inv_report.failures()[0]
+        violations.append(
+            Violation("C1", bad.witness or (), f"involution {bad.clause} fails")
+        )
+        return ValidationReport(violations, None)
+
+    def add(axiom, witness, message):
+        violations.append(Violation(axiom, witness, message))
+
+    # C2: strict partial commutative monoid, monotone, with recovery
+    wit = next(
+        (
+            (x, y)
+            for x in range(n)
+            for y in range(n)
+            if (prod[x][y] is not None) != p.leq(inv[x], y)
+        ),
+        None,
+    )
+    if wit:
+        add("C2", wit, "strictness: product defined iff x' <= y")
+    wit = next(
+        (
+            (x, y)
+            for x in range(n)
+            for y in range(n)
+            if prod[x][y] != prod[y][x]
+        ),
+        None,
+    )
+    if wit:
+        add("C2", wit, "product not commutative")
+    wit = next(
+        (
+            (x,)
+            for x in range(n)
+            if prod[x][p.top] != x or prod[p.top][x] != x
+        ),
+        None,
+    )
+    if wit:
+        add("C2", wit, "top is not a unit")
+    wit = None
+    for x in range(n):
+        for y in range(n):
+            pxy = prod[x][y]
+            for z in range(n):
+                pyz = prod[y][z]
+                left = prod[pxy][z] if pxy is not None else None
+                right = prod[x][pyz] if pyz is not None else None
+                if left != right:
+                    wit = (x, y, z)
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    if wit:
+        add("C2", wit, "product not associative")
+    wit = next(
+        (
+            (x, y, z)
+            for z in range(n)
+            for x in range(n)
+            for y in range(n)
+            if p.leq(inv[z], x)
+            and p.leq(x, y)
+            and prod[x][z] is not None
+            and prod[y][z] is not None
+            and not p.leq(prod[x][z], prod[y][z])
+        ),
+        None,
+    )
+    if wit:
+        add("C2", (wit[0], wit[1], wit[2]), "product not monotone")
+    wit = None
+    for x in range(n):
+        for y in range(n):
+            if not p.leq(x, y):
+                continue
+            inner = prod[y][inv[x]]
+            if inner is None or prod[y][inv[inner]] != x:
+                wit = (x, y)
+                break
+        if wit:
+            break
+    if wit:
+        add("C2", wit, "recovery x = y (.) (y (.) x')' fails")
+
+    # C3: unsharp adjointness, quantified over all triples
+    wit = None
+    for x in range(n):
+        for y in range(n):
+            umask = p.up[x] & p.up[inv[y]]
+            image = _odot_image(c, Subset(umask, n), y)
+            for z in range(n):
+                lyz = p.down[y] & p.down[z]
+                ul = _upper(p, Subset(lyz, n)).bits
+                lhs = image is not None and not (image.bits & ~ul)
+                target = _upper(p, c.imps[y][z]).bits
+                rhs = not (umask & ~target)
+                if lhs != rhs:
+                    wit = (x, y, z)
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    if wit:
+        add("C3", wit, "unsharp adjointness fails")
+
+    # C4: x -> 0 = {x'}
+    wit = next(
+        (
+            (x,)
+            for x in range(n)
+            if c.imps[x][p.bottom] != Subset.single(n, inv[x])
+        ),
+        None,
+    )
+    if wit:
+        add("C4", wit, "implication to bottom is not the involute singleton")
+
+    # C5: divisibility x (.) (x -> y) = L(x,y)
+    divisible = True
+    for x in range(n):
+        for y in range(n):
+            image = _odot_image(c, c.imps[x][y], x)
+            if image is None or image.bits != p.down[x] & p.down[y]:
+                divisible = False
+                break
+        if not divisible:
+            break
+
+    if violations:
+        return ValidationReport(violations, None)
+    out = replace(c, validated=True, divisible=divisible)
+    return ValidationReport([], out)
+
+
+def check_dual_adjointness(c: UnsharpResiduatedPoset) -> PropertyReport:
+    """The cone-order form of adjointness, checked against the subset form.
+
+    For every triple: U(x,y') (.) y >= L(y,z) iff U(x,y') >= (y -> z),
+    and each side must coincide with the corresponding subset-inclusion
+    side of the primary condition.
+    """
+    p = c.poset
+    n = p.n
+    inv = c.inv
+    adj_wit = match_wit = None
+    for x in range(n):
+        for y in range(n):
+            ux = Subset(p.up[x] & p.up[inv[y]], n)
+            image = _odot_image(c, ux, y)
+            for z in range(n):
+                lyz = Subset(p.down[y] & p.down[z], n)
+                incl_lhs = image is not None and image.issubset(_upper(p, lyz))
+                incl_rhs = ux.issubset(_upper(p, c.imps[y][z]))
+                cone_lhs = image is not None and p.set_leq(lyz, image)
+                cone_rhs = p.set_leq(c.imps[y][z], ux)
+                if cone_lhs != cone_rhs and adj_wit is None:
+                    adj_wit = (x, y, z)
+                if (incl_lhs != cone_lhs or incl_rhs != cone_rhs) and match_wit is None:
+                    match_wit = (x, y, z)
+            if adj_wit and match_wit:
+                break
+        if adj_wit and match_wit:
+            break
+    return PropertyReport(
+        "dual-adjointness",
+        [
+            ClauseResult("cone_order_adjointness", adj_wit is None, adj_wit),
+            ClauseResult("matches_subset_form", match_wit is None, match_wit),
+        ],
+    )
+
+
+def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
+    """Adjointness and the consequent-exchange law, evaluated independently.
+
+    Both biconditionals are computed per triple and must agree pointwise
+    (and each holds outright on a valid algebra).
+    """
+    c = from_effect_algebra(E)
+    p = E.order
+    n = E.n
+    comp = E.comp
+    adj_wit = exch_wit = match_wit = None
+    for a in range(n):
+        for b in range(n):
+            u_ab = Subset(p.up[a] & p.up[comp[b]], n)
+            image = _odot_image(c, u_ab, b)
+            for cc in range(n):
+                lbc = Subset(p.down[b] & p.down[cc], n)
+                adj_lhs = image is not None and image.issubset(_upper(p, lbc))
+                adj_rhs = u_ab.issubset(_upper(p, c.imps[b][cc]))
+                adj = adj_lhs == adj_rhs
+                ex_lhs = p.set_leq(
+                    c.imps[a][b], _upper(p, _subset(E, comp[a], comp[cc]))
+                )
+                ex_rhs = p.set_leq(
+                    c.imps[a][cc], _upper(p, _subset(E, comp[a], comp[b]))
+                )
+                exch = ex_lhs == ex_rhs
+                if not adj and adj_wit is None:
+                    adj_wit = (a, b, cc)
+                if not exch and exch_wit is None:
+                    exch_wit = (a, b, cc)
+                if adj != exch and match_wit is None:
+                    match_wit = (a, b, cc)
+    return PropertyReport(
+        "adjointness-exchange",
+        [
+            ClauseResult("adjointness_biconditional", adj_wit is None, adj_wit),
+            ClauseResult("exchange_biconditional", exch_wit is None, exch_wit),
+            ClauseResult("pointwise_match", match_wit is None, match_wit),
+        ],
+    )
+
+
+def is_deductive_system(E: EffectAlgebra, d: Subset) -> DeductiveCheck:
+    """Both defining conditions, checked directly with no shortcut."""
+    if d.n != E.n:
+        raise ValueError("carrier mismatch")
+    if E.one not in d:
+        return DeductiveCheck(False, ("one",))
+    bits = d.bits
+    for x in d:
+        for y in range(E.n):
+            if not (implies(E, x, y).bits & ~bits) and not (bits >> y & 1):
+                return DeductiveCheck(False, (x, y))
+    return DeductiveCheck(True)
+
+
+def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
+    """Sweep every proper subset containing 1 and compare the direct
+    closure test with the disjointness criterion.  Returns the first
+    disagreeing subset as witness, if any."""
+    if E.n > BRUTE_FORCE_LIMIT:
+        raise ValueError("carrier too large for the exhaustive sweep")
+    one_bit = 1 << E.one
+    full = (1 << E.n) - 1
+    for mask in range(1 << E.n):
+        if not mask & one_bit or mask == full:
+            continue
+        d = Subset(mask, E.n)
+        if is_deductive_system(E, d).holds != E.set_complement(d).isdisjoint(d):
+            return DeductiveCheck(False, tuple(d.indices()))
+    return DeductiveCheck(True)
+
+
+def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
+    """Both cones of a pair are recovered from sums against the pair itself.
+
+    L(a,b) = (a' + (a' + L(a,b))')'  and  U(a,b) = a + (a + U(a,b)')'.
+    """
+    p = E.order
+    low_wit = up_wit = None
+    for a in range(E.n):
+        ac = E.comp[a]
+        for b in range(E.n):
+            pair = _subset(E, a, b)
+            low = _lower(p, pair)
+            recon = E.set_complement(
+                E.add_elem_set(ac, E.set_complement(E.add_elem_set(ac, low)))
+            )
+            if recon != low and low_wit is None:
+                low_wit = (a, b)
+            upper = _upper(p, pair)
+            recon = E.add_elem_set(
+                a, E.set_complement(E.add_elem_set(a, E.set_complement(upper)))
+            )
+            if recon != upper and up_wit is None:
+                up_wit = (a, b)
+    return PropertyReport(
+        "cone-equations",
+        [
+            ClauseResult("lower_cone_reconstruction", low_wit is None, low_wit),
+            ClauseResult("upper_cone_reconstruction", up_wit is None, up_wit),
+        ],
+    )
+
+
+def _cone_tables(E: EffectAlgebra) -> tuple[list[int], list[int]]:
+    'Lower/upper cone bitmasks for every subset mask of a small carrier.'
+    n = E.n
+    full = (1 << n) - 1
+    low = [full] * (1 << n)
+    upp = [full] * (1 << n)
+    for mask in range(1, 1 << n):
+        lsb = mask & -mask
+        x = lsb.bit_length() - 1
+        low[mask] = low[mask ^ lsb] & E.order.down[x]
+        upp[mask] = upp[mask ^ lsb] & E.order.up[x]
+    return low, upp
+
+
+def is_monotonous(E: EffectAlgebra, samples: int = 4000, seed: int = 0) -> MonotonicityResult:
+    """Does L(A) <= U(B) force L(x+A) <= U(x+B) whenever A, B <= x'?
+
+    A and B range over nonempty subsets; the empty set is excluded because
+    U({}) is the whole carrier by convention, which would fail the law
+    vacuously even on Boolean algebras.  Exhaustive over all subset pairs
+    for n <= 9, randomly sampled above.
+    """
+    n = E.n
+    if n <= 9:
+        low, upp = _cone_tables(E)
+
+        def set_leq(a_bits, b_bits):
+            return not (b_bits & ~upp[a_bits])
+
+        for x in range(n):
+            dom = E.order.down[E.comp[x]]
+            # x + A for every submask A of dom, built by peeling low bits
+            img = [0] * (dom + 1)
+            for mask in range(1, dom + 1):
+                if mask & ~dom:
+                    continue
+                lsb = mask & -mask
+                img[mask] = img[mask ^ lsb] | 1 << E.sums[x][lsb.bit_length() - 1]
+            a = dom
+            while True:
+                b = dom
+                while True:
+                    if (
+                        a
+                        and b
+                        and set_leq(low[a], upp[b])
+                        and not set_leq(low[img[a]], upp[img[b]])
+                    ):
+                        return MonotonicityResult(
+                            False, (x, Subset(a, n), Subset(b, n)), True
+                        )
+                    if b == 0:
+                        break
+                    b = (b - 1) & dom
+                if a == 0:
+                    break
+                a = (a - 1) & dom
+        return MonotonicityResult(True, None, True)
+
+    rng = random.Random(seed)
+    p = E.order
+    for _ in range(samples):
+        x = rng.randrange(n)
+        dom = p.down[E.comp[x]]
+        pick = lambda: dom & rng.getrandbits(n)  # noqa: E731
+        a_bits, b_bits = pick(), pick()
+        if not a_bits or not b_bits:
+            continue
+        a, b = Subset(a_bits, n), Subset(b_bits, n)
+        if not p.set_leq(_lower(p, a), _upper(p, b)):
+            continue
+        xa, xb = E.add_elem_set(x, a), E.add_elem_set(x, b)
+        if not p.set_leq(_lower(p, xa), _upper(p, xb)):
+            return MonotonicityResult(False, (x, a, b), False)
+    return MonotonicityResult(True, None, False)
+
+
+def contraposition_pair(E: EffectAlgebra, x: int, y: int):
+    "U(x -> y) vs U(y' -> x'): returns (equal, lhs cone, rhs cone)."
+    p = E.order
+    lhs = _upper(p, implies(E, x, y))
+    rhs = _upper(p, implies(E, E.comp[y], E.comp[x]))
+    return lhs == rhs, lhs, rhs
+
+
+def counterexample_search(E: EffectAlgebra) -> LawReport:
+    """Every pair breaking contraposition, annotated comparable/incomparable."""
+    report = LawReport("contraposition")
+    for x in range(E.n):
+        for y in range(E.n):
+            equal, lhs, rhs = contraposition_pair(E, x, y)
+            if not equal:
+                cmp = E.order.comparable(x, y)
+                report.failing_pairs.append(LawViolation(x, y, lhs, rhs, cmp))
+                if cmp:
+                    report.comparable_only_status = False
+    return report
+
+
+def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
+    """Contraposition on comparable pairs, plus the meet-variant clause.
+
+    The variant U(x -> y) = U((x^y)' -> x') is checked for every pair whose
+    meet exists (all of them on a lattice).
+    """
+    p = E.order
+    wit = next(
+        (
+            (x, y)
+            for x in range(E.n)
+            for y in range(E.n)
+            if p.comparable(x, y) and not contraposition_pair(E, x, y)[0]
+        ),
+        None,
+    )
+    clauses = [ClauseResult("comparable_pairs", wit is None, wit)]
+
+    wit = None
+    checked = 0
+    for x in range(E.n):
+        for y in range(E.n):
+            m = p.meet(x, y)
+            if m is None:
+                continue
+            checked += 1
+            lhs = _upper(p, implies(E, x, y))
+            rhs = _upper(p, implies(E, E.comp[m], E.comp[x]))
+            if lhs != rhs:
+                wit = (x, y)
+                break
+        if wit:
+            break
+    clauses.append(
+        ClauseResult("meet_variant", wit is None, wit, detail=f"{checked} pairs with meets")
+    )
+    return PropertyReport("comparable-contraposition", clauses)
+
+
+def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
+    """L(U(x,y') (.) y) <= UL(y,z) iff LU(x,y') <= U(y -> z), recorded only.
+
+    The result is reported, never asserted: the law is tied to monotonicity,
+    which not every algebra enjoys, so the probe result rides along.
+    """
+    p = E.order
+    n = E.n
+    comp = E.comp
+    wit = None
+    for x in range(n):
+        for y in range(n):
+            uxy = Subset(p.up[x] & p.up[comp[y]], n)
+            image_low = _lower(p, odot_image(E, y, uxy))
+            low_uxy = _lower(p, uxy)
+            for z in range(n):
+                ul = _upper(p, Subset(p.down[y] & p.down[z], n))
+                lhs = p.set_leq(image_low, ul)
+                rhs = p.set_leq(low_uxy, _upper(p, implies(E, y, z)))
+                if lhs != rhs:
+                    wit = (x, y, z)
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    return ConeAdjointness(wit is None, wit, is_monotonous(E))

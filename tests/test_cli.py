@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -138,3 +139,61 @@ def test_threads_env_respected(capsys, monkeypatch):
     monkeypatch.setenv("THREADS", "2")
     code, out, _ = run(capsys, "enumerate", "5", "--count-only")
     assert code == 0 and "16 labeled, 4 up to isomorphism" in out
+
+
+class RecordingPool:
+    'Stands in for multiprocessing.Pool: records its size, maps in-process.'
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,pool",
+    [("64", 8, 5), ("3", 8, 3), ("4", 2, 2), ("1", 8, None), ("0", 8, None), ("-3", 8, None)],
+)
+def test_threads_clamped(capsys, monkeypatch, threads, cpus, pool):
+    # n = 5 has five first-cell subtrees; no process is started
+    import multiprocessing
+    import os
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("THREADS", threads)
+    code, out, _ = run(capsys, "enumerate", "5", "--count-only")
+    assert code == 0 and "16 labeled, 4 up to isomorphism" in out
+    assert RecordingPool.sizes == ([] if pool is None else [pool])
+
+
+def test_threads_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("THREADS", "two")
+    code, out, err = run(capsys, "enumerate", "4", "--count-only")
+    assert code == 2 and out == ""
+    assert err == "THREADS must be an integer, got 'two'\n"
+
+
+@pytest.mark.parametrize("name", ["CHAIN-64", "BOOL-6"])
+def test_check_large_fixtures_within_budget(name):
+    suites = "lemma1,lemma2,th2,th4,c1-c5,roundtrip"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "unsharp", "check", f"fixture:{name}", "--suite", suites],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count(": pass") == 6
+    assert time.perf_counter() - start < 30.0

@@ -104,3 +104,24 @@ def test_completeness_exhaustive_on_e6(e6):
 def test_completeness_sampled_on_e9(e9):
     rep = ded_lattice(e9).check_completeness(samples=200, seed=1)
     assert rep.ok and not rep.exhaustive
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["E9", "E6", *(f"BOOL-{k}" for k in range(1, 5)), *(f"CHAIN-{n}" for n in range(2, 17))],
+)
+def test_atoms_are_the_covers_of_one_in_the_lattice(name):
+    # the closed form {1,x} against the minimal systems strictly above {1}
+    # in the enumerated lattice; by size, a system is minimal exactly when
+    # no smaller minimal one lies inside it
+    E = fixture(name)
+    bottom = 1 << E.one
+    covers = []
+    for d in ded_lattice(E).systems:
+        bits = d.members.bits
+        if bits != bottom and all(m & ~bits for m in covers):
+            covers.append(bits)
+    found = [d.members.bits for d in atoms(E)]
+    # with no {1,x} at all (every interior element self-complementary),
+    # the whole carrier is the one system above {1}
+    assert sorted(covers) == (found or [E.full_set().bits])

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from unsharp import (
+    EffectAlgebra,
     InvalidAlgebraError,
     adjointness_exchange_equivalence,
     check_dual_adjointness,
@@ -106,3 +107,17 @@ def test_exchange_equivalence_everywhere(small_algebras, fixture_algebras):
     for E in small_algebras + fixture_algebras:
         rep = adjointness_exchange_equivalence(E)
         assert rep.ok, (E.name, [(c.clause, c.witness) for c in rep.failures()])
+
+
+def test_from_effect_algebra_raises_report_on_mutated_table(e9):
+    # a + b = e changed to a + b = f behind the validator's back
+    a, b, f = (idx(e9, lab) for lab in "abf")
+    sums = [list(row) for row in e9.sums]
+    sums[a][b] = sums[b][a] = f
+    bad = EffectAlgebra(e9.n, tuple(map(tuple, sums)), e9.comp, e9.zero, e9.one,
+                        e9.labels, e9.order, "E9-mutated")
+    with pytest.raises(InvalidAlgebraError) as err:
+        from_effect_algebra(bad)
+    report = err.value.report
+    assert report == validate_surp(from_effect_algebra(bad, validate=False))
+    assert report.first("C2") is not None
