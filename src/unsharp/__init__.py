@@ -17,6 +17,7 @@ from .deduction import (
     atoms,
     characterization_agreement,
     characterize,
+    count_ded,
     ded_lattice,
     enumerate_ded,
     generate,

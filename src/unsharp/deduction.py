@@ -16,12 +16,14 @@ from .algebra import EffectAlgebra
 from .poset import Subset, iter_bits
 
 BRUTE_FORCE_LIMIT = 20
+TH3_SAMPLES = 2000  # seeded subsets checked by th3 above BRUTE_FORCE_LIMIT
 
 
 @dataclass
 class DeductiveCheck:
     holds: bool
     witness: Optional[tuple] = None  # (x, y) breaking closure, or ("one",)
+    exhaustive: bool = True  # False when only a seeded sample of subsets was checked
 
     def __bool__(self):
         return self.holds
@@ -81,20 +83,61 @@ def characterize(E: EffectAlgebra, d: Subset) -> bool:
 
 
 def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
-    """Sweep every proper subset containing 1 and compare the direct
-    closure test with the disjointness criterion.  Returns the first
-    disagreeing subset as witness, if any."""
-    if E.n > BRUTE_FORCE_LIMIT:
-        raise ValueError("carrier too large for the exhaustive sweep")
+    """Compare the direct closure test with the disjointness criterion on
+    proper subsets containing 1; the witness is the first disagreeing one.
+
+    Every such subset is swept up to 20 elements.  Above that a seeded
+    sample is checked and the result says so: every {1,x}, then unions of
+    {1} with one choice (neither, x or x') per complement pair, which are
+    deductive, then random subsets containing 1, which mostly are not.
+    """
     one_bit = 1 << E.one
     full = (1 << E.n) - 1
-    for mask in range(1 << E.n):
+    exhaustive = E.n <= BRUTE_FORCE_LIMIT
+    if exhaustive:
+        masks = range(1 << E.n)
+    else:
+        masks = _th3_sample(E)
+    for mask in masks:
         if not mask & one_bit or mask == full:
             continue
         closed = _closure_witness(E, mask) is None
         if closed != (not E.comp_bits(mask) & mask):
-            return DeductiveCheck(False, tuple(iter_bits(mask)))
-    return DeductiveCheck(True)
+            return DeductiveCheck(False, tuple(iter_bits(mask)), exhaustive)
+    return DeductiveCheck(True, None, exhaustive)
+
+
+def _th3_sample(E: EffectAlgebra):
+    rng = random.Random(0)
+    one_bit = 1 << E.one
+    for x in range(E.n):
+        yield one_bit | 1 << x
+    pairs = _complement_pairs(E)
+    for _ in range(TH3_SAMPLES // 2):
+        bits = one_bit
+        for x, xc in pairs:
+            bits |= (0, 1 << x, 1 << xc)[rng.randrange(3)]
+        yield bits
+    for _ in range(TH3_SAMPLES - TH3_SAMPLES // 2):
+        yield rng.getrandbits(E.n) | one_bit
+
+
+def count_ded(E: EffectAlgebra) -> int:
+    """The number of deductive systems: len(enumerate_ded(E)), without
+    building them above 20 elements, where it is 3^k + 1 for the k
+    complement pairs {x, x'} with x' != x."""
+    if E.n <= BRUTE_FORCE_LIMIT:
+        return len(enumerate_ded(E))
+    return 3 ** len(_complement_pairs(E)) + 1
+
+
+def _complement_pairs(E: EffectAlgebra) -> list[tuple[int, int]]:
+    "The interior pairs (x, x') with x < x', each once."
+    return [
+        (x, E.comp[x])
+        for x in range(E.n)
+        if x not in (E.zero, E.one) and E.comp[x] > x
+    ]
 
 
 def _canonical_key(bits: int, n: int):
@@ -116,15 +159,10 @@ def enumerate_ded(E: EffectAlgebra) -> list[DeductiveSystem]:
             if bits & one_bit and _closure_witness(E, bits) is None
         ]
     else:
-        pairs = [
-            (x, E.comp[x])
-            for x in range(n)
-            if x not in (E.zero, E.one) and E.comp[x] > x
-        ]
         found = [(1 << n) - 1]
         base = 1 << E.one
         choices = [base]
-        for x, xc in pairs:
+        for x, xc in _complement_pairs(E):
             choices = [
                 bits | extra for bits in choices for extra in (0, 1 << x, 1 << xc)
             ]

@@ -1,15 +1,23 @@
 """Exhaustive enumeration of small effect algebras, up to relabeling or not.
 
-The unrestricted search fixes 0 and 1, fills the interior upper triangle
-cell by cell (mirroring symmetrically), and prunes on complement
-uniqueness, sums with the top element, associativity over decided triples,
-and two theorem-level value exclusions (no interior sum equals 0 or either
-operand).  Every completed table still goes through the full validator, so
-the pruning can only lose speed, never algebras.
+The unrestricted search fixes 0 and 1 and fills the interior upper
+triangle cell by cell (mirroring symmetrically).  A value is pruned when
+it breaks a law every effect algebra satisfies: complement uniqueness, no
+sums with the top element, cancellativity (a + b = a + c forces b = c, so
+no value repeats in a row), two theorem-level value exclusions (no
+interior sum equals 0 or either operand), and associativity over decided
+triples.  Associativity is checked incrementally: after a cell is assigned
+only the triples that read it are evaluated, since every other decided
+triple already passed at an earlier node, so each node costs O(n^2)
+instead of O(n^3).  Every completed table still goes through the full
+validator, so the pruning can only lose speed, never algebras; the result
+counts the search nodes and the completed tables the validator rejected.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there the complement involution is chosen first and the
 definedness pattern is forced, which keeps carriers like n = 9 tractable.
+Both modes run one search routine, which differs only in the values each
+cell may take.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import EffectAlgebra, validate_tables
-from .poset import Poset
+from .poset import Poset, iter_bits
 
 UNKNOWN = -2
 UNDEF = -1
@@ -46,38 +54,61 @@ def _base_state(n: int):
     return t, comp
 
 
-def _assoc_ok(t, n: int) -> bool:
-    'Associativity over every triple whose relevant cells are all decided.'
-    for a in range(1, n):
-        row_a = t[a]
-        for b in range(1, n):
-            s_ab = row_a[b]
-            if s_ab == UNKNOWN:
+def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
+    """Associativity over the decided triples that read cell (x, y) or (y, x).
+
+    The cell can sit in the a+b slot, the b+c slot, the outer (a+b)+c slot
+    (a+b equal to x or y) or the outer a+(b+c) slot.  Any other decided
+    triple reads only cells that were already decided, and checked, at an
+    earlier node.  The table is symmetric, so (a, b, c) fails exactly when
+    (c, b, a) does, and the a+b and (a+b)+c slots cover all four.  Rows
+    are injective on values (cancellativity), so a row holds x or y at
+    most once.
+    """
+    for p, q in ((x, y),) if x == y else ((x, y), (y, x)):
+        row_p, row_q = t[p], t[q]
+        s = row_p[q]
+        row_s = None if s == UNDEF else t[s]
+        for c in range(1, n):  # (p+q)+c = p+(q+c)
+            s_qc = row_q[c]
+            if s_qc == UNKNOWN:
                 continue
+            left = UNDEF if row_s is None else row_s[c]
+            right = UNDEF if s_qc == UNDEF else row_p[s_qc]
+            if left != right and left != UNKNOWN and right != UNKNOWN:
+                return False
+        for b in range(1, n):  # (a+b)+q = a+(b+q) with a+b = p
             row_b = t[b]
-            for c in range(1, n):
-                s_bc = row_b[c]
-                if s_bc == UNKNOWN:
-                    continue
-                left = UNDEF if s_ab == UNDEF else t[s_ab][c]
-                right = UNDEF if s_bc == UNDEF else row_a[s_bc]
-                if left == UNKNOWN or right == UNKNOWN:
-                    continue
-                if left != right:
-                    return False
+            if b == p or p not in row_b:
+                continue
+            s_bq = row_b[q]
+            if s_bq == UNKNOWN:
+                continue
+            right = UNDEF if s_bq == UNDEF else t[row_b.index(p)][s_bq]
+            if right != s and right != UNKNOWN:
+                return False
     return True
 
 
-def _search(t, comp, cells, idx, n, out):
+def _search(t, comp, cells, choices, idx, n, out) -> int:
+    """Fill cells[idx:] depth first, trying the values choices[i] at cells[i].
+
+    Completed tables are appended to out.  Returns the number of search
+    nodes below this one: partial tables that passed every prune.
+    """
     if idx == len(cells):
         out.append(tuple(tuple(None if v == UNDEF else v for v in row) for row in t))
-        return
+        return 0
     x, y = cells[idx]
+    row_x, row_y = t[x], t[y]
     one = n - 1
     last_in_row = y == n - 2
-    for v in (UNDEF, *range(1, n)):
+    nodes = 0
+    for v in choices[idx]:
         if v in (x, y):
             continue
+        if v != UNDEF and (v in row_x or v in row_y):
+            continue  # cancellativity
         undo_comp = []
         if v == one:
             if x == y:
@@ -95,64 +126,33 @@ def _search(t, comp, cells, idx, n, out):
                 if comp[y] is None:
                     comp[y] = x
                     undo_comp.append(y)
-        t[x][y] = t[y][x] = v
-        if (not last_in_row or comp[x] is not None) and _assoc_ok(t, n):
-            _search(t, comp, cells, idx + 1, n, out)
-        t[x][y] = t[y][x] = UNKNOWN
+        row_x[y] = row_y[x] = v
+        if (not last_in_row or comp[x] is not None) and _assoc_cell_ok(t, n, x, y):
+            nodes += 1 + _search(t, comp, cells, choices, idx + 1, n, out)
+        row_x[y] = row_y[x] = UNKNOWN
         for w in undo_comp:
             comp[w] = None
+    return nodes
 
 
 def _interior_cells(n: int):
     return [(x, y) for x in range(1, n - 1) for y in range(x, n - 1)]
 
 
-def _collect_tables(n: int, prefix: Optional[tuple] = None) -> list:
-    'All prune-surviving completed tables, optionally under fixed first cells.'
+def _collect_tables(n: int, prefix: tuple = ()) -> tuple[list, int]:
+    'Completed tables of the free search and its node count; prefix fixes the first cells.'
     t, comp = _base_state(n)
     cells = _interior_cells(n)
+    values = (UNDEF, *range(1, n))
+    choices = [(v,) for v in prefix] + [values] * (len(cells) - len(prefix))
     out: list = []
-    if not prefix:
-        _search(t, comp, cells, 0, n, out)
-        return out
-    # replay the prefix through the same assignment logic, then search on
-    replay: list = []
-    _search_prefix(t, comp, cells, list(prefix), n, replay)
-    return replay
-
-
-def _search_prefix(t, comp, cells, prefix, n, out):
-    if not prefix:
-        _search(t, comp, cells, len(cells) - _remaining(t, cells), n, out)
-        return
-    idx = len(cells) - _remaining(t, cells)
-    x, y = cells[idx]
-    v = prefix[0]
-    one = n - 1
-    if v in (x, y):
-        return
-    if v == one:
-        if x == y:
-            if comp[x] not in (None, x):
-                return
-            comp[x] = x
-        else:
-            if comp[x] not in (None, y) or comp[y] not in (None, x):
-                return
-            comp[x] = y
-            comp[y] = x
-    t[x][y] = t[y][x] = v
-    if (y != n - 2 or comp[x] is not None) and _assoc_ok(t, n):
-        _search_prefix(t, comp, cells, prefix[1:], n, out)
-
-
-def _remaining(t, cells) -> int:
-    return sum(1 for x, y in cells if t[x][y] == UNKNOWN)
+    nodes = _search(t, comp, cells, choices, 0, n, out)
+    return out, nodes
 
 
 def _subtree_task(args):
     n, prefix = args
-    return prefix, _collect_tables(n, prefix)
+    return _collect_tables(n, prefix)
 
 
 @dataclass
@@ -162,6 +162,8 @@ class EnumerationResult:
     labeled_count: int
     iso_count: int
     up_to_iso: bool
+    nodes: int  # search nodes visited, summed over the workers
+    rejected: int  # completed tables the validator or the order filter refused
 
 
 def enumerate_effect_algebras(
@@ -181,35 +183,32 @@ def enumerate_effect_algebras(
             raise ValueError("order carrier differs from n")
         if not 2 <= n <= MAX_RESTRICTED:
             raise ValueError(f"restricted search supports 2..{MAX_RESTRICTED} elements")
-        tables = _restricted_tables(induced_order)
+        tables, nodes = _restricted_tables(induced_order)
         labels = induced_order.labels
     else:
         if not 2 <= n <= MAX_FREE:
             raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
         labels = _default_labels(n)
-        cells = _interior_cells(n)
         # at most one worker per CPU and per first-cell subtree (UNDEF, 1..n-1)
         workers = max(1, min(threads or 1, os.cpu_count() or 1, n))
-        if workers > 1 and cells:
+        if workers > 1 and _interior_cells(n):
             import multiprocessing
 
             prefixes = [(n, (v,)) for v in (UNDEF, *range(1, n))]
             with multiprocessing.Pool(workers) as pool:
                 chunks = pool.map(_subtree_task, prefixes)
-            chunks.sort(key=lambda pair: pair[0])
-            tables = [tab for _, chunk in chunks for tab in chunk]
+            tables = [tab for chunk, _ in chunks for tab in chunk]
+            nodes = sum(count for _, count in chunks)
         else:
-            tables = _collect_tables(n)
+            tables, nodes = _collect_tables(n)
 
     algebras = []
-    seq = 0
     for tab in tables:
-        report = validate_tables(labels, tab, 0, n - 1, name=f"EA{n}-{seq}")
-        if report.ok:
-            if induced_order is not None and report.algebra.order.up != induced_order.up:
-                continue
+        report = validate_tables(labels, tab, 0, n - 1, name=f"EA{n}-{len(algebras)}")
+        if report.ok and (
+            induced_order is None or report.algebra.order.up == induced_order.up
+        ):
             algebras.append(report.algebra)
-            seq += 1
     labeled_count = len(algebras)
     reps = []
     seen = set()
@@ -224,6 +223,8 @@ def enumerate_effect_algebras(
         labeled_count,
         len(reps),
         up_to_iso,
+        nodes,
+        len(tables) - labeled_count,
     )
 
 
@@ -231,84 +232,79 @@ def enumerate_effect_algebras(
 
 
 def _antitone_involutions(p: Poset) -> list[tuple[int, ...]]:
-    'Involutions of the carrier that reverse the order and swap the bounds.'
-    n = p.n
+    """Involutions of the carrier that reverse the order and swap the bounds.
+
+    Built by backtracking in lexicographic order: the least unpaired
+    interior element is paired with itself or with a larger unpaired one,
+    and a pair is dropped as soon as it breaks order reversal against the
+    elements mapped so far.
+    """
+    n, up = p.n, p.up
     interior = [x for x in range(n) if x not in (p.bottom, p.top)]
+    f: list[Optional[int]] = [None] * n
+    f[p.bottom], f[p.top] = p.top, p.bottom
     found = []
-    for perm in itertools.permutations(interior):
-        mapping = list(range(n))
-        mapping[p.bottom] = p.top
-        mapping[p.top] = p.bottom
-        for x, y in zip(interior, perm):
-            mapping[x] = y
-        if any(mapping[mapping[x]] != x for x in interior):
-            continue
-        if all(
-            not p.leq(x, y) or p.leq(mapping[y], mapping[x])
-            for x in range(n)
-            for y in range(n)
-        ):
-            found.append(tuple(mapping))
+
+    def reverses(u: int) -> bool:
+        fu = f[u]
+        for w, fw in enumerate(f):
+            if fw is None:
+                continue
+            if up[u] >> w & 1 and not up[fw] >> fu & 1:
+                return False
+            if up[w] >> u & 1 and not up[fu] >> fw & 1:
+                return False
+        return True
+
+    def pair(i: int) -> None:
+        while i < len(interior) and f[interior[i]] is not None:
+            i += 1
+        if i == len(interior):
+            found.append(tuple(f))  # type: ignore[arg-type]
+            return
+        x = interior[i]
+        for y in interior[i:]:
+            if f[y] is not None:
+                continue
+            f[x], f[y] = y, x
+            if reverses(x) and reverses(y):
+                pair(i + 1)
+            f[x] = f[y] = None
+
+    pair(0)
     return found
 
 
-def _restricted_tables(p: Poset) -> list:
+def _restricted_tables(p: Poset) -> tuple[list, int]:
+    'Completed tables whose complements and definedness fit p, and the node count.'
     n = p.n
     one = p.top
     if p.bottom != 0 or p.top != n - 1:
         raise ValueError("restricted search expects bottom 0 and top n-1")
-    tables = []
+    values = p.full_bits & ~(1 << p.top) & ~(1 << p.bottom)
+    tables: list = []
+    nodes = 0
     for inv in _antitone_involutions(p):
         t, comp = _base_state(n)
-        ok = True
         for x in range(1, n - 1):
-            xc = inv[x]
-            if xc in (0, one):
-                ok = False  # interior elements need interior complements
-                break
-            if t[x][xc] not in (UNKNOWN, one):
-                ok = False
-                break
-            t[x][xc] = t[xc][x] = one
-            comp[x] = xc
-        if not ok:
-            continue
-        free = [
-            (x, y)
-            for x in range(1, n - 1)
-            for y in range(x, n - 1)
-            if t[x][y] == UNKNOWN and p.leq(x, inv[y])
-        ]
+            t[x][inv[x]] = t[inv[x]][x] = one
+            comp[x] = inv[x]
+        # x + y is defined exactly when x <= y'; those cells get a value
+        free, preset = [], []
         for x in range(1, n - 1):
             for y in range(x, n - 1):
-                if t[x][y] == UNKNOWN and not p.leq(x, inv[y]):
+                if t[x][y] != UNKNOWN:
+                    preset.append((x, y))
+                elif p.leq(x, inv[y]):
+                    free.append((x, y))
+                else:
                     t[x][y] = t[y][x] = UNDEF
-        _restricted_search(t, free, 0, p, inv, tables)
-    return tables
-
-
-def _restricted_search(t, free, idx, p: Poset, inv, out):
-    n = p.n
-    if idx == len(free):
-        out.append(tuple(tuple(None if v == UNDEF else v for v in row) for row in t))
-        return
-    x, y = free[idx]
-    common = p.up[x] & p.up[y] & ~(1 << p.top) & ~(1 << p.bottom)
-    rest = common
-    while rest:
-        lsb = rest & -rest
-        v = lsb.bit_length() - 1
-        rest ^= lsb
-        if v in (x, y):
+                    preset.append((x, y))
+        if not all(_assoc_cell_ok(t, n, x, y) for x, y in preset):
             continue
-        if any(t[x][w] == v or t[y][w] == v for w in range(n)):
-            continue  # row-injectivity (cancellativity)
-        t[x][y] = t[y][x] = v
-        if _assoc_ok(t, n):
-            _restricted_search(t, free, idx + 1, p, inv, out)
-        t[x][y] = t[y][x] = UNKNOWN
-    # a cell forced defined by the involution cannot stay empty: no undefined
-    # branch here, every strictness-defined pair needs a value
+        choices = [tuple(iter_bits(p.up[x] & p.up[y] & values)) for x, y in free]
+        nodes += _search(t, comp, free, choices, 0, n, tables)
+    return tables, nodes
 
 
 # -- isomorphism ------------------------------------------------------------

@@ -12,6 +12,7 @@ times over; `forget()` drops them.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import replace
 from typing import Union
@@ -20,9 +21,11 @@ from unsharp import (
     EffectAlgebra,
     Involution,
     MonotonicityResult,
+    Poset,
     Subset,
     UnsharpResiduatedPoset,
     validate_involution,
+    validate_tables,
 )
 from unsharp.deduction import BRUTE_FORCE_LIMIT, DeductiveCheck
 from unsharp.laws import ConeAdjointness
@@ -792,3 +795,161 @@ def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
         if wit:
             break
     return ConeAdjointness(wit is None, wit, is_monotonous(E))
+
+
+# -- enumeration: the full-scan search -------------------------------------
+
+UNKNOWN = -2
+UNDEF = -1
+
+
+def _base_state(n: int):
+    t = [[UNKNOWN] * n for _ in range(n)]
+    one = n - 1
+    for x in range(n):
+        t[0][x] = t[x][0] = x
+    for x in range(1, n):
+        t[one][x] = t[x][one] = UNDEF
+    comp: list = [None] * n
+    comp[0] = one
+    comp[one] = 0
+    return t, comp
+
+
+def _freeze(t) -> tuple:
+    return tuple(tuple(None if v == UNDEF else v for v in row) for row in t)
+
+
+def assoc_ok(t, n: int) -> bool:
+    'Associativity over every triple whose relevant cells are all decided.'
+    for a in range(1, n):
+        row_a = t[a]
+        for b in range(1, n):
+            s_ab = row_a[b]
+            if s_ab == UNKNOWN:
+                continue
+            row_b = t[b]
+            for c in range(1, n):
+                s_bc = row_b[c]
+                if s_bc == UNKNOWN:
+                    continue
+                left = UNDEF if s_ab == UNDEF else t[s_ab][c]
+                right = UNDEF if s_bc == UNDEF else row_a[s_bc]
+                if left == UNKNOWN or right == UNKNOWN:
+                    continue
+                if left != right:
+                    return False
+    return True
+
+
+def _search(t, comp, cells, idx, n, out):
+    if idx == len(cells):
+        out.append(_freeze(t))
+        return
+    x, y = cells[idx]
+    one = n - 1
+    last_in_row = y == n - 2
+    for v in (UNDEF, *range(1, n)):
+        if v in (x, y):
+            continue
+        undo_comp = []
+        if v == one:
+            if x == y:
+                if comp[x] not in (None, x):
+                    continue
+                if comp[x] is None:
+                    comp[x] = x
+                    undo_comp.append(x)
+            else:
+                if comp[x] not in (None, y) or comp[y] not in (None, x):
+                    continue
+                if comp[x] is None:
+                    comp[x] = y
+                    undo_comp.append(x)
+                if comp[y] is None:
+                    comp[y] = x
+                    undo_comp.append(y)
+        t[x][y] = t[y][x] = v
+        if (not last_in_row or comp[x] is not None) and assoc_ok(t, n):
+            _search(t, comp, cells, idx + 1, n, out)
+        t[x][y] = t[y][x] = UNKNOWN
+        for w in undo_comp:
+            comp[w] = None
+
+
+def free_tables(n: int) -> list:
+    """Completed tables of the free search, re-checking every decided
+    triple after each assignment and with no cancellativity prune."""
+    t, comp = _base_state(n)
+    cells = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1)]
+    out: list = []
+    _search(t, comp, cells, 0, n, out)
+    return out
+
+
+def antitone_involutions(p: Poset) -> list[tuple[int, ...]]:
+    'Every permutation of the interior, kept when it is an order-reversing involution.'
+    n = p.n
+    interior = [x for x in range(n) if x not in (p.bottom, p.top)]
+    found = []
+    for perm in itertools.permutations(interior):
+        mapping = list(range(n))
+        mapping[p.bottom] = p.top
+        mapping[p.top] = p.bottom
+        for x, y in zip(interior, perm):
+            mapping[x] = y
+        if any(mapping[mapping[x]] != x for x in interior):
+            continue
+        if all(
+            not p.leq(x, y) or p.leq(mapping[y], mapping[x])
+            for x in range(n)
+            for y in range(n)
+        ):
+            found.append(tuple(mapping))
+    return found
+
+
+def _restricted_search(t, free, idx, p: Poset, out):
+    n = p.n
+    if idx == len(free):
+        out.append(_freeze(t))
+        return
+    x, y = free[idx]
+    for v in range(n):
+        if v in (x, y, p.bottom, p.top) or not (p.leq(x, v) and p.leq(y, v)):
+            continue
+        if any(t[x][w] == v or t[y][w] == v for w in range(n)):
+            continue  # row-injectivity (cancellativity)
+        t[x][y] = t[y][x] = v
+        if assoc_ok(t, n):
+            _restricted_search(t, free, idx + 1, p, out)
+        t[x][y] = t[y][x] = UNKNOWN
+
+
+def restricted_algebras(p: Poset) -> list[EffectAlgebra]:
+    """Labeled algebras inducing exactly the order p, named as the package
+    names them: complements from each antitone involution, definedness
+    forced by x + y defined iff x <= y', the rest searched cell by cell."""
+    n = p.n
+    one = n - 1
+    tables: list = []
+    for inv in antitone_involutions(p):
+        t, _ = _base_state(n)
+        for x in range(1, n - 1):
+            t[x][inv[x]] = t[inv[x]][x] = one
+        free = []
+        for x in range(1, n - 1):
+            for y in range(x, n - 1):
+                if t[x][y] != UNKNOWN:
+                    continue
+                if p.leq(x, inv[y]):
+                    free.append((x, y))
+                else:
+                    t[x][y] = t[y][x] = UNDEF
+        _restricted_search(t, free, 0, p, tables)
+    algebras = []
+    for tab in tables:
+        rep = validate_tables(p.labels, tab, 0, one, name=f"EA{n}-{len(algebras)}")
+        if rep.ok and rep.algebra.order.up == p.up:
+            algebras.append(rep.algebra)
+    return algebras

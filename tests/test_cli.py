@@ -197,3 +197,33 @@ def test_check_large_fixtures_within_budget(name):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count(": pass") == 6
     assert time.perf_counter() - start < 30.0
+
+
+LARGE_DED = {
+    "BOOL-5": "14348908 deductive systems, 30 atoms",
+    "BOOL-6": "617673396283948 deductive systems, 62 atoms",
+    "CHAIN-24": "177148 deductive systems, 22 atoms",
+    "CHAIN-64": "617673396283948 deductive systems, 62 atoms",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "ded"])
+@pytest.mark.parametrize("name", sorted(LARGE_DED))
+def test_full_check_and_ded_on_large_fixtures_within_budget(command, name):
+    # above 20 elements th3 samples and says so, and ded counts in closed form
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "unsharp", command, f"fixture:{name}"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    if command == "check":
+        assert proc.stdout.splitlines() == [
+            "lemma1: pass", "lemma2: pass", "th2: pass", "th4: pass",
+            "c1-c5: pass", "th3: pass (sampled)", "roundtrip: pass",
+        ]
+    else:
+        assert proc.stdout == LARGE_DED[name] + "\n"
+    assert time.perf_counter() - start < 30.0

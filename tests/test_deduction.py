@@ -5,6 +5,7 @@ from unsharp import (
     atoms,
     characterization_agreement,
     characterize,
+    count_ded,
     ded_lattice,
     enumerate_ded,
     fixture,
@@ -54,6 +55,55 @@ def test_characterization_agrees_with_brute_force(fixture_algebras):
     for E in fixture_algebras:
         res = characterization_agreement(E)
         assert res.holds, (E.name, res.witness)
+
+
+@pytest.mark.parametrize("name", ["CHAIN-21", "CHAIN-24", "BOOL-5", "CHAIN-64"])
+def test_characterization_sampled_above_twenty_elements(name):
+    res = characterization_agreement(fixture(name))
+    assert res.holds and res.witness is None
+    assert not res.exhaustive
+    assert characterization_agreement(fixture("E9")).exhaustive
+
+
+@pytest.mark.parametrize("name", ["CHAIN-21", "BOOL-5"])
+def test_th3_sample_holds_both_kinds_of_subset(name):
+    from unsharp.deduction import TH3_SAMPLES, _closure_witness, _th3_sample
+
+    E = fixture(name)
+    one = 1 << E.one
+    masks = list(_th3_sample(E))
+    assert len(masks) == E.n + TH3_SAMPLES
+    assert masks[: E.n] == [one | 1 << x for x in range(E.n)]
+    proper = [m for m in masks if m != E.full_set().bits]
+    closed = sum(1 for m in proper if _closure_witness(E, m) is None)
+    # the pair unions and most {1,x} are deductive, the random subsets mostly not
+    assert TH3_SAMPLES // 2 <= closed < len(proper) - TH3_SAMPLES // 4
+
+
+def test_sampled_characterization_reports_a_disagreement(monkeypatch):
+    import unsharp.deduction as deduction
+
+    # a closure test that passes everything disagrees with the criterion
+    # on {0,1}, the first sampled subset that meets its orthosupplement
+    monkeypatch.setattr(deduction, "_closure_witness", lambda E, bits: None)
+    E = fixture("CHAIN-24")
+    res = characterization_agreement(E)
+    assert (res.holds, res.witness, res.exhaustive) == (False, (E.zero, E.one), False)
+
+
+@pytest.mark.parametrize(
+    "name,count",
+    [("E9", 28), ("CHAIN-16", 3**7 + 1), ("CHAIN-21", 3**9 + 1), ("CHAIN-22", 3**10 + 1)],
+)
+def test_count_ded_agrees_with_the_enumeration(name, count):
+    E = fixture(name)
+    assert count_ded(E) == len(enumerate_ded(E)) == count
+
+
+def test_count_ded_closed_form_on_large_fixtures():
+    assert count_ded(fixture("CHAIN-64")) == 3**31 + 1
+    assert count_ded(fixture("BOOL-6")) == 3**31 + 1
+    assert count_ded(fixture("CHAIN-25")) == 3**11 + 1  # one self-complementary middle
 
 
 def test_generate(e9):

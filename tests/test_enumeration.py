@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,10 @@ from unsharp import (
     validate_tables,
 )
 from unsharp.cli import SUITES, run_suite
+from unsharp.enumeration import _antitone_involutions, _collect_tables
+from unsharp.reports import Violation
 
+import oracles
 from conftest import idx
 
 
@@ -153,3 +157,66 @@ def test_bounds_are_enforced():
 def test_relabel_rejects_non_permutation(e9):
     with pytest.raises(ValueError):
         relabel(e9, [0] * 9)
+
+
+# -- the search against the full-scan oracles in oracles.py ------------------
+
+
+def _restricted_orders():
+    'The orders of E9, CHAIN-10 and every isomorphism class with n <= 7.'
+    orders = [("E9", fixture("E9").order), ("CHAIN-10", fixture("CHAIN-10").order)]
+    for n in range(2, 8):
+        for i, E in enumerate(enumerate_effect_algebras(n, up_to_iso=True).algebras):
+            orders.append((f"n{n}-class{i}", E.order))
+    return orders
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_free_search_matches_oracle(n):
+    tables, _ = _collect_tables(n)
+    assert tables == oracles.free_tables(n)
+
+
+def test_restricted_search_and_involutions_match_oracle():
+    orders = _restricted_orders()
+    assert len(orders) == 2 + 33
+    for name, order in orders:
+        assert _antitone_involutions(order) == oracles.antitone_involutions(order), name
+        got = enumerate_effect_algebras(order.n, induced_order=order).algebras
+        want = oracles.restricted_algebras(order)
+        assert [(E.name, E.labels, E.sums) for E in got] == [
+            (E.name, E.labels, E.sums) for E in want
+        ], name
+        assert got, name  # the order of an effect algebra admits at least that one
+
+
+def test_threads_two_equals_serial_at_six():
+    seq = enumerate_effect_algebras(6)
+    par = enumerate_effect_algebras(6, threads=2)
+    assert [(E.name, E.sums) for E in par.algebras] == [(E.name, E.sums) for E in seq.algebras]
+    assert (par.nodes, par.rejected) == (seq.nodes, seq.rejected)
+    assert seq.nodes > 0
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_free_search_rejects_no_completed_table(n):
+    assert enumerate_effect_algebras(n).rejected == 0
+
+
+def test_rejected_counts_what_the_validator_refuses(monkeypatch):
+    import unsharp.enumeration as enumeration
+
+    real = enumeration.validate_tables
+    calls = []
+
+    def refuse_first(*args, **kwargs):
+        calls.append(args)
+        report = real(*args, **kwargs)
+        if len(calls) == 1:
+            return replace(report, violations=[Violation("planted", ())], algebra=None)
+        return report
+
+    monkeypatch.setattr(enumeration, "validate_tables", refuse_first)
+    res = enumerate_effect_algebras(5)
+    assert (res.labeled_count, res.rejected) == (15, 1)
+    assert [E.name for E in res.algebras] == [f"EA5-{i}" for i in range(15)]
