@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from . import deduction, dsl, fixtures, laws, residuation
+from . import dsl, fixtures
 from .algebra import (
     EffectAlgebra,
     InvalidAlgebraError,
@@ -21,14 +21,10 @@ from .algebra import (
     check_sum_laws,
     is_monotonous,
 )
-from .enumeration import enumerate_effect_algebras
-from .implication import (
-    element_implication_suite,
-    implication_table,
-    implies,
-    set_implication_suite,
-)
-from .reports import PropertyReport
+from .reports import PropertyReport, ValidationReport
+
+# the other modules are imported by the commands that use them: start-up
+# compiles only what a command runs
 
 SUITES = ("lemma1", "lemma2", "th2", "th4", "c1-c5", "th3", "roundtrip")
 
@@ -40,12 +36,14 @@ def _read_source(arg: str) -> str:
         return fh.read()
 
 
+def _validate(arg: str) -> ValidationReport:
+    return dsl.spec_report(dsl.parse_spec(_read_source(arg)))
+
+
 def _load(arg: str) -> EffectAlgebra:
-    report = dsl.spec_report(dsl.parse_spec(_read_source(arg)))
+    report = _validate(arg)
     if not report.ok:
-        for v in report.violations:
-            print(f"invalid: {v}", file=sys.stderr)
-        raise SystemExit(1)
+        raise InvalidAlgebraError(report)  # main prints it as "invalid:" lines
     return report.algebra
 
 
@@ -58,7 +56,7 @@ def _label_index(E: EffectAlgebra, label: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = dsl.spec_report(dsl.parse_spec(_read_source(args.file)))
+    report = _validate(args.file)
     if report.ok:
         E = report.algebra
         print(f"{E.name}: valid effect algebra with {E.n} elements")
@@ -85,6 +83,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_implies(args) -> int:
+    from .implication import implies
     E = _load(args.file)
     x = _label_index(E, args.x)
     y = _label_index(E, args.y)
@@ -93,6 +92,7 @@ def cmd_implies(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .implication import implication_table
     E = _load(args.file)
     source = E if args.sums else implication_table(E)
     sys.stdout.write(dsl.emit_table(source, format=args.format))
@@ -100,6 +100,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_residuate(args) -> int:
+    from . import residuation
     E = _load(args.file)
     c = residuation.from_effect_algebra(E, validate=False)
     report = residuation.validate_surp(c)
@@ -121,13 +122,14 @@ def cmd_residuate(args) -> int:
 
 
 def cmd_ded(args) -> int:
+    from . import deduction
     E = _load(args.file)
     if args.generate is not None:
         members = E.subset(*(_label_index(E, lab) for lab in args.generate.split(",")))
         print(E.render(deduction.generate(E, members)))
         return 0
     if args.enumerate:
-        for d in deduction.enumerate_ded(E):
+        for d in deduction.iter_ded(E):
             print(E.render(d.members))
         return 0
     if args.atoms:
@@ -139,6 +141,7 @@ def cmd_ded(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    from . import laws
     E = _load(args.file)
     chosen = [
         name
@@ -204,6 +207,7 @@ def cmd_laws(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_effect_algebras
     threads: Optional[int] = None
     if os.environ.get("THREADS"):
         try:
@@ -244,12 +248,15 @@ def run_suite(E: EffectAlgebra, name: str) -> tuple[bool, str]:
         rep = check_cone_equations(E)
         return rep.ok, _failure_text(rep)
     if name == "th2":
+        from .implication import element_implication_suite
         rep = element_implication_suite(E)
         return rep.ok, _failure_text(rep)
     if name == "th4":
+        from .implication import set_implication_suite
         rep = set_implication_suite(E)
         return rep.ok, _failure_text(rep)
     if name == "c1-c5":
+        from . import residuation
         c = residuation.from_effect_algebra(E, validate=False)
         report = residuation.validate_surp(c)
         if not report.ok:
@@ -258,12 +265,14 @@ def run_suite(E: EffectAlgebra, name: str) -> tuple[bool, str]:
             return False, "not divisible"
         return True, ""
     if name == "th3":
+        from . import deduction
         res = deduction.characterization_agreement(E)
         detail = "" if res.holds else f"disagrees on {res.witness}"
         if not res.exhaustive:
             detail = f"{detail} (sampled)".lstrip()
         return res.holds, detail
     if name == "roundtrip":
+        from . import residuation
         rt = residuation.roundtrip_check(E)
         return rt.equal, "" if rt.equal else str(rt.diffs[:3])
     raise ValueError(f"unknown suite {name!r}")
@@ -392,6 +401,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import EffectAlgebra
 from .poset import Subset, iter_bits
@@ -140,35 +140,58 @@ def _complement_pairs(E: EffectAlgebra) -> list[tuple[int, int]]:
     ]
 
 
-def _canonical_key(bits: int, n: int):
-    return (bits.bit_count(), tuple(iter_bits(bits)))
-
-
 def enumerate_ded(E: EffectAlgebra) -> list[DeductiveSystem]:
-    """All deductive systems, sorted by size then membership pattern.
+    'All deductive systems, in the order of iter_ded.'
+    return list(iter_ded(E))
+
+
+def iter_ded(E: EffectAlgebra) -> Iterator[DeductiveSystem]:
+    """All deductive systems, one at a time, by size then sorted members.
 
     Brute force over all 2^n subsets with the definitional check up to
-    n = 20; built from the complement-pair structure beyond that.
-    """
+    n = 20; beyond that generated in order from the complement pairs, so
+    the first systems arrive at once even when there are 3^31 of them."""
     n = E.n
     if n <= BRUTE_FORCE_LIMIT:
         one_bit = 1 << E.one
-        found = [
-            bits
-            for bits in range(1 << n)
-            if bits & one_bit and _closure_witness(E, bits) is None
-        ]
+        found = sorted(
+            (bits for bits in range(1 << n)
+             if bits & one_bit and _closure_witness(E, bits) is None),
+            key=lambda bits: (bits.bit_count(), tuple(iter_bits(bits))),
+        )
     else:
-        found = [(1 << n) - 1]
-        base = 1 << E.one
-        choices = [base]
-        for x, xc in _complement_pairs(E):
-            choices = [
-                bits | extra for bits in choices for extra in (0, 1 << x, 1 << xc)
-            ]
-        found.extend(choices)
-    found.sort(key=lambda bits: _canonical_key(bits, n))
-    return [DeductiveSystem(Subset(bits, n), E) for bits in found]
+        found = _closed_form_ded(E)
+    for bits in found:
+        yield DeductiveSystem(Subset(bits, n), E)
+
+
+def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
+    """{1} plus at most one member of each complement pair, then the whole
+    carrier: the systems th3 describes, as masks in the order of
+    `iter_ded`.  Adding 1 to every set keeps their order, so the
+    picks are generated in lexicographic order of their member tuples."""
+    pairs = _complement_pairs(E)
+    partner = {x: xc for x, xc in pairs} | {xc: x for x, xc in pairs}
+    elems = sorted(partner)
+    pairs_above = [sum(xc >= c for _, xc in pairs) for c in range(E.n + 1)]
+
+    def picks(start: int, need: int, blocked: int) -> Iterator[int]:
+        if not need:
+            yield 0
+            return
+        for i, c in enumerate(elems[start:], start + 1):
+            # the free pairs with a member at c or later; never grows with c
+            if pairs_above[c] - (blocked >> c).bit_count() < need:
+                return
+            if not blocked >> c & 1:
+                for rest in picks(i, need - 1, blocked | 1 << partner[c]):
+                    yield 1 << c | rest
+
+    one_bit = 1 << E.one
+    for size in range(len(pairs) + 1):
+        for bits in picks(0, size, 0):
+            yield one_bit | bits
+    yield (1 << E.n) - 1
 
 
 def generate(E: EffectAlgebra, m: Subset) -> Subset:

@@ -21,11 +21,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .algebra import EffectAlgebra, InvalidAlgebraError, validate_tables
-from .implication import ImplicationTable
 from .reports import ValidationReport
+
+if TYPE_CHECKING:
+    from .implication import ImplicationTable
 
 
 class DslError(ValueError):
@@ -244,13 +246,7 @@ def emit_dot(E: EffectAlgebra) -> str:
 
 
 def _table_cells(source: Union[ImplicationTable, EffectAlgebra]):
-    if isinstance(source, ImplicationTable):
-        E = source.algebra
-        corner = "->"
-        cells = [
-            [E.render(source[x, y]) for y in range(E.n)] for x in range(E.n)
-        ]
-    else:
+    if isinstance(source, EffectAlgebra):
         E = source
         corner = "+"
         cells = [
@@ -259,6 +255,12 @@ def _table_cells(source: Union[ImplicationTable, EffectAlgebra]):
                 for y in range(E.n)
             ]
             for x in range(E.n)
+        ]
+    else:
+        E = source.algebra
+        corner = "->"
+        cells = [
+            [E.render(source[x, y]) for y in range(E.n)] for x in range(E.n)
         ]
     return E, corner, cells
 

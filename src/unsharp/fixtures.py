@@ -5,9 +5,8 @@ E9, E6, BOOL-1 .. BOOL-6, CHAIN-2 .. CHAIN-64.
 
 from __future__ import annotations
 
-from .algebra import EffectAlgebra, validate_tables
+from .algebra import EffectAlgebra
 from .dsl import emit_spec, load_algebra
-from .laws import boolean_to_ea
 
 E9_TEXT = """\
 algebra E9
@@ -42,9 +41,31 @@ def _chain(n: int) -> EffectAlgebra:
         raise ValueError("chain size out of range (2..64)")
     labels = ("0",) + tuple(f"a{i}" for i in range(1, n - 1)) + ("1",)
     sums = [[i + j if i + j <= n - 1 else None for j in range(n)] for i in range(n)]
-    report = validate_tables(labels, sums, 0, n - 1, name=f"CHAIN-{n}")
-    assert report.ok, report.violations
-    return report.algebra
+    return EffectAlgebra.from_tables(labels, sums, 0, n - 1, name=f"CHAIN-{n}")
+
+
+def boolean_to_ea(k: int) -> EffectAlgebra:
+    """The Boolean algebra on k atoms as an effect algebra.
+
+    x + y is the union of disjoint atom sets; everything else is undefined.
+    """
+    if not 1 <= k <= 6:
+        raise ValueError("atom count outside 1..6")
+    n = 1 << k
+    atoms = "pqrstu"[:k]
+
+    def label(mask: int) -> str:
+        if mask == 0:
+            return "0"
+        if mask == n - 1:
+            return "1"
+        return "".join(atoms[i] for i in range(k) if mask >> i & 1)
+
+    labels = [label(m) for m in range(n)]
+    sums = [
+        [x | y if x & y == 0 else None for y in range(n)] for x in range(n)
+    ]
+    return EffectAlgebra.from_tables(labels, sums, 0, n - 1, name=f"BOOL-{k}")
 
 
 def fixture(name: str) -> EffectAlgebra:

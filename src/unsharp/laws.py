@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import EffectAlgebra, MonotonicityResult, is_monotonous, validate_tables
+from .algebra import EffectAlgebra, MonotonicityResult, is_monotonous
 from .poset import Subset
 from .reports import ClauseResult, LawReport, LawViolation, PropertyReport
 
@@ -124,32 +124,6 @@ def identity_contraposition_equivalence(E: EffectAlgebra) -> IdentityEquivalence
     contra = counterexample_search(E).holds_globally
     ident = check_lattice_identity(E).holds_globally
     return IdentityEquivalence(contra, ident)
-
-
-def boolean_to_ea(k: int) -> EffectAlgebra:
-    """The Boolean algebra on k atoms as an effect algebra.
-
-    x + y is the union of disjoint atom sets; everything else is undefined.
-    """
-    if not 1 <= k <= 6:
-        raise ValueError("atom count outside 1..6")
-    n = 1 << k
-    atoms = "pqrstu"[:k]
-
-    def label(mask: int) -> str:
-        if mask == 0:
-            return "0"
-        if mask == n - 1:
-            return "1"
-        return "".join(atoms[i] for i in range(k) if mask >> i & 1)
-
-    labels = [label(m) for m in range(n)]
-    sums = [
-        [x | y if x & y == 0 else None for y in range(n)] for x in range(n)
-    ]
-    report = validate_tables(labels, sums, 0, n - 1, name=f"BOOL-{k}")
-    assert report.ok, report.violations
-    return report.algebra
 
 
 @dataclass

@@ -131,11 +131,21 @@ class Involution:
         return Subset(bits, s.n)
 
 
+class OrderError(ValueError):
+    'Up-sets that break reflexivity, antisymmetry or transitivity, with the first witness.'
+
+    def __init__(self, reason: str, witness: tuple[int, ...]):
+        super().__init__(f"order not {reason} at ({','.join(map(str, witness))})")
+        self.reason = reason
+        self.witness = witness
+
+
 class Poset:
     """A bounded partial order, kept as up-set bitmasks (up[x] = {y : x <= y}).
 
-    The constructor validates reflexivity, antisymmetry, transitivity and
-    the existence of a bottom and a top; anything else raises ValueError.
+    The constructor validates reflexivity, antisymmetry and transitivity
+    (raising OrderError) and the existence of a bottom and a top; anything
+    else raises ValueError.
     The pair-cone tables are built on first use and kept, since the order
     never changes.
     """
@@ -152,11 +162,11 @@ class Poset:
             if mask < 0 or mask & ~full:
                 raise ValueError(f"up-mask of {x} falls outside the carrier")
             if not mask >> x & 1:
-                raise ValueError(f"order not reflexive at {x}")
+                raise OrderError("reflexive", (x,))
         for x in range(n):
             for y in range(x + 1, n):
                 if up[x] >> y & 1 and up[y] >> x & 1:
-                    raise ValueError(f"order not antisymmetric at ({x},{y})")
+                    raise OrderError("antisymmetric", (x, y))
         for x in range(n):
             rest = up[x]
             while rest:
@@ -164,7 +174,8 @@ class Poset:
                 y = low.bit_length() - 1
                 rest ^= low
                 if up[y] & ~up[x]:
-                    raise ValueError(f"order not transitive at ({x},{y})")
+                    z = (up[y] & ~up[x]).bit_length() - 1
+                    raise OrderError("transitive", (x, y, z))
         down = [0] * n
         for x in range(n):
             for y in range(n):

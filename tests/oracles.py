@@ -598,6 +598,22 @@ def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
     return DeductiveCheck(True)
 
 
+def closed_form_ded(E: EffectAlgebra, max_picks: int | None = None) -> list[int]:
+    """The systems {1} plus at most one member of each complement pair x != x',
+    and the whole carrier, as masks: all of them materialised, then sorted by
+    size and member indices.  With `max_picks`, only the sets with at most that
+    many picks, and no whole carrier."""
+    pairs = [
+        (x, E.comp[x]) for x in range(E.n) if x not in (E.zero, E.one) and E.comp[x] > x
+    ]
+    found = [] if max_picks is not None else [(1 << E.n) - 1]
+    for m in range(len(pairs) + 1 if max_picks is None else max_picks + 1):
+        for combo in itertools.combinations(pairs, m):
+            for chosen in itertools.product(*combo):
+                found.append(1 << E.one | sum(1 << x for x in chosen))
+    return sorted(found, key=lambda bits: (bits.bit_count(), Subset(bits, E.n).indices()))
+
+
 def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
     """Both cones of a pair are recovered from sums against the pair itself.
 

@@ -38,8 +38,8 @@ from unsharp import (
     validate_surp,
     validate_tables,
 )
-from unsharp.fixtures import BUNDLED, E9_TEXT
-from unsharp.laws import boolean_to_ea, identity_contraposition_equivalence
+from unsharp.fixtures import BUNDLED, E9_TEXT, boolean_to_ea
+from unsharp.laws import identity_contraposition_equivalence
 
 import e9_data
 

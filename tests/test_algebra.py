@@ -153,3 +153,34 @@ def test_monotonicity_sampling_path():
     # CHAIN-12 exceeds the exhaustive bound; sampling must accept it
     res = is_monotonous(fixture("CHAIN-12"), samples=500, seed=3)
     assert res.holds and not res.exhaustive
+
+
+@pytest.mark.parametrize(
+    "sums,text",
+    [
+        (
+            [[None, 0, None], [0, 2, None], [None, None, None]],
+            "order violated at (1): induced relation not reflexive",
+        ),
+        (
+            [[None, None, None, None], [None, None, 3, None],
+             [None, 3, 0, None], [None, None, None, None]],
+            "order violated at (0,2): induced relation not antisymmetric",
+        ),
+        (
+            [[None, None, 0, None], [None, 3, 2, None],
+             [0, 2, 3, None], [None, None, None, None]],
+            "order violated at (0,1,2): induced relation not transitive",
+        ),
+        (
+            [[None, 1, 1, None], [1, None, 3, None],
+             [1, 3, 2, None], [None, None, None, None]],
+            "order violated at (0,2): zero is not a bottom element",
+        ),
+    ],
+)
+def test_order_stage_reports_first_witness(sums, text):
+    # each table passes E1, E4 and E3; the order stage stops it before E2
+    labels = ("0", "a", "b", "1")[: len(sums) - 1] + ("1",)
+    rep = validate_tables(labels, sums, 0, len(sums) - 1)
+    assert [str(v) for v in rep.violations] == [text]

@@ -227,3 +227,60 @@ def test_full_check_and_ded_on_large_fixtures_within_budget(command, name):
     else:
         assert proc.stdout == LARGE_DED[name] + "\n"
     assert time.perf_counter() - start < 30.0
+
+
+BASE_MODULES = {
+    "unsharp", "unsharp.cli", "unsharp.algebra", "unsharp.dsl",
+    "unsharp.fixtures", "unsharp.poset", "unsharp.reports",
+}
+LOADS_AS_MAIN = """\
+import atexit, runpy, sys
+atexit.register(lambda: print(
+    " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "unsharp")),
+    file=sys.stderr,
+))
+sys.argv[0] = "unsharp"
+runpy.run_module("unsharp", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["validate", "fixture:E9"], set()),
+        (["order", "fixture:E9"], set()),
+        (["implies", "fixture:E9", "e", "a"], {"implication"}),
+        (["table", "fixture:E9"], {"implication"}),
+        (["residuate", "fixture:E9", "--roundtrip"], {"implication", "residuation"}),
+        (["ded", "fixture:E9"], {"deduction"}),
+        (["laws", "fixture:E9"], {"laws"}),
+        (["check", "fixture:E9"], {"implication", "residuation", "deduction"}),
+        (["fixture", "E9"], set()),
+        (["enumerate", "5"], {"enumeration"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_uses(argv, extra):
+    # the package runs as `python -m unsharp ...` would run it
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_AS_MAIN, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert loaded == BASE_MODULES | {f"unsharp.{m}" for m in extra}
+
+
+def test_ded_enumerate_streams_into_a_closed_pipe():
+    # 3^31 + 1 systems: the first lines come at once and a reader that
+    # stops early ends the process quietly, as `| head` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unsharp", "ded", "fixture:CHAIN-64", "--enumerate"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+    assert head == ["{1}\n", "{a1,1}\n", "{a2,1}\n"]
+    assert code == 0 and proc.stderr.read() == ""

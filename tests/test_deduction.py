@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from unsharp import (
@@ -13,6 +16,9 @@ from unsharp import (
     is_deductive_system,
 )
 
+from unsharp.deduction import _closed_form_ded, iter_ded
+
+import oracles
 from conftest import idx
 
 
@@ -175,3 +181,36 @@ def test_atoms_are_the_covers_of_one_in_the_lattice(name):
     # with no {1,x} at all (every interior element self-complementary),
     # the whole carrier is the one system above {1}
     assert sorted(covers) == (found or [E.full_set().bits])
+
+
+@pytest.mark.parametrize("name", ["E9", "CHAIN-16"])
+def test_closed_form_matches_the_brute_force(name):
+    E = fixture(name)
+    brute = [d.members.bits for d in enumerate_ded(E)]
+    assert list(_closed_form_ded(E)) == brute
+    assert [d.members.bits for d in iter_ded(E)] == brute
+
+
+@pytest.mark.parametrize("name", ["CHAIN-21", "CHAIN-22"])
+def test_closed_form_order_on_large_fixtures(name):
+    E = fixture(name)
+    assert list(_closed_form_ded(E)) == oracles.closed_form_ded(E)
+    assert [d.members.bits for d in enumerate_ded(E)] == oracles.closed_form_ded(E)
+
+
+def test_closed_form_order_on_bool5_prefix():
+    # 3^15 + 1 systems in all; the ones with at most three picks come first
+    E = fixture("BOOL-5")
+    want = oracles.closed_form_ded(E, max_picks=3)
+    assert len(want) == 1 + 30 + 4 * 105 + 8 * 455
+    assert list(itertools.islice(_closed_form_ded(E), len(want))) == want
+
+
+def test_iter_ded_streams_above_the_brute_force_limit():
+    E = fixture("CHAIN-64")
+    start = time.perf_counter()
+    first = list(itertools.islice(iter_ded(E), 5))
+    assert time.perf_counter() - start < 1.0
+    assert [E.render(d.members) for d in first] == [
+        "{1}", "{a1,1}", "{a2,1}", "{a3,1}", "{a4,1}"
+    ]

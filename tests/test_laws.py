@@ -9,7 +9,8 @@ from unsharp import (
     identity_contraposition_equivalence,
     is_monotonous,
 )
-from unsharp.laws import boolean_to_ea, counterexample_search
+from unsharp.fixtures import boolean_to_ea
+from unsharp.laws import counterexample_search
 
 from conftest import idx
 

@@ -1,0 +1,81 @@
+"""The package namespace: the public names, each resolved lazily from its
+home module."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import unsharp
+
+PUBLIC = {
+    "algebra": [
+        "EffectAlgebra", "InvalidAlgebraError", "MonotonicityResult",
+        "check_cone_equations", "check_sum_laws", "is_monotonous", "validate_tables",
+    ],
+    "deduction": [
+        "DeductiveSystem", "atoms", "characterization_agreement", "characterize",
+        "count_ded", "ded_lattice", "enumerate_ded", "generate", "is_deductive_system",
+    ],
+    "dsl": [
+        "AlgebraSpec", "DslError", "emit_dot", "emit_spec", "emit_table",
+        "load_algebra", "parse_spec", "spec_report",
+    ],
+    "enumeration": [
+        "EnumerationResult", "canonical_form", "enumerate_effect_algebras",
+        "find_isomorphism", "is_isomorphic", "relabel",
+    ],
+    "fixtures": ["BUNDLED", "boolean_to_ea", "fixture", "fixture_text"],
+    "implication": [
+        "ImplicationTable", "element_implication_suite", "implication_table",
+        "implies", "implies_sets", "set_implication_suite",
+    ],
+    "laws": [
+        "check_comparable_contraposition", "check_cone_level_adjointness",
+        "check_lattice_identity", "contraposition_pair", "counterexample_search",
+        "identity_contraposition_equivalence",
+    ],
+    "poset": ["Involution", "Poset", "Subset", "validate_involution"],
+    "residuation": [
+        "UnsharpResiduatedPoset", "adjointness_exchange_equivalence",
+        "check_dual_adjointness", "from_effect_algebra", "roundtrip_check",
+        "surp_roundtrip_check", "to_effect_algebra", "validate_surp",
+    ],
+}
+HOME = {name: module for module, names in PUBLIC.items() for name in names}
+
+
+def test_all_lists_the_58_public_names():
+    assert len(HOME) == 58
+    assert sorted(unsharp.__all__) == sorted(HOME)
+
+
+@pytest.mark.parametrize("name", sorted(HOME))
+def test_each_name_is_the_object_in_its_home_module(name):
+    home = importlib.import_module(f"unsharp.{HOME[name]}")
+    assert getattr(unsharp, name) is getattr(home, name)
+
+
+def test_star_import_and_dir():
+    namespace = {}
+    exec("from unsharp import *", namespace)
+    assert set(HOME) <= set(namespace)
+    assert all(namespace[name] is getattr(unsharp, name) for name in HOME)
+    assert set(HOME) <= set(dir(unsharp))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        unsharp.no_such_name
+
+
+def test_import_loads_no_submodule():
+    code = (
+        "import sys, unsharp; "
+        "print(sorted(m for m in sys.modules if m.startswith('unsharp')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "['unsharp']"

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unsharp import Involution, Poset, Subset, fixture, validate_involution
-from unsharp.laws import boolean_to_ea
+from unsharp.fixtures import boolean_to_ea
 
 import e9_data
 from conftest import idx
@@ -136,3 +136,17 @@ def test_validate_involution_clauses(e9):
     assert not rep.ok
     failing = {c.clause for c in rep.failures()}
     assert "involutive" in failing or "antitone" in failing
+
+
+@pytest.mark.parametrize(
+    "up,witness",
+    [
+        ((0b10, 0b11), (0,)),
+        ((0b111, 0b110, 0b110), (1, 2)),
+        ((0b1111, 0b0110, 0b1100, 0b1000), (1, 2, 3)),
+    ],
+)
+def test_poset_names_the_first_broken_axiom(up, witness):
+    with pytest.raises(ValueError) as info:
+        Poset(up)
+    assert info.value.witness == witness
