@@ -118,6 +118,12 @@ class EffectAlgebra:
             tuple(self.add_bits(self.comp[x], m) for m in low[x]) for x in range(self.n)
         )
 
+    @cached_property
+    def up_imp_bits(self) -> tuple[tuple[int, ...], ...]:
+        "U(x -> y) for every pair, as bitmasks."
+        upper = self.order.upper_bits
+        return tuple(tuple(upper(m) for m in row) for row in self.imp_bits)
+
     # -- subset helpers --------------------------------------------------
 
     def subset(self, *elements: int) -> Subset:
@@ -208,11 +214,9 @@ def validate_tables(
     def fail(axiom, witness, message):
         return ValidationReport([Violation(axiom, witness, message)])
 
-    # E1: commutativity, including matching definedness
-    for x in range(n):
-        for y in range(x + 1, n):
-            if table[x][y] != table[y][x]:
-                return fail("E1", (x, y), "sum table is not symmetric")
+    wit = first_asymmetric_pair(table)
+    if wit:
+        return fail("E1", wit, "sum table is not symmetric")
 
     # E4: one + x only for x = zero
     for x in range(n):
@@ -260,16 +264,9 @@ def validate_tables(
         return fail("order", (zero, x), "zero is not a bottom element")
     # one is the top already: E3 gave every x a sum x + x' = one
 
-    # E2: associativity with matching definedness
-    for x in range(n):
-        for y in range(n):
-            s_xy = table[x][y]
-            for z in range(n):
-                s_yz = table[y][z]
-                left = table[s_xy][z] if s_xy is not None else None
-                right = table[x][s_yz] if s_yz is not None else None
-                if left != right:
-                    return fail("E2", (x, y, z), "associativity fails")
+    wit = first_nonassociative_triple(table)
+    if wit:
+        return fail("E2", wit, "associativity fails")
 
     algebra = EffectAlgebra(
         n,
@@ -282,6 +279,30 @@ def validate_tables(
         name,
     )
     return ValidationReport([], algebra)
+
+
+def first_asymmetric_pair(table) -> Optional[tuple[int, int]]:
+    "The first (x, y), x < y, where the partial table is not symmetric, definedness included."
+    n = len(table)
+    return next(
+        ((x, y) for x in range(n) for y in range(x + 1, n) if table[x][y] != table[y][x]),
+        None,
+    )
+
+
+def first_nonassociative_triple(table) -> Optional[tuple[int, int, int]]:
+    "The first (x, y, z) where (xy)z and x(yz) differ, definedness included."
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            s_xy = table[x][y]
+            for z in range(n):
+                s_yz = table[y][z]
+                left = table[s_xy][z] if s_xy is not None else None
+                right = table[x][s_yz] if s_yz is not None else None
+                if left != right:
+                    return (x, y, z)
+    return None
 
 
 # -- derived laws ---------------------------------------------------------

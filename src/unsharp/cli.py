@@ -71,14 +71,11 @@ def cmd_order(args) -> int:
     if args.dot:
         sys.stdout.write(dsl.emit_dot(E))
         return 0
-    header = ["<=", *E.labels]
     rows = [
         [E.labels[x], *("1" if E.leq(x, y) else "0" for y in range(E.n))]
         for x in range(E.n)
     ]
-    widths = [max(len(r[c]) for r in [header, *rows]) for c in range(E.n + 1)]
-    for row in [header, *rows]:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    sys.stdout.write(dsl.aligned_grid([["<=", *E.labels], *rows]))
     return 0
 
 

@@ -2,8 +2,10 @@
 
 D is deductive when 1 is a member and, whenever x is a member and the whole
 subset x -> y lands inside D, y is a member too.  For proper systems this
-is equivalent to D being disjoint from its elementwise orthosupplement,
-which gives both a fast enumeration and an independent cross-check.
+is equivalent to D being disjoint from its elementwise orthosupplement
+(th3), so the systems are {1} plus at most one member of each complement
+pair, and E itself.  Counting and listing use that form at every size;
+`characterization_agreement` is where th3 is tested against the definition.
 """
 
 from __future__ import annotations
@@ -123,12 +125,9 @@ def _th3_sample(E: EffectAlgebra):
 
 
 def count_ded(E: EffectAlgebra) -> int:
-    """The number of deductive systems: len(enumerate_ded(E)), without
-    building them above 20 elements, where it is 3^k + 1 for the k
-    complement pairs {x, x'} with x' != x."""
-    if E.n <= BRUTE_FORCE_LIMIT:
-        return len(enumerate_ded(E))
-    return 3 ** len(_complement_pairs(E)) + 1
+    """The number of deductive systems, 3^k + 1 for the k complement pairs
+    {x, x'} with x' != x; just 1 when {1} is the whole carrier."""
+    return 3 ** len(_complement_pairs(E)) + (E.n > 1)
 
 
 def _complement_pairs(E: EffectAlgebra) -> list[tuple[int, int]]:
@@ -148,21 +147,10 @@ def enumerate_ded(E: EffectAlgebra) -> list[DeductiveSystem]:
 def iter_ded(E: EffectAlgebra) -> Iterator[DeductiveSystem]:
     """All deductive systems, one at a time, by size then sorted members.
 
-    Brute force over all 2^n subsets with the definitional check up to
-    n = 20; beyond that generated in order from the complement pairs, so
-    the first systems arrive at once even when there are 3^31 of them."""
-    n = E.n
-    if n <= BRUTE_FORCE_LIMIT:
-        one_bit = 1 << E.one
-        found = sorted(
-            (bits for bits in range(1 << n)
-             if bits & one_bit and _closure_witness(E, bits) is None),
-            key=lambda bits: (bits.bit_count(), tuple(iter_bits(bits))),
-        )
-    else:
-        found = _closed_form_ded(E)
-    for bits in found:
-        yield DeductiveSystem(Subset(bits, n), E)
+    Generated in order from the complement pairs, so the first systems
+    arrive at once even when there are 3^31 of them."""
+    for bits in _closed_form_ded(E):
+        yield DeductiveSystem(Subset(bits, E.n), E)
 
 
 def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
@@ -187,11 +175,12 @@ def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
                 for rest in picks(i, need - 1, blocked | 1 << partner[c]):
                     yield 1 << c | rest
 
-    one_bit = 1 << E.one
+    one_bit, full = 1 << E.one, (1 << E.n) - 1
     for size in range(len(pairs) + 1):
         for bits in picks(0, size, 0):
             yield one_bit | bits
-    yield (1 << E.n) - 1
+    if full != one_bit:
+        yield full
 
 
 def generate(E: EffectAlgebra, m: Subset) -> Subset:

@@ -279,12 +279,13 @@ def emit_table(
         return buf.getvalue()
     if format != "aligned":
         raise ValueError(f"unknown table format {format!r}")
-    widths = [
-        max(len(header[col]), *(len(r[col]) for r in rows))
-        for col in range(len(header))
-    ]
-    lines = []
-    for row in [header, *rows]:
-        line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        lines.append(line.rstrip())
-    return "\n".join(lines) + "\n"
+    return aligned_grid([header, *rows])
+
+
+def aligned_grid(rows: list[list[str]]) -> str:
+    'Rows of cells as text: columns padded to their widest cell, two spaces apart.'
+    widths = [max(len(r[col]) for r in rows) for col in range(len(rows[0]))]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )

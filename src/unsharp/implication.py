@@ -79,7 +79,7 @@ def exchange_failures(E: EffectAlgebra) -> Iterator[tuple[int, int, int]]:
     (a -> b) <= U(a',c')  iff  (a -> c) <= U(a',b')."""
     n, p, comp = E.n, E.order, E.comp
     for a in range(n):
-        up_imp = [p.upper_bits(m) for m in E.imp_bits[a]]
+        up_imp = E.up_imp_bits[a]
         u_row = p.pair_upper[comp[a]]
         for b in range(n):
             u_ab, ui_b = u_row[comp[b]], up_imp[b]

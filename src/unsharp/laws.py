@@ -9,39 +9,38 @@ x' + (x ^ y) = y + (x' ^ y').
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import EffectAlgebra, MonotonicityResult, is_monotonous
 from .poset import Subset
 from .reports import ClauseResult, LawReport, LawViolation, PropertyReport
 
 
-def _up_imps(E: EffectAlgebra) -> list[list[int]]:
-    'U(x -> y) for every pair, as bitmasks.'
-    return [[E.order.upper_bits(m) for m in row] for row in E.imp_bits]
-
-
 def contraposition_pair(E: EffectAlgebra, x: int, y: int):
     "U(x -> y) vs U(y' -> x'): returns (equal, lhs cone, rhs cone)."
-    U, imp = E.order.upper_bits, E.imp_bits
-    lhs, rhs = U(imp[x][y]), U(imp[E.comp[y]][E.comp[x]])
+    up_imp = E.up_imp_bits
+    lhs, rhs = up_imp[x][y], up_imp[E.comp[y]][E.comp[x]]
     return lhs == rhs, Subset(lhs, E.n), Subset(rhs, E.n)
+
+
+def _contraposition_failures(E: EffectAlgebra) -> Iterator[tuple[int, int]]:
+    "Pairs (x, y) with U(x -> y) != U(y' -> x'), in lexicographic order."
+    up_imp, comp = E.up_imp_bits, E.comp
+    for x in range(E.n):
+        for y in range(E.n):
+            if up_imp[x][y] != up_imp[comp[y]][comp[x]]:
+                yield x, y
 
 
 def counterexample_search(E: EffectAlgebra) -> LawReport:
     """Every pair breaking contraposition, annotated comparable/incomparable."""
     report = LawReport("contraposition")
-    up_imp, comp = _up_imps(E), E.comp
-    for x in range(E.n):
-        for y in range(E.n):
-            lhs, rhs = up_imp[x][y], up_imp[comp[y]][comp[x]]
-            if lhs != rhs:
-                cmp = E.order.comparable(x, y)
-                report.failing_pairs.append(
-                    LawViolation(x, y, Subset(lhs, E.n), Subset(rhs, E.n), cmp)
-                )
-                if cmp:
-                    report.comparable_only_status = False
+    for x, y in _contraposition_failures(E):
+        _, lhs, rhs = contraposition_pair(E, x, y)
+        cmp = E.order.comparable(x, y)
+        report.failing_pairs.append(LawViolation(x, y, lhs, rhs, cmp))
+        if cmp:
+            report.comparable_only_status = False
     return report
 
 
@@ -51,16 +50,8 @@ def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
     The variant U(x -> y) = U((x^y)' -> x') is checked for every pair whose
     meet exists (all of them on a lattice).
     """
-    p, comp, up_imp = E.order, E.comp, _up_imps(E)
-    wit = next(
-        (
-            (x, y)
-            for x in range(E.n)
-            for y in range(E.n)
-            if p.comparable(x, y) and up_imp[x][y] != up_imp[comp[y]][comp[x]]
-        ),
-        None,
-    )
+    p, comp, up_imp = E.order, E.comp, E.up_imp_bits
+    wit = next(((x, y) for x, y in _contraposition_failures(E) if p.comparable(x, y)), None)
     clauses = [ClauseResult("comparable_pairs", wit is None, wit)]
 
     wit = None
@@ -143,7 +134,7 @@ def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
     """
     p, n, comp = E.order, E.n, E.comp
     L, U, ul = p.lower_bits, p.upper_bits, p.pair_ul
-    up_imp = _up_imps(E)
+    up_imp = E.up_imp_bits
     wit = None
     for x in range(n):
         for y in range(n):

@@ -201,23 +201,11 @@ class Poset:
         self.labels = labels
         self.full_bits = full
 
-    @classmethod
-    def from_matrix(cls, rows: Sequence[Sequence[bool]], labels=None) -> "Poset":
-        up = []
-        for x, row in enumerate(rows):
-            if len(row) != len(rows):
-                raise ValueError("order matrix is not square")
-            up.append(sum(1 << y for y, v in enumerate(row) if v))
-        return cls(up, labels)
-
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
     def comparable(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y | self.up[y] >> x) & 1)
-
-    def matrix(self) -> list[list[bool]]:
-        return [[bool(self.up[x] >> y & 1) for y in range(self.n)] for x in range(self.n)]
 
     # -- cones ---------------------------------------------------------
 

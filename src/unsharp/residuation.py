@@ -16,7 +16,13 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
-from .algebra import EffectAlgebra, InvalidAlgebraError, validate_tables
+from .algebra import (
+    EffectAlgebra,
+    InvalidAlgebraError,
+    first_asymmetric_pair,
+    first_nonassociative_triple,
+    validate_tables,
+)
 from .implication import exchange_failures
 from .poset import Involution, Poset, Subset, iter_bits, validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
@@ -138,15 +144,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     )
     if wit:
         add("C2", wit, "strictness: product defined iff x' <= y")
-    wit = next(
-        (
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if prod[x][y] != prod[y][x]
-        ),
-        None,
-    )
+    wit = first_asymmetric_pair(prod)
     if wit:
         add("C2", wit, "product not commutative")
     wit = next(
@@ -159,21 +157,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     )
     if wit:
         add("C2", wit, "top is not a unit")
-    wit = None
-    for x in range(n):
-        for y in range(n):
-            pxy = prod[x][y]
-            for z in range(n):
-                pyz = prod[y][z]
-                left = prod[pxy][z] if pxy is not None else None
-                right = prod[x][pyz] if pyz is not None else None
-                if left != right:
-                    wit = (x, y, z)
-                    break
-            if wit:
-                break
-        if wit:
-            break
+    wit = first_nonassociative_triple(prod)
     if wit:
         add("C2", wit, "product not associative")
     wit = None

@@ -27,8 +27,9 @@ from unsharp import (
     validate_involution,
     validate_tables,
 )
-from unsharp.deduction import BRUTE_FORCE_LIMIT, DeductiveCheck
+from unsharp.deduction import BRUTE_FORCE_LIMIT, DeductiveCheck, _closure_witness
 from unsharp.laws import ConeAdjointness
+from unsharp.poset import iter_bits
 from unsharp.reports import (
     ClauseResult,
     LawReport,
@@ -596,6 +597,17 @@ def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
         if is_deductive_system(E, d).holds != E.set_complement(d).isdisjoint(d):
             return DeductiveCheck(False, tuple(d.indices()))
     return DeductiveCheck(True)
+
+
+def enumerate_ded(E: EffectAlgebra) -> list[int]:
+    """Every deductive system by the definition, as masks: the closure test
+    on all 2^n subsets containing 1, then sorted by size and member indices."""
+    one_bit = 1 << E.one
+    return sorted(
+        (bits for bits in range(1 << E.n)
+         if bits & one_bit and _closure_witness(E, bits) is None),
+        key=lambda bits: (bits.bit_count(), tuple(iter_bits(bits))),
+    )
 
 
 def closed_form_ded(E: EffectAlgebra, max_picks: int | None = None) -> list[int]:

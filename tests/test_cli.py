@@ -86,6 +86,18 @@ def test_ded_outputs(capsys):
     assert out.strip() == "{0,a,b,c,d,e,f,g,1}"
 
 
+def test_every_file_command_on_a_one_element_carrier(tmp_path, capsys):
+    # {1} is the whole carrier: zero and one coincide
+    doc = tmp_path / "one.ea"
+    doc.write_text("elements 0\nzero 0\none 0\n")
+    for command in ("validate", "order", "implies", "table", "residuate", "ded", "laws", "check"):
+        extra = ("0", "0") if command == "implies" else ()
+        code, _, err = run(capsys, command, str(doc), *extra)
+        assert (code, err) == (0, ""), command
+    assert run(capsys, "ded", str(doc)) == (0, "1 deductive systems, 0 atoms\n", "")
+    assert run(capsys, "ded", str(doc), "--enumerate") == (0, "{0}\n", "")
+
+
 def test_laws_output(capsys):
     code, out, _ = run(capsys, "laws", "fixture:E9", "--contraposition")
     assert code == 0 and "16 failing pairs" in out

@@ -15,8 +15,10 @@ from unsharp import (
     check_cone_equations,
     check_cone_level_adjointness,
     check_dual_adjointness,
+    count_ded,
     counterexample_search,
     element_implication_suite,
+    enumerate_ded,
     enumerate_effect_algebras,
     fixture,
     from_effect_algebra,
@@ -122,6 +124,13 @@ def test_deductive_check_matches_oracle_on_random_subsets(fixtures):
         for _ in range(200):
             d = Subset(rng.getrandbits(E.n) | (1 << E.one) * rng.randrange(2), E.n)
             assert is_deductive_system(E, d) == oracles.is_deductive_system(E, d), (E.name, d)
+
+
+def test_deductive_systems_match_the_definitional_sweep(labeled, fixtures):
+    for E in [*labeled, *fixtures]:
+        brute = oracles.enumerate_ded(E)
+        assert [d.members.bits for d in enumerate_ded(E)] == brute, E.name
+        assert count_ded(E) == len(brute), E.name
 
 
 def mutations(c, rng, count):
