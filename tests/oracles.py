@@ -27,7 +27,7 @@ from unsharp import (
     validate_involution,
     validate_tables,
 )
-from unsharp.deduction import BRUTE_FORCE_LIMIT, DeductiveCheck, _closure_witness
+from unsharp.deduction import CompletenessReport, DedLattice, DeductiveCheck, _closure_witness
 from unsharp.laws import ConeAdjointness
 from unsharp.poset import iter_bits
 from unsharp.reports import (
@@ -583,20 +583,53 @@ def is_deductive_system(E: EffectAlgebra, d: Subset) -> DeductiveCheck:
 
 
 def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
-    """Sweep every proper subset containing 1 and compare the direct
-    closure test with the disjointness criterion.  Returns the first
-    disagreeing subset as witness, if any."""
-    if E.n > BRUTE_FORCE_LIMIT:
-        raise ValueError("carrier too large for the exhaustive sweep")
+    """Sweep all 2^n subsets: every proper one containing 1, comparing the
+    direct closure test with the disjointness criterion.  Returns the first
+    disagreeing subset as witness, if any.  The closure test reads the
+    algebra's implication table, mutated or not."""
     one_bit = 1 << E.one
     full = (1 << E.n) - 1
     for mask in range(1 << E.n):
         if not mask & one_bit or mask == full:
             continue
-        d = Subset(mask, E.n)
-        if is_deductive_system(E, d).holds != E.set_complement(d).isdisjoint(d):
-            return DeductiveCheck(False, tuple(d.indices()))
+        closed = _closure_witness(E, mask) is None
+        if closed != (not E.comp_bits(mask) & mask):
+            return DeductiveCheck(False, tuple(iter_bits(mask)))
     return DeductiveCheck(True)
+
+
+def _family_bounds(lat: DedLattice, family: list[int]):
+    """Greatest lower / least upper bound of a family, found by scanning
+    every system for the bounds and then for the extreme one; None if missing."""
+    members = [s.members.bits for s in lat.systems]
+    lowers = [b for b in members if all(not (b & ~members[i]) for i in family)]
+    uppers = [b for b in members if all(not (members[i] & ~b) for i in family)]
+    inf = [b for b in lowers if all(not (o & ~b) for o in lowers)]
+    sup = [b for b in uppers if all(not (b & ~o) for o in uppers)]
+    if len(inf) != 1 or len(sup) != 1:
+        return None
+    return inf[0], sup[0]
+
+
+def check_completeness(lat: DedLattice, samples: int = 400, seed: int = 0) -> CompletenessReport:
+    """Every family of systems must have an inf and a sup in the lattice:
+    all families when there are at most 20 systems, otherwise all pairs
+    plus seeded random families."""
+    k = len(lat.systems)
+    exhaustive = k <= 20
+    if exhaustive:
+        families = [[i for i in range(k) if mask >> i & 1] for mask in range(1 << k)]
+    else:
+        families = [[], list(range(k))]
+        families += [[i] for i in range(k)]
+        families += [[i, j] for i in range(k) for j in range(i + 1, k)]
+        rng = random.Random(seed)
+        for _ in range(samples):
+            families.append(sorted(rng.sample(range(k), rng.randrange(k + 1))))
+    for family in families:
+        if _family_bounds(lat, family) is None:
+            return CompletenessReport(False, exhaustive, len(families), tuple(family))
+    return CompletenessReport(True, exhaustive, len(families))
 
 
 def enumerate_ded(E: EffectAlgebra) -> list[int]:

@@ -16,7 +16,7 @@ from unsharp import (
     is_deductive_system,
 )
 
-from unsharp.deduction import _closed_form_ded, iter_ded
+from unsharp.deduction import DedLattice, _closed_form_ded, iter_ded
 
 import oracles
 from conftest import idx
@@ -65,36 +65,38 @@ def test_characterization_agrees_with_brute_force(fixture_algebras):
 
 @pytest.mark.parametrize("name", ["CHAIN-21", "CHAIN-24", "BOOL-5", "CHAIN-64"])
 def test_characterization_sampled_above_twenty_elements(name):
+    # the reduction is exhaustive at every size, these included
     res = characterization_agreement(fixture(name))
     assert res.holds and res.witness is None
-    assert not res.exhaustive
+    assert res.exhaustive
     assert characterization_agreement(fixture("E9")).exhaustive
 
 
-@pytest.mark.parametrize("name", ["CHAIN-21", "BOOL-5"])
-def test_th3_sample_holds_both_kinds_of_subset(name):
-    from unsharp.deduction import TH3_SAMPLES, _closure_witness, _th3_sample
-
-    E = fixture(name)
-    one = 1 << E.one
-    masks = list(_th3_sample(E))
-    assert len(masks) == E.n + TH3_SAMPLES
-    assert masks[: E.n] == [one | 1 << x for x in range(E.n)]
-    proper = [m for m in masks if m != E.full_set().bits]
-    closed = sum(1 for m in proper if _closure_witness(E, m) is None)
-    # the pair unions and most {1,x} are deductive, the random subsets mostly not
-    assert TH3_SAMPLES // 2 <= closed < len(proper) - TH3_SAMPLES // 4
+def test_characterization_on_chain64_is_fast():
+    E = fixture("CHAIN-64")
+    E.imp_bits  # built once and shared by every suite; time th3 alone
+    start = time.perf_counter()
+    assert characterization_agreement(E).holds
+    assert time.perf_counter() - start < 0.1
 
 
-def test_sampled_characterization_reports_a_disagreement(monkeypatch):
+def test_characterization_reports_both_kinds_of_disagreement(monkeypatch):
     import unsharp.deduction as deduction
 
-    # a closure test that passes everything disagrees with the criterion
-    # on {0,1}, the first sampled subset that meets its orthosupplement
-    monkeypatch.setattr(deduction, "_closure_witness", lambda E, bits: None)
-    E = fixture("CHAIN-24")
+    E = fixture("CHAIN-5")
+    # a closure that stops at its generators: {1, 0} is closed yet meets
+    # its orthosupplement, the first cl({1, z, z'}) by z
+    monkeypatch.setattr(deduction, "_closure", lambda E, bits: bits)
     res = characterization_agreement(E)
-    assert (res.holds, res.witness, res.exhaustive) == (False, (E.zero, E.one), False)
+    assert (res.holds, res.witness) == (False, (E.zero, E.one))
+    monkeypatch.undo()
+    # 1 -> 0 = {0} emptied: D0 = {1} is disjoint, yet not closed at (1, 0)
+    imp = [list(row) for row in E.imp_bits]
+    imp[E.one][E.zero] = 0
+    E.__dict__["imp_bits"] = tuple(map(tuple, imp))
+    res = characterization_agreement(E)
+    assert (res.holds, res.witness) == (False, (E.one,))
+    assert not is_deductive_system(E, Subset(1 << E.one, E.n)).holds
 
 
 @pytest.mark.parametrize(
@@ -160,6 +162,33 @@ def test_completeness_exhaustive_on_e6(e6):
 def test_completeness_sampled_on_e9(e9):
     rep = ded_lattice(e9).check_completeness(samples=200, seed=1)
     assert rep.ok and not rep.exhaustive
+
+
+@pytest.mark.parametrize("name", ["E6", "E9", "CHAIN-10"])
+def test_completeness_matches_the_scanning_oracle(name):
+    lat = ded_lattice(fixture(name))
+    assert lat.check_completeness() == oracles.check_completeness(lat)
+    assert lat.check_completeness(samples=50, seed=3) == oracles.check_completeness(
+        lat, samples=50, seed=3
+    )
+
+
+def test_completeness_reports_a_missing_bound(e9):
+    # without {a,b,1} the family of {a,1} and {b,1} has no least upper bound
+    lat = ded_lattice(e9)
+    ab = members(e9, "a", "b", "1").bits
+    pruned = DedLattice(e9, [d for d in lat.systems if d.members.bits != ab])
+    rep = pruned.check_completeness()
+    assert rep == oracles.check_completeness(pruned)
+    assert not rep.ok and len(rep.witness) == 2
+
+
+def test_completeness_on_chain12_is_quadratic():
+    lat = ded_lattice(fixture("CHAIN-12"))
+    start = time.perf_counter()
+    rep = lat.check_completeness()
+    assert rep.ok and rep.families_checked == 2 + 244 + 244 * 243 // 2 + 400
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize(
