@@ -187,16 +187,19 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         return set_sum(E.comp_bits(na), L(na) & down[E.zero]) == 1 << a
 
     low_imp = [[L(m) for m in row] for row in imp]
+    # U(a)' and L(U(a)) per element, read by the cone clauses for every pair
+    up_comp = tuple(map(E.comp_bits, up))
+    low_up = tuple(map(L, up))
 
     def nested(a, b, low):
         return set_sum(1 << comp[a], down[a] & low) == imp[a][comp[b]]
 
     def cone_antecedent(a, b):
-        ua_comp, uc = E.comp_bits(up[a]), p.pair_upper[comp[a]][comp[b]]
-        first = set_sum(ua_comp, L(up[a]) & down[b])
+        ua_comp, uc = up_comp[a], p.pair_upper[comp[a]][comp[b]]
+        first = set_sum(ua_comp, low_up[a] & down[b])
         closed = set_sum(down[comp[a]], low2[a][b])
         return (
-            first == set_sum(ua_comp, L(up[a]) & L(up[b]))
+            first == set_sum(ua_comp, low_up[a] & low_up[b])
             and first == set_sum(E.comp_bits(uc), L(uc) & down[comp[a]])
             and first == closed
         )
@@ -215,7 +218,7 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         ),
         _check(
             "cone_consequent", n, 2,
-            lambda a, b: set_sum(1 << comp[a], down[a] & L(up[b])) == imp[a][b],
+            lambda a, b: set_sum(1 << comp[a], down[a] & low_up[b]) == imp[a][b],
         ),
         _check("cone_antecedent", n, 2, cone_antecedent),
         _check(

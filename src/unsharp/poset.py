@@ -23,16 +23,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def iter_submasks(mask: int) -> Iterator[int]:
-    'Every submask of a bitmask, from the mask itself down to 0.'
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _check_same_carrier(n: int, s: "Subset"):
     if s.n != n:
         raise ValueError(f"carrier mismatch: subset over {s.n} elements, poset has {n}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import replace
 from typing import Union
 
@@ -27,7 +26,13 @@ from unsharp import (
     validate_involution,
     validate_tables,
 )
-from unsharp.deduction import CompletenessReport, DedLattice, DeductiveCheck, _closure_witness
+from unsharp.deduction import (
+    CompletenessReport,
+    DedLattice,
+    DeductiveCheck,
+    _closure_witness,
+    _generated,
+)
 from unsharp.laws import ConeAdjointness
 from unsharp.poset import iter_bits
 from unsharp.reports import (
@@ -598,7 +603,7 @@ def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
     return DeductiveCheck(True)
 
 
-def _family_bounds(lat: DedLattice, family: list[int]):
+def _family_bounds(lat: DedLattice, family: tuple[int, ...]):
     """Greatest lower / least upper bound of a family, found by scanning
     every system for the bounds and then for the extreme one; None if missing."""
     members = [s.members.bits for s in lat.systems]
@@ -611,25 +616,31 @@ def _family_bounds(lat: DedLattice, family: list[int]):
     return inf[0], sup[0]
 
 
-def check_completeness(lat: DedLattice, samples: int = 400, seed: int = 0) -> CompletenessReport:
-    """Every family of systems must have an inf and a sup in the lattice:
-    all families when there are at most 20 systems, otherwise all pairs
-    plus seeded random families."""
-    k = len(lat.systems)
-    exhaustive = k <= 20
-    if exhaustive:
-        families = [[i for i in range(k) if mask >> i & 1] for mask in range(1 << k)]
-    else:
-        families = [[], list(range(k))]
-        families += [[i] for i in range(k)]
-        families += [[i, j] for i in range(k) for j in range(i + 1, k)]
-        rng = random.Random(seed)
-        for _ in range(samples):
-            families.append(sorted(rng.sample(range(k), rng.randrange(k + 1))))
+def check_completeness(lat: DedLattice) -> CompletenessReport:
+    """The empty family, the singletons and the pairs of systems must each
+    have an inf and a sup in the lattice, found by scanning all systems."""
+    families = [f for r in range(3) for f in itertools.combinations(range(len(lat.systems)), r)]
     for family in families:
         if _family_bounds(lat, family) is None:
-            return CompletenessReport(False, exhaustive, len(families), tuple(family))
-    return CompletenessReport(True, exhaustive, len(families))
+            return CompletenessReport(False, True, len(families), family)
+    return CompletenessReport(True, True, len(families))
+
+
+def completeness_sweep(lat: DedLattice) -> CompletenessReport:
+    """The scan of all 2^k families, in the order of their index masks:
+    each family's intersection and the system generated by its union must
+    both be systems of the lattice, as `DedLattice.meet` and `join` read them."""
+    k, full = len(lat.systems), lat.algebra.order.full_bits
+    members = [s.members.bits for s in lat.systems]
+    for mask in range(1 << k):
+        family = tuple(i for i in range(k) if mask >> i & 1)
+        inf, union = full, 0
+        for i in family:
+            inf &= members[i]
+            union |= members[i]
+        if inf not in lat.index or _generated(lat.algebra, union) not in lat.index:
+            return CompletenessReport(False, True, 1 << k, family)
+    return CompletenessReport(True, True, 1 << k)
 
 
 def enumerate_ded(E: EffectAlgebra) -> list[int]:
@@ -705,67 +716,38 @@ def _cone_tables(E: EffectAlgebra) -> tuple[list[int], list[int]]:
     return low, upp
 
 
-def is_monotonous(E: EffectAlgebra, samples: int = 4000, seed: int = 0) -> MonotonicityResult:
+def is_monotonous(E: EffectAlgebra) -> MonotonicityResult:
     """Does L(A) <= U(B) force L(x+A) <= U(x+B) whenever A, B <= x'?
 
     A and B range over nonempty subsets; the empty set is excluded because
     U({}) is the whole carrier by convention, which would fail the law
-    vacuously even on Boolean algebras.  Exhaustive over all subset pairs
-    for n <= 9, randomly sampled above.
+    vacuously even on Boolean algebras.  Every pair of submasks of x' is
+    swept, A and B from x' down to 0, so the carrier must be small: n <= 9.
     """
     n = E.n
-    if n <= 9:
-        low, upp = _cone_tables(E)
-
-        def set_leq(a_bits, b_bits):
-            return not (b_bits & ~upp[a_bits])
-
-        for x in range(n):
-            dom = E.order.down[E.comp[x]]
-            # x + A for every submask A of dom, built by peeling low bits
-            img = [0] * (dom + 1)
-            for mask in range(1, dom + 1):
-                if mask & ~dom:
-                    continue
-                lsb = mask & -mask
-                img[mask] = img[mask ^ lsb] | 1 << E.sums[x][lsb.bit_length() - 1]
-            a = dom
-            while True:
-                b = dom
-                while True:
-                    if (
-                        a
-                        and b
-                        and set_leq(low[a], upp[b])
-                        and not set_leq(low[img[a]], upp[img[b]])
-                    ):
-                        return MonotonicityResult(
-                            False, (x, Subset(a, n), Subset(b, n)), True
-                        )
-                    if b == 0:
-                        break
-                    b = (b - 1) & dom
-                if a == 0:
-                    break
-                a = (a - 1) & dom
-        return MonotonicityResult(True, None, True)
-
-    rng = random.Random(seed)
-    p = E.order
-    for _ in range(samples):
-        x = rng.randrange(n)
-        dom = p.down[E.comp[x]]
-        pick = lambda: dom & rng.getrandbits(n)  # noqa: E731
-        a_bits, b_bits = pick(), pick()
-        if not a_bits or not b_bits:
-            continue
-        a, b = Subset(a_bits, n), Subset(b_bits, n)
-        if not p.set_leq(_lower(p, a), _upper(p, b)):
-            continue
-        xa, xb = E.add_elem_set(x, a), E.add_elem_set(x, b)
-        if not p.set_leq(_lower(p, xa), _upper(p, xb)):
-            return MonotonicityResult(False, (x, a, b), False)
-    return MonotonicityResult(True, None, False)
+    low, upp = _cone_tables(E)
+    for x in range(n):
+        dom = E.order.down[E.comp[x]]
+        # x + A for every submask A of dom, built by peeling low bits
+        img = [0] * (dom + 1)
+        for mask in range(1, dom + 1):
+            if mask & ~dom:
+                continue
+            lsb = mask & -mask
+            img[mask] = img[mask ^ lsb] | 1 << E.sums[x][lsb.bit_length() - 1]
+        a = dom
+        while a:
+            # L(A) <= U(B) iff U(B) lies inside UL(A); likewise for x+A, x+B
+            ul, ul_img = upp[low[a]], upp[low[img[a]]]
+            b = dom
+            while b:
+                if not upp[b] & ~ul and upp[img[b]] & ~ul_img:
+                    return MonotonicityResult(
+                        False, (x, Subset(a, n), Subset(b, n)), True
+                    )
+                b = (b - 1) & dom
+            a = (a - 1) & dom
+    return MonotonicityResult(True, None, True)
 
 
 def contraposition_pair(E: EffectAlgebra, x: int, y: int):
@@ -829,11 +811,14 @@ def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
     return PropertyReport("comparable-contraposition", clauses)
 
 
-def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
+def check_cone_level_adjointness(
+    E: EffectAlgebra, monotonicity: MonotonicityResult
+) -> ConeAdjointness:
     """L(U(x,y') (.) y) <= UL(y,z) iff LU(x,y') <= U(y -> z), recorded only.
 
     The result is reported, never asserted: the law is tied to monotonicity,
-    which not every algebra enjoys, so the probe result rides along.
+    which not every algebra enjoys, so the probe result rides along.  It is
+    passed in, since the sweep `is_monotonous` only reaches small carriers.
     """
     p = E.order
     n = E.n
@@ -855,7 +840,7 @@ def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
                 break
         if wit:
             break
-    return ConeAdjointness(wit is None, wit, is_monotonous(E))
+    return ConeAdjointness(wit is None, wit, monotonicity)
 
 
 # -- enumeration: the full-scan search -------------------------------------

@@ -211,6 +211,15 @@ def test_check_large_fixtures_within_budget(name):
     assert time.perf_counter() - start < 30.0
 
 
+@pytest.mark.parametrize("name", ["CHAIN-64", "BOOL-6"])
+def test_laws_monotonous_exhaustive_on_large_fixtures_within_budget(capsys, name):
+    # the reduction is exact at every size, so every verdict says exhaustive
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "laws", f"fixture:{name}", "--monotonous")
+    assert code == 0 and out == "monotonous: yes (exhaustive)\n"
+    assert time.perf_counter() - start < 5.0
+
+
 LARGE_DED = {
     "BOOL-5": "14348908 deductive systems, 30 atoms",
     "BOOL-6": "617673396283948 deductive systems, 62 atoms",
