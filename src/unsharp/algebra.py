@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .poset import OrderError, Poset, Subset, iter_bits
+from .poset import MAX_CARRIER, OrderError, Poset, Subset, iter_bits
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
 
 SumTable = tuple[tuple[Optional[int], ...], ...]
@@ -191,8 +191,8 @@ def validate_tables(
     """
     labels = tuple(labels)
     n = len(labels)
-    if not 1 <= n <= 64:
-        raise ValueError(f"carrier size {n} outside 1..64")
+    if not 1 <= n <= MAX_CARRIER:
+        raise ValueError(f"carrier size {n} outside 1..{MAX_CARRIER}")
     if len(set(labels)) != n:
         raise ValueError("labels are not pairwise distinct")
     if not (0 <= zero < n and 0 <= one < n):

@@ -3,7 +3,7 @@
 Every FILE argument takes either a path to a document in the text format
 (see `dsl`) or `fixture:NAME` for a bundled algebra.  Exit codes: 0 on
 success, 1 when validation or a check fails, 2 for usage and parse
-problems.
+problems and for paths that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ def _validate(arg: str) -> ValidationReport:
 
 
 def _load(arg: str) -> EffectAlgebra:
-    report = _validate(arg)
-    if not report.ok:
-        raise InvalidAlgebraError(report)  # main prints it as "invalid:" lines
-    return report.algebra
+    return dsl.load_algebra(_read_source(arg))  # main prints InvalidAlgebraError
 
 
 def _label_index(E: EffectAlgebra, label: str) -> int:
@@ -293,12 +290,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    try:
-        text = fixtures.fixture_text(args.name)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    sys.stdout.write(text)
+    sys.stdout.write(fixtures.fixture_text(args.name))
     return 0
 
 
@@ -378,9 +370,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except InvalidAlgebraError as exc:
         for v in exc.report.violations:
             print(f"invalid: {v}", file=sys.stderr)
@@ -393,6 +382,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:  # the reader stopped early, as `| head` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:  # a missing, unreadable or clashing path
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

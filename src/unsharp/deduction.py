@@ -42,21 +42,12 @@ class DeductiveSystem:
 
 def _closure_witness(E: EffectAlgebra, bits: int) -> Optional[tuple[int, int]]:
     'First (x, y) with x in D and x -> y inside D but y outside; None when D is closed.'
-    imp = E.imp_bits
     outside = E.order.full_bits & ~bits
-    rest = bits
-    while rest:
-        low = rest & -rest
-        x = low.bit_length() - 1
-        rest ^= low
-        row = imp[x]
-        todo = outside
-        while todo:
-            ylow = todo & -todo
-            y = ylow.bit_length() - 1
+    for x in iter_bits(bits):
+        row = E.imp_bits[x]
+        for y in iter_bits(outside):
             if not row[y] & ~bits:
                 return (x, y)
-            todo ^= ylow
     return None
 
 
@@ -231,13 +222,10 @@ class DedLattice:
 
     algebra: EffectAlgebra
     systems: list[DeductiveSystem]
-    index: dict = field(default_factory=dict)
+    index: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {
-                s.members.bits: i for i, s in enumerate(self.systems)
-            }
+        self.index = {s.members.bits: i for i, s in enumerate(self.systems)}
 
     def leq(self, i: int, j: int) -> bool:
         return self.systems[i].members.issubset(self.systems[j].members)

@@ -74,8 +74,7 @@ def _column_of(raw: str, token: str, occurrence: int = 1) -> int:
 def parse_spec(text: str) -> AlgebraSpec:
     name: Optional[str] = None
     labels: Optional[tuple[str, ...]] = None
-    zero: Optional[str] = None
-    one: Optional[str] = None
+    bounds: dict[str, str] = {}  # "zero" and "one", as declared
     sums: list[SumEntry] = []
     comps: list[CompEntry] = []
     seen_pairs: dict[frozenset, SumEntry] = {}
@@ -116,14 +115,9 @@ def parse_spec(text: str) -> AlgebraSpec:
             if len(words) != 2:
                 raise DslError(f"expected: {head} LABEL", lineno)
             known(words[1], lineno, raw)
-            if head == "zero":
-                if zero is not None:
-                    raise DslError("zero declared twice", lineno)
-                zero = words[1]
-            else:
-                if one is not None:
-                    raise DslError("one declared twice", lineno)
-                one = words[1]
+            if head in bounds:
+                raise DslError(f"{head} declared twice", lineno)
+            bounds[head] = words[1]
         elif head == "sum":
             if len(words) != 5 or words[3] != "=":
                 raise DslError("expected: sum X Y = Z", lineno)
@@ -163,10 +157,10 @@ def parse_spec(text: str) -> AlgebraSpec:
 
     if labels is None:
         raise DslError("missing elements declaration", max(1, text.count("\n") + 1))
-    for what, val in (("zero", zero), ("one", one)):
-        if val is None:
+    for what in ("zero", "one"):
+        if what not in bounds:
             raise DslError(f"missing {what} declaration", text.count("\n") + 1)
-    return AlgebraSpec(name or "E", labels, zero, one, sums, comps)
+    return AlgebraSpec(name or "E", labels, bounds["zero"], bounds["one"], sums, comps)
 
 
 def _comp_partner(entry: CompEntry, label: str) -> str:
@@ -203,35 +197,24 @@ def load_algebra(text: str) -> EffectAlgebra:
 
 
 def emit_spec(source: Union[AlgebraSpec, EffectAlgebra]) -> str:
-    lines: list[str]
+    body: list[str]
     if isinstance(source, AlgebraSpec):
-        lines = [
-            f"algebra {source.name}",
-            "elements " + " ".join(source.labels),
-            f"zero {source.zero}",
-            f"one {source.one}",
-        ]
-        lines += [f"sum {e.x} {e.y} = {e.value}" for e in source.sums]
-        lines += [f"complement {e.x} = {e.y}" for e in source.comps]
+        name, labels, zero, one = source.name, source.labels, source.zero, source.one
+        body = [f"sum {e.x} {e.y} = {e.value}" for e in source.sums]
+        body += [f"complement {e.x} = {e.y}" for e in source.comps]
     else:
         E = source
-        lines = [
-            f"algebra {E.name}",
-            "elements " + " ".join(E.labels),
-            f"zero {E.labels[E.zero]}",
-            f"one {E.labels[E.one]}",
+        name, labels = E.name, E.labels
+        zero, one = labels[E.zero], labels[E.one]
+        body = [
+            f"sum {labels[x]} {labels[y]} = {labels[v]}"
+            for x in range(E.n)
+            if x != E.zero
+            for y in range(x, E.n)
+            if y != E.zero and (v := E.sums[x][y]) is not None
         ]
-        for x in range(E.n):
-            if x == E.zero:
-                continue
-            for y in range(x, E.n):
-                v = E.sums[x][y]
-                if y == E.zero or v is None:
-                    continue
-                lines.append(
-                    f"sum {E.labels[x]} {E.labels[y]} = {E.labels[v]}"
-                )
-    return "\n".join(lines) + "\n"
+    lines = [f"algebra {name}", "elements " + " ".join(labels), f"zero {zero}", f"one {one}"]
+    return "\n".join(lines + body) + "\n"
 
 
 def emit_dot(E: EffectAlgebra) -> str:

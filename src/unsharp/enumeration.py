@@ -417,15 +417,7 @@ def find_isomorphism(E1: EffectAlgebra, E2: EffectAlgebra) -> Optional[tuple]:
 
     def rec(i: int) -> bool:
         if i == len(todo):
-            return all(
-                (E1.sums[x][y] is None) == (E2.sums[mapping[x]][mapping[y]] is None)
-                and (
-                    E1.sums[x][y] is None
-                    or mapping[E1.sums[x][y]] == E2.sums[mapping[x]][mapping[y]]
-                )
-                for x in range(n)
-                for y in range(n)
-            )
+            return _encode(E1, mapping) == _encode(E2, range(n))
         x = todo[i]
         for y in range(n):
             if used[y] or k2[y] != k1[x]:

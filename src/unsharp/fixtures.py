@@ -68,29 +68,23 @@ def boolean_to_ea(k: int) -> EffectAlgebra:
     return EffectAlgebra.from_tables(labels, sums, 0, n - 1, name=f"BOOL-{k}")
 
 
+_TEXTS = {"E9": E9_TEXT, "E6": E6_TEXT}
+
+
 def fixture(name: str) -> EffectAlgebra:
-    if name == "E9":
-        return load_algebra(E9_TEXT)
-    if name == "E6":
-        return load_algebra(E6_TEXT)
-    if name.startswith("BOOL-"):
-        try:
-            k = int(name[5:])
-        except ValueError:
-            raise ValueError(f"bad fixture name {name!r}") from None
-        return boolean_to_ea(k)
-    if name.startswith("CHAIN-"):
-        try:
-            n = int(name[6:])
-        except ValueError:
-            raise ValueError(f"bad fixture name {name!r}") from None
-        return _chain(n)
+    if name in _TEXTS:
+        return load_algebra(_TEXTS[name])
+    for prefix, build in (("BOOL-", boolean_to_ea), ("CHAIN-", _chain)):
+        if name.startswith(prefix):
+            try:
+                size = int(name[len(prefix):])
+            except ValueError:
+                raise ValueError(f"bad fixture name {name!r}") from None
+            return build(size)
     raise ValueError(f"unknown fixture {name!r}")
 
 
 def fixture_text(name: str) -> str:
-    if name == "E9":
-        return E9_TEXT
-    if name == "E6":
-        return E6_TEXT
+    if name in _TEXTS:
+        return _TEXTS[name]
     return emit_spec(fixture(name))

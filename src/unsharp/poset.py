@@ -112,14 +112,6 @@ class Involution:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def image(self, s: Subset) -> Subset:
-        if s.n != len(self.mapping):
-            raise ValueError("carrier mismatch between subset and involution")
-        bits = 0
-        for x in s:
-            bits |= 1 << self.mapping[x]
-        return Subset(bits, s.n)
-
 
 class OrderError(ValueError):
     'Up-sets that break reflexivity, antisymmetry or transitivity, with the first witness.'
@@ -260,27 +252,11 @@ class Poset:
 
     def meet(self, x: int, y: int) -> Optional[int]:
         """Greatest common lower bound, or None when no greatest one exists."""
-        common = self.down[x] & self.down[y]
-        rest = common
-        while rest:
-            low = rest & -rest
-            m = low.bit_length() - 1
-            rest ^= low
-            if not (common & ~self.down[m]):
-                return m
-        return None
+        return _extremum(self.down[x] & self.down[y], self.down)
 
     def join(self, x: int, y: int) -> Optional[int]:
         """Least common upper bound, or None when no least one exists."""
-        common = self.up[x] & self.up[y]
-        rest = common
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            if not (common & ~self.up[j]):
-                return j
-        return None
+        return _extremum(self.up[x] & self.up[y], self.up)
 
     def is_lattice(self) -> bool:
         return all(
@@ -303,6 +279,18 @@ class Poset:
                 if not between:
                     edges.append((x, y))
         return edges
+
+
+def _extremum(common: int, cones: Sequence[int]) -> Optional[int]:
+    'The member m of `common` whose cone holds all of it, or None.'
+    rest = common
+    while rest:
+        low = rest & -rest
+        m = low.bit_length() - 1
+        rest ^= low
+        if not (common & ~cones[m]):
+            return m
+    return None
 
 
 def validate_involution(p: Poset, inv: Involution) -> PropertyReport:

@@ -24,8 +24,8 @@ class Violation:
 class ValidationReport:
     """Outcome of a structural validation run.
 
-    `algebra` (or `structure` for residuated posets) is populated only
-    when no violations were found.
+    `algebra` holds the validated structure (an effect algebra, or a
+    residuated poset) and is populated only when no violations were found.
     """
 
     violations: list[Violation] = field(default_factory=list)
@@ -34,9 +34,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def axioms(self) -> list[str]:
-        return [v.axiom for v in self.violations]
 
     def first(self, axiom: str) -> Optional[Violation]:
         for v in self.violations:

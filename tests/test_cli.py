@@ -38,6 +38,21 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_directory_as_file(tmp_path, capsys):
+    # an unreadable path is a usage problem (2), not a failed check (1)
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Is a directory" in err
+
+
+def test_enumerate_emit_onto_a_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, _, err = run(capsys, "enumerate", "3", "--emit", str(target))
+    assert code == 2
+    assert err.count("\n") == 1 and "File exists" in err
+
+
 def test_unknown_fixture(capsys):
     code, _, err = run(capsys, "fixture", "NOPE")
     assert code == 2 and "unknown fixture" in err

@@ -64,7 +64,7 @@ def test_characterization_agrees_with_brute_force(fixture_algebras):
 
 
 @pytest.mark.parametrize("name", ["CHAIN-21", "CHAIN-24", "BOOL-5", "CHAIN-64"])
-def test_characterization_sampled_above_twenty_elements(name):
+def test_characterization_exhaustive_above_twenty_elements(name):
     # the reduction is exhaustive at every size, these included
     res = characterization_agreement(fixture(name))
     assert res.holds and res.witness is None

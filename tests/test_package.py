@@ -1,7 +1,9 @@
 """The package namespace: the public names, each resolved lazily from its
 home module."""
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -79,3 +81,17 @@ def test_import_loads_no_submodule():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "['unsharp']"
+
+
+def test_no_module_imports_random():
+    # every check is exhaustive, so nothing in the package samples
+    package = pathlib.Path(unsharp.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            assert "random" not in roots, f"{path.name}:{node.lineno} imports random"
