@@ -9,11 +9,12 @@ everything downstream (cones, implication, residuation) lives on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .poset import MAX_CARRIER, OrderError, Poset, Subset, iter_bits
+from .poset import MAX_CARRIER, Involution, OrderError, Poset, Subset, iter_bits
+from .poset import validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
 
 SumTable = tuple[tuple[Optional[int], ...], ...]
@@ -65,9 +66,6 @@ class EffectAlgebra:
     def add(self, x: int, y: int) -> Optional[int]:
         'x + y, or None when undefined.'
         return self.sums[x][y]
-
-    def complement(self, x: int) -> int:
-        return self.comp[x]
 
     def leq(self, x: int, y: int) -> bool:
         return self.order.leq(x, y)
@@ -313,21 +311,12 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
     Each clause records the lexicographically first witness on failure.
     """
     n, comp, sums, leq = E.n, E.comp, E.sums, E.leq
-    clauses = []
-
-    wit = next(((a,) for a in range(n) if comp[comp[a]] != a), None)
-    clauses.append(ClauseResult("double_complement", wit is None, wit))
-
-    wit = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if leq(a, b) and not leq(comp[b], comp[a])
-        ),
-        None,
-    )
-    clauses.append(ClauseResult("complement_antitone", wit is None, wit))
+    # the complement clauses are the involution clauses on (E.order, E.comp)
+    inv = validate_involution(E.order, Involution(comp))
+    clauses = [
+        replace(inv.clause("involutive"), clause="double_complement"),
+        replace(inv.clause("antitone"), clause="complement_antitone"),
+    ]
 
     wit = next(
         (
@@ -380,8 +369,7 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
     )
     clauses.append(ClauseResult("zero_neutral", wit is None, wit))
 
-    ok = comp[E.zero] == E.one and comp[E.one] == E.zero
-    clauses.append(ClauseResult("bounds_complement", ok, None if ok else (E.zero, E.one)))
+    clauses.append(replace(inv.clause("swaps_bounds"), clause="bounds_complement"))
     return PropertyReport("sum-laws", clauses)
 
 

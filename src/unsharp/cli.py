@@ -48,8 +48,7 @@ def _label_index(E: EffectAlgebra, label: str) -> int:
     try:
         return E.labels.index(label)
     except ValueError:
-        print(f"no element {label!r} in {E.name}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise ValueError(f"no element {label!r} in {E.name}") from None
 
 
 def cmd_validate(args) -> int:
@@ -209,6 +208,9 @@ def cmd_enumerate(args) -> int:
             print(f"THREADS must be an integer, got {os.environ['THREADS']!r}",
                   file=sys.stderr)
             return 2
+    emit = args.emit and not args.count_only
+    if emit:  # an unusable path fails before the search, not after it
+        os.makedirs(args.emit, exist_ok=True)
     result = enumerate_effect_algebras(
         args.n, up_to_iso=args.up_to_iso, threads=threads
     )
@@ -216,11 +218,8 @@ def cmd_enumerate(args) -> int:
         f"n={result.n}: {result.labeled_count} labeled, "
         f"{result.iso_count} up to isomorphism"
     )
-    if args.count_only:
-        return 0
-    if args.emit:
-        os.makedirs(args.emit, exist_ok=True)
-        for i, E in enumerate(result.algebras):
+    if emit:
+        for E in result.algebras:
             path = os.path.join(args.emit, f"{E.name}.ea")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dsl.emit_spec(E))
@@ -377,8 +376,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except BrokenPipeError:  # the reader stopped early, as `| head` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0

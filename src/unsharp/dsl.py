@@ -75,7 +75,6 @@ def parse_spec(text: str) -> AlgebraSpec:
     name: Optional[str] = None
     labels: Optional[tuple[str, ...]] = None
     bounds: dict[str, str] = {}  # "zero" and "one", as declared
-    sums: list[SumEntry] = []
     comps: list[CompEntry] = []
     seen_pairs: dict[frozenset, SumEntry] = {}
     seen_comp: dict[str, CompEntry] = {}
@@ -133,9 +132,7 @@ def parse_spec(text: str) -> AlgebraSpec:
                     lineno,
                     _column_of(raw, x, 1 + (x == head)),
                 )
-            entry = SumEntry(x, y, value, lineno)
-            seen_pairs[pair] = entry
-            sums.append(entry)
+            seen_pairs[pair] = SumEntry(x, y, value, lineno)
         elif head == "complement":
             if len(words) != 4 or words[2] != "=":
                 raise DslError("expected: complement X = Y", lineno)
@@ -160,6 +157,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     for what in ("zero", "one"):
         if what not in bounds:
             raise DslError(f"missing {what} declaration", text.count("\n") + 1)
+    sums = list(seen_pairs.values())
     return AlgebraSpec(name or "E", labels, bounds["zero"], bounds["one"], sums, comps)
 
 

@@ -1,17 +1,19 @@
 """Exhaustive enumeration of small effect algebras, up to relabeling or not.
 
 The unrestricted search fixes 0 and 1 and fills the interior upper
-triangle cell by cell (mirroring symmetrically).  A value is pruned when
-it breaks a law every effect algebra satisfies: complement uniqueness, no
-sums with the top element, cancellativity (a + b = a + c forces b = c, so
-no value repeats in a row), two theorem-level value exclusions (no
-interior sum equals 0 or either operand), and associativity over decided
-triples.  Associativity is checked incrementally: after a cell is assigned
-only the triples that read it are evaluated, since every other decided
-triple already passed at an earlier node, so each node costs O(n^2)
-instead of O(n^3).  Every completed table still goes through the full
-validator, so the pruning can only lose speed, never algebras; the result
-counts the search nodes and the completed tables the validator rejected.
+triangle cell by cell (mirroring symmetrically).  No sum with the top
+element is defined and no interior sum equals 0.  A value is pruned when
+it breaks cancellativity (a + b = a + c forces b = c, so no value repeats
+in a row) or associativity over decided triples.  Against the preset
+column x + 0 = x, cancellativity already rules out x + y in {x, y}, and
+it lets a row hold 1 at most once, so complements stay unique; a row is
+complete only once it holds its 1.  Associativity is checked
+incrementally: after a cell is assigned only the triples that read it
+are evaluated, since every other decided triple already passed at an
+earlier node, so each node costs O(n^2) instead of O(n^3).  Every
+completed table still goes through the full validator, so the pruning
+can only lose speed, never algebras; the result counts the search nodes
+and the completed tables the validator rejected.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there the complement involution is chosen first and the
@@ -48,10 +50,7 @@ def _base_state(n: int):
         t[0][x] = t[x][0] = x
     for x in range(1, n):
         t[one][x] = t[x][one] = UNDEF
-    comp: list[Optional[int]] = [None] * n
-    comp[0] = one
-    comp[one] = 0
-    return t, comp
+    return t
 
 
 def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
@@ -90,11 +89,15 @@ def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
     return True
 
 
-def _search(t, comp, cells, choices, idx, n, out) -> int:
+def _search(t, cells, choices, idx, n, out) -> int:
     """Fill cells[idx:] depth first, trying the values choices[i] at cells[i].
 
-    Completed tables are appended to out.  Returns the number of search
-    nodes below this one: partial tables that passed every prune.
+    A value is pruned by cancellativity or associativity.  Against the
+    preset column x + 0 = x, cancellativity already refuses x + y in
+    {x, y}, and it allows one 1 per row, so complements stay unique.  A
+    row is complete only once it holds its 1.  Completed tables are
+    appended to out.  Returns the number of search nodes below this one:
+    partial tables that passed every prune.
     """
     if idx == len(cells):
         out.append(tuple(tuple(None if v == UNDEF else v for v in row) for row in t))
@@ -105,33 +108,12 @@ def _search(t, comp, cells, choices, idx, n, out) -> int:
     last_in_row = y == n - 2
     nodes = 0
     for v in choices[idx]:
-        if v in (x, y):
-            continue
         if v != UNDEF and (v in row_x or v in row_y):
             continue  # cancellativity
-        undo_comp = []
-        if v == one:
-            if x == y:
-                if comp[x] not in (None, x):
-                    continue
-                if comp[x] is None:
-                    comp[x] = x
-                    undo_comp.append(x)
-            else:
-                if comp[x] not in (None, y) or comp[y] not in (None, x):
-                    continue
-                if comp[x] is None:
-                    comp[x] = y
-                    undo_comp.append(x)
-                if comp[y] is None:
-                    comp[y] = x
-                    undo_comp.append(y)
         row_x[y] = row_y[x] = v
-        if (not last_in_row or comp[x] is not None) and _assoc_cell_ok(t, n, x, y):
-            nodes += 1 + _search(t, comp, cells, choices, idx + 1, n, out)
+        if (not last_in_row or one in row_x) and _assoc_cell_ok(t, n, x, y):
+            nodes += 1 + _search(t, cells, choices, idx + 1, n, out)
         row_x[y] = row_y[x] = UNKNOWN
-        for w in undo_comp:
-            comp[w] = None
     return nodes
 
 
@@ -141,12 +123,12 @@ def _interior_cells(n: int):
 
 def _collect_tables(n: int, prefix: tuple = ()) -> tuple[list, int]:
     'Completed tables of the free search and its node count; prefix fixes the first cells.'
-    t, comp = _base_state(n)
+    t = _base_state(n)
     cells = _interior_cells(n)
     values = (UNDEF, *range(1, n))
     choices = [(v,) for v in prefix] + [values] * (len(cells) - len(prefix))
     out: list = []
-    nodes = _search(t, comp, cells, choices, 0, n, out)
+    nodes = _search(t, cells, choices, 0, n, out)
     return out, nodes
 
 
@@ -285,10 +267,9 @@ def _restricted_tables(p: Poset) -> tuple[list, int]:
     tables: list = []
     nodes = 0
     for inv in _antitone_involutions(p):
-        t, comp = _base_state(n)
+        t = _base_state(n)
         for x in range(1, n - 1):
             t[x][inv[x]] = t[inv[x]][x] = one
-            comp[x] = inv[x]
         # x + y is defined exactly when x <= y'; those cells get a value
         free, preset = [], []
         for x in range(1, n - 1):
@@ -303,7 +284,7 @@ def _restricted_tables(p: Poset) -> tuple[list, int]:
         if not all(_assoc_cell_ok(t, n, x, y) for x, y in preset):
             continue
         choices = [tuple(iter_bits(p.up[x] & p.up[y] & values)) for x, y in free]
-        nodes += _search(t, comp, free, choices, 0, n, tables)
+        nodes += _search(t, free, choices, 0, n, tables)
     return tables, nodes
 
 
@@ -396,8 +377,6 @@ def find_isomorphism(E1: EffectAlgebra, E2: EffectAlgebra) -> Optional[tuple]:
     mapping[E1.zero] = E2.zero
     used[E2.zero] = True
     if E1.one != E1.zero:
-        if used[E2.one]:
-            return None
         mapping[E1.one] = E2.one
         used[E2.one] = True
     todo = [x for x in range(n) if mapping[x] is None]

@@ -76,10 +76,13 @@ def fixture(name: str) -> EffectAlgebra:
         return load_algebra(_TEXTS[name])
     for prefix, build in (("BOOL-", boolean_to_ea), ("CHAIN-", _chain)):
         if name.startswith(prefix):
+            digits = name[len(prefix):]
             try:
-                size = int(name[len(prefix):])
+                size = int(digits)
             except ValueError:
-                raise ValueError(f"bad fixture name {name!r}") from None
+                size = None
+            if size is None or str(size) != digits:  # only the plain ASCII spelling
+                raise ValueError(f"bad fixture name {name!r}")
             return build(size)
     raise ValueError(f"unknown fixture {name!r}")
 

@@ -50,20 +50,18 @@ def odot_image(E: EffectAlgebra, x: int, a: Subset) -> Subset:
 class ImplicationTable:
     'The n x n grid of implication subsets of an algebra.'
 
-    __slots__ = ("algebra", "entries")
+    __slots__ = ("algebra",)
 
-    def __init__(self, algebra: EffectAlgebra, entries):
+    def __init__(self, algebra: EffectAlgebra):
         self.algebra = algebra
-        self.entries = entries
 
     def __getitem__(self, pair) -> Subset:
         x, y = pair
-        return self.entries[x][y]
+        return implies(self.algebra, x, y)
 
 
 def implication_table(E: EffectAlgebra) -> ImplicationTable:
-    entries = tuple(tuple(Subset(m, E.n) for m in row) for row in E.imp_bits)
-    return ImplicationTable(E, entries)
+    return ImplicationTable(E)
 
 
 def _check(name: str, n: int, arity: int, holds, quick=None) -> ClauseResult:

@@ -48,14 +48,25 @@ def test_directory_as_file(tmp_path, capsys):
 def test_enumerate_emit_onto_a_file(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("")
-    code, _, err = run(capsys, "enumerate", "3", "--emit", str(target))
+    code, out, err = run(capsys, "enumerate", "3", "--emit", str(target))
     assert code == 2
+    assert out == ""  # the path fails before the search prints its counts
     assert err.count("\n") == 1 and "File exists" in err
 
 
 def test_unknown_fixture(capsys):
     code, _, err = run(capsys, "fixture", "NOPE")
     assert code == 2 and "unknown fixture" in err
+
+
+@pytest.mark.parametrize(
+    "name", ["CHAIN-1_0", "CHAIN-05", "CHAIN- 5", "BOOL-+3", "CHAIN-\u0665", "CHAIN-"]
+)
+def test_fixture_size_must_be_plain_ascii_decimal(capsys, name):
+    for argv in (["fixture", name], ["check", f"fixture:{name}"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"bad fixture name {name!r}\n"
 
 
 def test_fixture_prints_document(capsys):

@@ -171,10 +171,16 @@ def _restricted_orders():
     return orders
 
 
+# search nodes that pass every prune: a change here changes the search's work
+FREE_NODES = {2: 0, 3: 1, 4: 10, 5: 80, 6: 1037, 7: 16386}
+RESTRICTED_NODES = {"E9": 22, "CHAIN-10": 339}
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_free_search_matches_oracle(n):
-    tables, _ = _collect_tables(n)
+    tables, nodes = _collect_tables(n)
     assert tables == oracles.free_tables(n)
+    assert nodes == FREE_NODES[n]
 
 
 def test_restricted_search_and_involutions_match_oracle():
@@ -182,8 +188,11 @@ def test_restricted_search_and_involutions_match_oracle():
     assert len(orders) == 2 + 33
     for name, order in orders:
         assert _antitone_involutions(order) == oracles.antitone_involutions(order), name
-        got = enumerate_effect_algebras(order.n, induced_order=order).algebras
+        res = enumerate_effect_algebras(order.n, induced_order=order)
+        got = res.algebras
         want = oracles.restricted_algebras(order)
+        if name in RESTRICTED_NODES:
+            assert res.nodes == RESTRICTED_NODES[name]
         assert [(E.name, E.labels, E.sums) for E in got] == [
             (E.name, E.labels, E.sums) for E in want
         ], name

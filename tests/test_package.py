@@ -95,3 +95,20 @@ def test_no_module_imports_random():
             else:
                 continue
             assert "random" not in roots, f"{path.name}:{node.lineno} imports random"
+
+
+def test_no_module_keeps_an_unused_import():
+    # a deletion that leaves its imports behind fails here
+    package = pathlib.Path(unsharp.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+        assert not unused, f"{path.name} imports {', '.join(unused)} and never uses it"
