@@ -222,17 +222,16 @@ def validate_tables(
 
     # E3: exactly one orthosupplement per element
     comp: list[Optional[int]] = [None] * n
-    for x in range(n):
-        candidates = [u for u in range(n) if table[x][u] == one]
-        if not candidates:
+    for x, row in enumerate(table):
+        if one not in row:
             return fail("E3", (x,), "no orthosupplement")
-        if len(candidates) > 1:
+        comp[x] = row.index(one)
+        if row.count(one) > 1:
             return fail(
                 "E3",
-                (x, candidates[0], candidates[1]),
+                (x, comp[x], row.index(one, comp[x] + 1)),
                 "duplicate complement candidates",
             )
-        comp[x] = candidates[0]
     if declared_comp:
         for x, u in declared_comp.items():
             if comp[x] != u:
@@ -288,17 +287,25 @@ def first_asymmetric_pair(table) -> Optional[tuple[int, int]]:
 
 
 def first_nonassociative_triple(table) -> Optional[tuple[int, int, int]]:
-    "The first (x, y, z) where (xy)z and x(yz) differ, definedness included."
+    """The first (x, y, z) where (xy)z and x(yz) differ, definedness included.
+
+    Undefined is coded as n, whose row and column are all n, and each row
+    is a bytes object (n <= 64).  For each x, (xy)z over all (y, z) in
+    order is the rows of x + y joined, and x(yz) is the whole table read
+    through row x by `bytes.translate`.  The two strings are scanned only
+    when they differ, and their first difference is the first witness.
+    """
     n = len(table)
+    coded = [bytes([n if v is None else v for v in row] + [n]) for row in table]
+    coded.append(bytes([n] * (n + 1)))
+    flat, pad = b"".join(coded[:n]), bytes(255 - n)
     for x in range(n):
-        for y in range(n):
-            s_xy = table[x][y]
-            for z in range(n):
-                s_yz = table[y][z]
-                left = table[s_xy][z] if s_xy is not None else None
-                right = table[x][s_yz] if s_yz is not None else None
-                if left != right:
-                    return (x, y, z)
+        row_x = coded[x]
+        left = b"".join(map(coded.__getitem__, row_x[:n]))
+        right = flat.translate(row_x + pad)
+        if left != right:
+            i = next(i for i, (u, v) in enumerate(zip(left, right)) if u != v)
+            return (x, *divmod(i, n + 1))
     return None
 
 

@@ -199,7 +199,9 @@ def cmd_laws(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .enumeration import enumerate_effect_algebras
+    from .enumeration import MAX_FREE, enumerate_effect_algebras
+    if not 2 <= args.n <= MAX_FREE:  # before --emit creates its directory
+        raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
     threads: Optional[int] = None
     if os.environ.get("THREADS"):
         try:

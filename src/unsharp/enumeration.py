@@ -1,25 +1,37 @@
 """Exhaustive enumeration of small effect algebras, up to relabeling or not.
 
-The unrestricted search fixes 0 and 1 and fills the interior upper
-triangle cell by cell (mirroring symmetrically).  No sum with the top
-element is defined and no interior sum equals 0.  A value is pruned when
-it breaks cancellativity (a + b = a + c forces b = c, so no value repeats
-in a row) or associativity over decided triples.  Against the preset
-column x + 0 = x, cancellativity already rules out x + y in {x, y}, and
-it lets a row hold 1 at most once, so complements stay unique; a row is
-complete only once it holds its 1.  Associativity is checked
-incrementally: after a cell is assigned only the triples that read it
-are evaluated, since every other decided triple already passed at an
-earlier node, so each node costs O(n^2) instead of O(n^3).  Every
-completed table still goes through the full validator, so the pruning
-can only lose speed, never algebras; the result counts the search nodes
-and the completed tables the validator rejected.
+The unrestricted search fixes 0 and 1 and splits by complement type: the
+number j of interior pairs {x, x'} with x' != x.  For each j it presets
+the canonical complement (1 2)(3 4)...(2j-1 2j), every other interior
+element being its own complement, and fills the remaining interior
+upper-triangle cells one by one (mirroring symmetrically).  No sum with
+the top element is defined and no free cell takes 0 or 1.  A value
+is pruned when it breaks cancellativity (a + b = a + c forces b = c, so
+no value repeats in a row; against the preset column x + 0 = x this also
+rules out x + y in {x, y}) or associativity over decided triples.
+Associativity is checked incrementally: after a cell is assigned only the
+triples that read it are evaluated, since every other decided triple
+already passed at an earlier node, so each node costs O(n^2) instead of
+O(n^3).
+
+Every other labeled table is reached by relabeling.  For each involution
+s of type j one permutation tau with tau s_j tau^-1 = s is fixed (pairs go
+to pairs in order, fixed points to fixed points in order); tau carries a
+table with complement s_j to one with complement s, and tau^-1 carries it
+back.  So (tau, T) -> tau.T is a bijection from the pairs (involution of
+type j, base table of type j) onto the labeled tables of type j, and no
+table is found twice.  The labeled tables are sorted into the order of a
+cell-by-cell search over all interior cells, and every one of them still
+goes through the full validator, so the pruning and the relabeling can
+only lose speed, never algebras; the result counts the search nodes and
+the completed tables the validator rejected.  A relabeling is an
+isomorphism, so the canonical form is computed once per base table.
 
 A restricted mode enumerates only tables whose induced order equals a
-given poset; there the complement involution is chosen first and the
-definedness pattern is forced, which keeps carriers like n = 9 tractable.
-Both modes run one search routine, which differs only in the values each
-cell may take.
+given poset; there every order-reversing involution is preset in turn
+and the definedness pattern is forced, which keeps carriers like n = 9
+tractable.  Both modes run one search routine, which differs only in the
+values each cell may take.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from .poset import Poset, iter_bits
 UNKNOWN = -2
 UNDEF = -1
 
-MAX_FREE = 7
+MAX_FREE = 8
 MAX_RESTRICTED = 10
 
 
@@ -92,49 +104,106 @@ def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
 def _search(t, cells, choices, idx, n, out) -> int:
     """Fill cells[idx:] depth first, trying the values choices[i] at cells[i].
 
-    A value is pruned by cancellativity or associativity.  Against the
-    preset column x + 0 = x, cancellativity already refuses x + y in
-    {x, y}, and it allows one 1 per row, so complements stay unique.  A
-    row is complete only once it holds its 1.  Completed tables are
-    appended to out.  Returns the number of search nodes below this one:
-    partial tables that passed every prune.
+    The complement cells are preset, so every row already holds its 1.  A
+    value is pruned by cancellativity or associativity; against the preset
+    column x + 0 = x, cancellativity already refuses x + y in {x, y}.
+    Completed tables are appended to out.  Returns the number of search
+    nodes below this one: partial tables that passed every prune.
     """
     if idx == len(cells):
         out.append(tuple(tuple(None if v == UNDEF else v for v in row) for row in t))
         return 0
     x, y = cells[idx]
     row_x, row_y = t[x], t[y]
-    one = n - 1
-    last_in_row = y == n - 2
     nodes = 0
     for v in choices[idx]:
         if v != UNDEF and (v in row_x or v in row_y):
             continue  # cancellativity
         row_x[y] = row_y[x] = v
-        if (not last_in_row or one in row_x) and _assoc_cell_ok(t, n, x, y):
+        if _assoc_cell_ok(t, n, x, y):
             nodes += 1 + _search(t, cells, choices, idx + 1, n, out)
         row_x[y] = row_y[x] = UNKNOWN
     return nodes
 
 
-def _interior_cells(n: int):
-    return [(x, y) for x in range(1, n - 1) for y in range(x, n - 1)]
-
-
-def _collect_tables(n: int, prefix: tuple = ()) -> tuple[list, int]:
-    'Completed tables of the free search and its node count; prefix fixes the first cells.'
+def _complement_state(n: int, inv) -> list:
+    'The base table with x + inv[x] = 1 preset for every interior x.'
     t = _base_state(n)
-    cells = _interior_cells(n)
-    values = (UNDEF, *range(1, n))
-    choices = [(v,) for v in prefix] + [values] * (len(cells) - len(prefix))
-    out: list = []
-    nodes = _search(t, cells, choices, 0, n, out)
-    return out, nodes
+    for x in range(1, n - 1):
+        t[x][inv[x]] = t[inv[x]][x] = n - 1
+    return t
 
 
-def _subtree_task(args):
-    n, prefix = args
-    return _collect_tables(n, prefix)
+def _relabelings(n: int, j: int) -> list[tuple[int, ...]]:
+    """One relabeling tau (tau[old] = new) per interior involution with j pairs.
+
+    tau sends the i-th pair (2i-1, 2i) of the canonical involution to the
+    i-th pair of the target and the fixed points 2j+1..n-2 to its fixed
+    points in order, so tau conjugates the canonical involution onto it.
+    Every interior involution reverses the order 0 < interior < 1.
+    """
+    top = 1 << (n - 1)
+    flat = Poset([(1 << n) - 1, *(1 << x | top for x in range(1, n - 1)), top])
+    taus = []
+    for inv in _antitone_involutions(flat):
+        pairs = [(x, y) for x, y in enumerate(inv[1:-1], 1) if x < y]
+        if len(pairs) == j:
+            fixed = [x for x in range(1, n - 1) if inv[x] == x]
+            taus.append((0, *itertools.chain.from_iterable(pairs), *fixed, n - 1))
+    return taus
+
+
+def _transport(tab, tau) -> tuple:
+    'The table tab carried along tau: tau[x] + tau[y] = tau[x + y].'
+    old = [0] * len(tau)
+    for x, new in enumerate(tau):
+        old[new] = x
+    moved = {None: None, **dict(enumerate(tau))}
+    return tuple(tuple(map(moved.__getitem__, map(tab[x].__getitem__, old))) for x in old)
+
+
+def _type_tables(args) -> tuple[list, int]:
+    """Every labeled table whose complement has j pairs, and the node count.
+
+    The search runs once, with the canonical involution (1 2)(3 4)...(2j-1 2j)
+    preset; each base table is then carried to every other involution of
+    the type.  Entries are (table, index of its base table).
+    """
+    n, j = args
+    inv = list(range(n))
+    for a in range(1, 2 * j, 2):
+        inv[a], inv[a + 1] = a + 1, a
+    t = _complement_state(n, inv)
+    cells = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1) if t[x][y] == UNKNOWN]
+    values = (UNDEF, *range(1, n - 1))
+    base: list = []
+    nodes = _search(t, cells, [values] * len(cells), 0, n, base)
+    taus = _relabelings(n, j)
+    return [(_transport(tab, tau), b) for b, tab in enumerate(base) for tau in taus], nodes
+
+
+def _free_tables(n: int, threads: Optional[int]) -> tuple[list, int]:
+    """Every labeled table on n elements, in the order of a cell-by-cell search.
+
+    Entries are (table, (j, base index)).  Tables sort by their interior
+    upper-triangle cells with undefined first, the order in which one
+    search over all cells with values (undefined, 1..n-1) emits them.
+    """
+    args = [(n, j) for j in range((n - 2) // 2 + 1)]
+    # at most one worker per CPU and per complement type
+    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(args)))
+    if workers > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            chunks = pool.map(_type_tables, args)
+    else:
+        chunks = [_type_tables(a) for a in args]
+    tables = [(tab, (j, b)) for j, (chunk, _) in enumerate(chunks) for tab, b in chunk]
+    # two tables first differ in the upper triangle, which the lower one
+    # mirrors row by row; interior sums are never 0, so 0 stands for undefined
+    tables.sort(key=lambda e: [v or 0 for row in e[0][1:-1] for v in row[1:-1]])
+    return tables, sum(count for _, count in chunks)
 
 
 @dataclass
@@ -144,7 +213,7 @@ class EnumerationResult:
     labeled_count: int
     iso_count: int
     up_to_iso: bool
-    nodes: int  # search nodes visited, summed over the workers
+    nodes: int  # search nodes visited, over every complement type or involution
     rejected: int  # completed tables the validator or the order filter refused
 
 
@@ -157,56 +226,45 @@ def enumerate_effect_algebras(
     """All effect algebras on n labeled elements with 0 first and 1 last.
 
     With `up_to_iso` the algebra list keeps one representative per
-    isomorphism class (counts for both modes are always computed).  With
-    `induced_order` only tables inducing exactly that order are produced.
+    isomorphism class, the first labeled member (counts for both modes are
+    always computed).  With `induced_order` only tables inducing exactly
+    that order are produced.  `threads` splits the free search by
+    complement type.
     """
     if induced_order is not None:
         if induced_order.n != n:
             raise ValueError("order carrier differs from n")
         if not 2 <= n <= MAX_RESTRICTED:
             raise ValueError(f"restricted search supports 2..{MAX_RESTRICTED} elements")
-        tables, nodes = _restricted_tables(induced_order)
+        found, nodes = _restricted_tables(induced_order)
+        tables = [(tab, i) for i, tab in enumerate(found)]
         labels = induced_order.labels
     else:
         if not 2 <= n <= MAX_FREE:
             raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
+        tables, nodes = _free_tables(n, threads)
         labels = _default_labels(n)
-        # at most one worker per CPU and per first-cell subtree (UNDEF, 1..n-1)
-        workers = max(1, min(threads or 1, os.cpu_count() or 1, n))
-        if workers > 1 and _interior_cells(n):
-            import multiprocessing
-
-            prefixes = [(n, (v,)) for v in (UNDEF, *range(1, n))]
-            with multiprocessing.Pool(workers) as pool:
-                chunks = pool.map(_subtree_task, prefixes)
-            tables = [tab for chunk, _ in chunks for tab in chunk]
-            nodes = sum(count for _, count in chunks)
-        else:
-            tables, nodes = _collect_tables(n)
 
     algebras = []
-    for tab in tables:
+    base_forms: dict = {}  # one canonical form per base table, which its relabelings share
+    reps: dict = {}  # the first labeled member of each class
+    for tab, base in tables:
         report = validate_tables(labels, tab, 0, n - 1, name=f"EA{n}-{len(algebras)}")
         if report.ok and (
             induced_order is None or report.algebra.order.up == induced_order.up
         ):
             algebras.append(report.algebra)
-    labeled_count = len(algebras)
-    reps = []
-    seen = set()
-    for E in algebras:
-        form = canonical_form(E)
-        if form not in seen:
-            seen.add(form)
-            reps.append(E)
+            if base not in base_forms:
+                base_forms[base] = canonical_form(report.algebra)
+            reps.setdefault(base_forms[base], report.algebra)
     return EnumerationResult(
         n,
-        reps if up_to_iso else algebras,
-        labeled_count,
+        list(reps.values()) if up_to_iso else algebras,
+        len(algebras),
         len(reps),
         up_to_iso,
         nodes,
-        len(tables) - labeled_count,
+        len(tables) - len(algebras),
     )
 
 
@@ -260,16 +318,13 @@ def _antitone_involutions(p: Poset) -> list[tuple[int, ...]]:
 def _restricted_tables(p: Poset) -> tuple[list, int]:
     'Completed tables whose complements and definedness fit p, and the node count.'
     n = p.n
-    one = p.top
     if p.bottom != 0 or p.top != n - 1:
         raise ValueError("restricted search expects bottom 0 and top n-1")
     values = p.full_bits & ~(1 << p.top) & ~(1 << p.bottom)
     tables: list = []
     nodes = 0
     for inv in _antitone_involutions(p):
-        t = _base_state(n)
-        for x in range(1, n - 1):
-            t[x][inv[x]] = t[inv[x]][x] = one
+        t = _complement_state(n, inv)
         # x + y is defined exactly when x <= y'; those cells get a value
         free, preset = [], []
         for x in range(1, n - 1):
@@ -306,16 +361,11 @@ def relabel(E: EffectAlgebra, perm, name: Optional[str] = None) -> EffectAlgebra
     n = E.n
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
-    sums: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     labels = [""] * n
     for x in range(n):
         labels[perm[x]] = E.labels[x]
-        for y in range(n):
-            v = E.sums[x][y]
-            if v is not None:
-                sums[perm[x]][perm[y]] = perm[v]
     return EffectAlgebra.from_tables(
-        labels, sums, perm[E.zero], perm[E.one], name=name or E.name
+        labels, _transport(E.sums, perm), perm[E.zero], perm[E.one], name=name or E.name
     )
 
 

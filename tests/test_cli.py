@@ -54,6 +54,14 @@ def test_enumerate_emit_onto_a_file(tmp_path, capsys):
     assert err.count("\n") == 1 and "File exists" in err
 
 
+def test_enumerate_out_of_range_creates_no_emit_directory(tmp_path, capsys):
+    target = tmp_path / "out"
+    code, out, err = run(capsys, "enumerate", "9", "--emit", str(target))
+    assert code == 2 and out == ""
+    assert err == "unrestricted search supports 2..8 elements\n"
+    assert not target.exists()
+
+
 def test_unknown_fixture(capsys):
     code, _, err = run(capsys, "fixture", "NOPE")
     assert code == 2 and "unknown fixture" in err
@@ -199,10 +207,11 @@ class RecordingPool:
 
 @pytest.mark.parametrize(
     "threads,cpus,pool",
-    [("64", 8, 5), ("3", 8, 3), ("4", 2, 2), ("1", 8, None), ("0", 8, None), ("-3", 8, None)],
+    [("64", 8, 2), ("3", 8, 2), ("4", 2, 2), ("2", 1, None), ("1", 8, None), ("0", 8, None),
+     ("-3", 8, None)],
 )
 def test_threads_clamped(capsys, monkeypatch, threads, cpus, pool):
-    # n = 5 has five first-cell subtrees; no process is started
+    # n = 5 has two complement types, one task each; no process is started
     import multiprocessing
     import os
 

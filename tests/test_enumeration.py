@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,7 @@ from unsharp import (
     validate_tables,
 )
 from unsharp.cli import SUITES, run_suite
-from unsharp.enumeration import _antitone_involutions, _collect_tables
+from unsharp.enumeration import _antitone_involutions, _free_tables
 from unsharp.reports import Violation
 
 import oracles
@@ -56,6 +58,39 @@ def test_pinned_counts_larger():
     res7 = enumerate_effect_algebras(7, up_to_iso=True)
     assert (res7.labeled_count, res7.iso_count) == (1006, 14)
     assert len(res7.algebras) == 14
+
+
+@functools.cache
+def classes(n):
+    return enumerate_effect_algebras(n, up_to_iso=True)
+
+
+def test_pinned_counts_at_eight():
+    res = classes(8)
+    assert (res.labeled_count, res.iso_count, res.rejected) == (15136, 40, 0)
+    assert len(res.algebras) == 40 and res.nodes == FREE_NODES[8]
+
+
+def automorphisms(E):
+    'The 0,1-fixing permutations that carry the sum table onto itself, counted one by one.'
+    n, sums = E.n, E.sums
+    count = 0
+    for inner in itertools.permutations(range(1, n - 1)):
+        p = (0, *inner, n - 1)
+        count += all(
+            sums[p[x]][p[y]] == (None if v is None else p[v])
+            for x, row in enumerate(sums)
+            for y, v in enumerate(row)
+        )
+    return count
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_labeled_count_is_the_orbit_sum(n):
+    # independent of the relabeling step: each class contributes (n-2)!/|Aut(E)|
+    res = classes(n)
+    orbits = [math.factorial(n - 2) // automorphisms(E) for E in res.algebras]
+    assert sum(orbits) == res.labeled_count
 
 
 def test_orbit_identity_small():
@@ -149,7 +184,7 @@ def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         enumerate_effect_algebras(1)
     with pytest.raises(ValueError):
-        enumerate_effect_algebras(8)
+        enumerate_effect_algebras(9)
     with pytest.raises(ValueError):
         enumerate_effect_algebras(9, induced_order=fixture("CHAIN-4").order)
 
@@ -171,15 +206,16 @@ def _restricted_orders():
     return orders
 
 
-# search nodes that pass every prune: a change here changes the search's work
-FREE_NODES = {2: 0, 3: 1, 4: 10, 5: 80, 6: 1037, 7: 16386}
+# search nodes that pass every prune, summed over the complement types:
+# a change here changes the search's work
+FREE_NODES = {2: 0, 3: 0, 4: 6, 5: 20, 6: 207, 7: 663, 8: 7738}
 RESTRICTED_NODES = {"E9": 22, "CHAIN-10": 339}
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_free_search_matches_oracle(n):
-    tables, nodes = _collect_tables(n)
-    assert tables == oracles.free_tables(n)
+    tables, nodes = _free_tables(n, None)
+    assert [tab for tab, _ in tables] == oracles.free_tables(n)
     assert nodes == FREE_NODES[n]
 
 

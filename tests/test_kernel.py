@@ -256,3 +256,18 @@ def test_mutated_implication_tables_report_like_oracle(monkeypatch, labeled):
             failing += not all(rep.ok for rep in got)
     # the mutations reach the fast paths' scans, their passes and th3's failures
     assert compared >= 300 and compared - 100 <= failing < compared and th3_failing >= 60
+
+
+def test_nested_consequent_fails_at_a_later_value_of_the_consequent_cone(monkeypatch, e6):
+    # the cell a' -> a = {a} gains 0: for (a, a') the clause holds at
+    # c = 0, where L(a' -> 0) is untouched, and fails first at c = a, so
+    # the witness comes from a second value of L(a' -> c)
+    monkeypatch.setattr(oracles, "implies", table_implies)
+    a, a_comp = e6.labels.index("a"), e6.labels.index("a'")
+    imp = [list(row) for row in e6.imp_bits]
+    imp[a_comp][a] |= 1
+    F = with_imp_bits(e6, imp)
+    got, want = set_implication_suite(F), oracles.set_implication_suite(F)
+    oracles.forget()
+    assert got == want
+    assert got.clause("nested_consequent").witness == (a, a_comp, a)
