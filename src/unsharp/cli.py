@@ -202,20 +202,10 @@ def cmd_enumerate(args) -> int:
     from .enumeration import MAX_FREE, enumerate_effect_algebras
     if not 2 <= args.n <= MAX_FREE:  # before --emit creates its directory
         raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
-    threads: Optional[int] = None
-    if os.environ.get("THREADS"):
-        try:
-            threads = int(os.environ["THREADS"])
-        except ValueError:
-            print(f"THREADS must be an integer, got {os.environ['THREADS']!r}",
-                  file=sys.stderr)
-            return 2
     emit = args.emit and not args.count_only
     if emit:  # an unusable path fails before the search, not after it
         os.makedirs(args.emit, exist_ok=True)
-    result = enumerate_effect_algebras(
-        args.n, up_to_iso=args.up_to_iso, threads=threads
-    )
+    result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso)
     print(
         f"n={result.n}: {result.labeled_count} labeled, "
         f"{result.iso_count} up to isomorphism"

@@ -228,8 +228,8 @@ def enumerate_effect_algebras(
     With `up_to_iso` the algebra list keeps one representative per
     isomorphism class, the first labeled member (counts for both modes are
     always computed).  With `induced_order` only tables inducing exactly
-    that order are produced.  `threads` splits the free search by
-    complement type.
+    that order are produced.  `threads`, a library-only keyword (the CLI
+    runs in one process), splits the free search by complement type.
     """
     if induced_order is not None:
         if induced_order.n != n:

@@ -173,13 +173,6 @@ def test_canonical_form_invariance(e9):
         assert canonical_form(F) == base
 
 
-def test_threads_deterministic():
-    seq = enumerate_effect_algebras(5)
-    par = enumerate_effect_algebras(5, threads=2)
-    assert [E.sums for E in seq.algebras] == [E.sums for E in par.algebras]
-    assert (seq.labeled_count, seq.iso_count) == (par.labeled_count, par.iso_count)
-
-
 def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         enumerate_effect_algebras(1)
@@ -235,12 +228,50 @@ def test_restricted_search_and_involutions_match_oracle():
         assert got, name  # the order of an effect algebra admits at least that one
 
 
-def test_threads_two_equals_serial_at_six():
-    seq = enumerate_effect_algebras(6)
-    par = enumerate_effect_algebras(6, threads=2)
+@pytest.mark.parametrize("n", [5, 6])
+def test_threads_two_equals_serial(n):
+    seq = enumerate_effect_algebras(n)
+    par = enumerate_effect_algebras(n, threads=2)
     assert [(E.name, E.sums) for E in par.algebras] == [(E.name, E.sums) for E in seq.algebras]
+    assert (par.labeled_count, par.iso_count) == (seq.labeled_count, seq.iso_count)
     assert (par.nodes, par.rejected) == (seq.nodes, seq.rejected)
     assert seq.nodes > 0
+
+
+class RecordingPool:
+    'Stands in for multiprocessing.Pool: records its size, maps in-process.'
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,pool",
+    [(64, 8, 2), (3, 8, 2), (4, 2, 2), (2, 1, None), (1, 8, None), (0, 8, None),
+     (-3, 8, None)],
+)
+def test_threads_clamped(monkeypatch, threads, cpus, pool):
+    # n = 5 has two complement types, one task each; no process is started
+    import multiprocessing
+    import os
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    res = enumerate_effect_algebras(5, threads=threads)
+    assert (res.labeled_count, res.iso_count) == (16, 4)
+    assert RecordingPool.sizes == ([] if pool is None else [pool])
 
 
 @pytest.mark.parametrize("n", range(2, 8))

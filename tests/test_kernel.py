@@ -140,6 +140,22 @@ def test_monotonicity_reduction_matches_the_sweep(labeled, fixtures):
             assert res.exhaustive and res == oracles.is_monotonous(E), E.name
 
 
+def test_monotonicity_witness_takes_the_largest_failing_a_l():
+    # EA8-40: at x = x4 the A_l of the first failing l is {x3,x4,x5}, with
+    # B = {0,x6}; the sweep reports the numerically largest failing A_l
+    n = 8
+    sums = [[None] * n for _ in range(n)]
+    cells = [(0, x, x) for x in range(n)] + [
+        (1, 6, 7), (2, 5, 7), (3, 4, 7), (4, 4, 2), (4, 5, 3), (4, 6, 1), (5, 5, 2), (6, 6, 3),
+    ]
+    for a, b, s in cells:
+        sums[a][b] = sums[b][a] = s
+    E = EffectAlgebra.from_tables(("0", *(f"x{i}" for i in range(1, 7)), "1"), sums, 0, 7)
+    res = is_monotonous(E)
+    assert res.witness == (4, E.subset(3, 5, 6), E.subset(0, 4))
+    assert res == oracles.is_monotonous(E)
+
+
 def test_implication_cells_match_oracle(fixtures):
     rng = random.Random(7)
     for E in fixtures:
