@@ -58,6 +58,20 @@ class EffectAlgebra:
             raise InvalidAlgebraError(report)
         return report.algebra
 
+    @classmethod
+    def _from_valid(cls, labels, sums, zero, one, name="E"):
+        """What validate_tables builds from a table known to be valid (labels a
+        tuple, sums a tuple of tuples), such as an isomorphic image of a validated one."""
+        n = len(sums)
+        up, down = [0] * n, [0] * n
+        for x, row in enumerate(sums):
+            for v in row:
+                if v is not None:
+                    up[x] |= 1 << v
+                    down[v] |= 1 << x
+        order = Poset._unchecked(tuple(up), tuple(down), zero, one, labels)
+        return cls(n, sums, tuple(r.index(one) for r in sums), zero, one, labels, order, name)
+
     def __repr__(self):
         return f"<EffectAlgebra {self.name} n={self.n}>"
 

@@ -205,7 +205,8 @@ def cmd_enumerate(args) -> int:
     emit = args.emit and not args.count_only
     if emit:  # an unusable path fails before the search, not after it
         os.makedirs(args.emit, exist_ok=True)
-    result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso)
+    # both counts come in either mode; only --emit needs every labeled algebra
+    result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso or not emit)
     print(
         f"n={result.n}: {result.labeled_count} labeled, "
         f"{result.iso_count} up to isomorphism"

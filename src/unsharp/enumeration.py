@@ -21,11 +21,10 @@ table with complement s_j to one with complement s, and tau^-1 carries it
 back.  So (tau, T) -> tau.T is a bijection from the pairs (involution of
 type j, base table of type j) onto the labeled tables of type j, and no
 table is found twice.  The labeled tables are sorted into the order of a
-cell-by-cell search over all interior cells, and every one of them still
-goes through the full validator, so the pruning and the relabeling can
-only lose speed, never algebras; the result counts the search nodes and
-the completed tables the validator rejected.  A relabeling is an
-isomorphism, so the canonical form is computed once per base table.
+cell-by-cell search.  A relabeling is an isomorphism, so the first table
+met in each base table's orbit is validated, and its canonical form found,
+for the whole orbit; the rest are built unchecked from their rows, only
+when listed.  The result counts search nodes and tables in refused orbits.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn
@@ -214,7 +213,7 @@ class EnumerationResult:
     iso_count: int
     up_to_iso: bool
     nodes: int  # search nodes visited, over every complement type or involution
-    rejected: int  # completed tables the validator or the order filter refused
+    rejected: int  # labeled tables in the orbits the validator or the order filter refused
 
 
 def enumerate_effect_algebras(
@@ -246,25 +245,26 @@ def enumerate_effect_algebras(
         labels = _default_labels(n)
 
     algebras = []
-    base_forms: dict = {}  # one canonical form per base table, which its relabelings share
-    reps: dict = {}  # the first labeled member of each class
+    forms: dict = {}  # per base table: the canonical form of its orbit, None if refused
+    reps: dict = {}  # per class: its first labeled member
+    labeled = 0
     for tab, base in tables:
-        report = validate_tables(labels, tab, 0, n - 1, name=f"EA{n}-{len(algebras)}")
-        if report.ok and (
-            induced_order is None or report.algebra.order.up == induced_order.up
-        ):
-            algebras.append(report.algebra)
-            if base not in base_forms:
-                base_forms[base] = canonical_form(report.algebra)
-            reps.setdefault(base_forms[base], report.algebra)
+        name, E = f"EA{n}-{labeled}", None
+        if base not in forms:
+            # the first table met is validated for its whole orbit: they are isomorphic
+            E = validate_tables(labels, tab, 0, n - 1, name=name).algebra  # None if refused
+            ok = E is not None and (induced_order is None or E.order.up == induced_order.up)
+            forms[base] = canonical_form(E) if ok else None
+        if forms[base] is None:
+            continue
+        labeled += 1
+        # a class's first member is the first of its orbit, so E is set there
+        reps.setdefault(forms[base], E)
+        if not up_to_iso:
+            algebras.append(E or EffectAlgebra._from_valid(labels, tab, 0, n - 1, name))
     return EnumerationResult(
-        n,
-        list(reps.values()) if up_to_iso else algebras,
-        len(algebras),
-        len(reps),
-        up_to_iso,
-        nodes,
-        len(tables) - len(algebras),
+        n, list(reps.values()) if up_to_iso else algebras, labeled, len(reps), up_to_iso,
+        nodes, len(tables) - labeled,
     )
 
 
@@ -357,15 +357,12 @@ def _invariant_keys(E: EffectAlgebra) -> list[tuple]:
 
 
 def relabel(E: EffectAlgebra, perm, name: Optional[str] = None) -> EffectAlgebra:
-    'Transport the algebra along perm (perm[old] = new); revalidates.'
-    n = E.n
-    if sorted(perm) != list(range(n)):
+    'Transport the algebra along perm (perm[old] = new), an isomorphism, so unchecked.'
+    if sorted(perm) != list(range(E.n)):
         raise ValueError("not a permutation")
-    labels = [""] * n
-    for x in range(n):
-        labels[perm[x]] = E.labels[x]
-    return EffectAlgebra.from_tables(
-        labels, _transport(E.sums, perm), perm[E.zero], perm[E.one], name=name or E.name
+    labels = tuple(E.labels[x] for x in sorted(range(E.n), key=perm.__getitem__))
+    return EffectAlgebra._from_valid(
+        labels, _transport(E.sums, perm), perm[E.zero], perm[E.one], name or E.name
     )
 
 

@@ -183,6 +183,14 @@ class Poset:
         self.labels = labels
         self.full_bits = full
 
+    @classmethod
+    def _unchecked(cls, up, down, bottom, top, labels) -> "Poset":
+        'A poset from masks already known to form a bounded order; nothing is checked.'
+        p = cls.__new__(cls)
+        p.n, p.up, p.down, p.bottom, p.top, p.labels = len(up), up, down, bottom, top, labels
+        p.full_bits = (1 << p.n) - 1
+        return p
+
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 

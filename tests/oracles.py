@@ -993,9 +993,24 @@ def restricted_algebras(p: Poset) -> list[EffectAlgebra]:
                 else:
                     t[x][y] = t[y][x] = UNDEF
         _restricted_search(t, free, 0, p, tables)
+    return validate_each_table(p.labels, tables, p)[0]
+
+
+def validate_each_table(labels, tables, order: Poset | None = None):
+    """Every table through the full validator, kept when valid and, given an
+    order, inducing exactly it: the algebras, named EA{n}-0, EA{n}-1, ... in
+    table order, and the number of tables refused."""
+    n = len(labels)
     algebras = []
     for tab in tables:
-        rep = validate_tables(p.labels, tab, 0, one, name=f"EA{n}-{len(algebras)}")
-        if rep.ok and rep.algebra.order.up == p.up:
+        rep = validate_tables(labels, tab, 0, n - 1, name=f"EA{n}-{len(algebras)}")
+        if rep.ok and (order is None or rep.algebra.order.up == order.up):
             algebras.append(rep.algebra)
-    return algebras
+    return algebras, len(tables) - len(algebras)
+
+
+def algebra_fields(E: EffectAlgebra) -> tuple:
+    'Everything an algebra and its order hold apart from cached tables.'
+    o = E.order
+    return (E.name, E.n, E.labels, E.sums, E.comp, E.zero, E.one,
+            o.n, o.up, o.down, o.bottom, o.top, o.labels, o.full_bits)

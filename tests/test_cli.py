@@ -181,6 +181,42 @@ def test_console_script_entry():
     assert "lemma1: pass" in proc.stdout
 
 
+def spy_on_enumeration(monkeypatch) -> list:
+    'The up_to_iso value of each library enumeration the CLI runs.'
+    import unsharp.enumeration as enumeration
+
+    real, modes = enumeration.enumerate_effect_algebras, []
+
+    def spy(n, up_to_iso=False, **kwargs):
+        modes.append(up_to_iso)
+        return real(n, up_to_iso=up_to_iso, **kwargs)
+
+    monkeypatch.setattr(enumeration, "enumerate_effect_algebras", spy)
+    return modes
+
+
+def test_enumerate_eight_counts_from_the_class_representatives(capsys, monkeypatch):
+    modes = spy_on_enumeration(monkeypatch)
+    code, out, err = run(capsys, "enumerate", "8", "--count-only")
+    assert (code, out, err) == (0, "n=8: 15136 labeled, 40 up to isomorphism\n", "")
+    assert modes == [True]
+
+
+@pytest.mark.parametrize(
+    "flags, up_to_iso",
+    [([], True), (["--up-to-iso"], True), (["--emit"], False), (["--up-to-iso", "--emit"], True),
+     (["--count-only", "--emit"], True)],
+)
+def test_enumerate_builds_every_labeled_algebra_only_to_emit_it(
+    tmp_path, capsys, monkeypatch, flags, up_to_iso
+):
+    modes = spy_on_enumeration(monkeypatch)
+    argv = [a for f in flags for a in ((f, str(tmp_path)) if f == "--emit" else (f,))]
+    code, out, _ = run(capsys, "enumerate", "4", *argv)
+    assert code == 0 and out.startswith("n=4: 4 labeled, 3 up to isomorphism\n")
+    assert modes == [up_to_iso]
+
+
 @pytest.mark.parametrize("threads", ["two", "2"])
 def test_enumerate_ignores_threads(capsys, monkeypatch, threads):
     # enumerate runs in one process and reads no environment variable

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from unsharp import (
+    EffectAlgebra,
     canonical_form,
     enumerate_effect_algebras,
     find_isomorphism,
@@ -15,7 +16,12 @@ from unsharp import (
     validate_tables,
 )
 from unsharp.cli import SUITES, run_suite
-from unsharp.enumeration import _antitone_involutions, _free_tables
+from unsharp.enumeration import (
+    _antitone_involutions,
+    _default_labels,
+    _free_tables,
+    _relabelings,
+)
 from unsharp.reports import Violation
 
 import oracles
@@ -53,11 +59,10 @@ def test_pinned_counts(n, labeled, iso):
 
 
 def test_pinned_counts_larger():
-    assert enumerate_effect_algebras(6).labeled_count == 142
-    assert enumerate_effect_algebras(6).iso_count == 10
+    res6 = enumerate_effect_algebras(6)
+    assert (res6.labeled_count, res6.iso_count) == (142, 10)
     res7 = enumerate_effect_algebras(7, up_to_iso=True)
     assert (res7.labeled_count, res7.iso_count) == (1006, 14)
-    assert len(res7.algebras) == 14
 
 
 @functools.cache
@@ -187,6 +192,27 @@ def test_relabel_rejects_non_permutation(e9):
         relabel(e9, [0] * 9)
 
 
+def test_relabel_equals_validating_the_transported_table(e9):
+    import random
+
+    rng = random.Random(12)
+    for E in [e9, *(F for n in range(2, 7) for F in classes(n).algebras)]:
+        n = E.n
+        perms = [list(range(n)), list(range(n))[::-1]]  # the second swaps 0 and 1
+        for _ in range(3):
+            perms.append(rng.sample(range(n), n))
+        for perm in perms:
+            labels, sums = [""] * n, [[None] * n for _ in range(n)]
+            for x, row in enumerate(E.sums):
+                labels[perm[x]] = E.labels[x]
+                for y, v in enumerate(row):
+                    if v is not None:
+                        sums[perm[x]][perm[y]] = perm[v]
+            want = EffectAlgebra.from_tables(labels, sums, perm[E.zero], perm[E.one], name=E.name)
+            got = relabel(E, perm)
+            assert oracles.algebra_fields(got) == oracles.algebra_fields(want), (E.name, perm)
+
+
 # -- the search against the full-scan oracles in oracles.py ------------------
 
 
@@ -274,6 +300,51 @@ def test_threads_clamped(monkeypatch, threads, cpus, pool):
     assert RecordingPool.sizes == ([] if pool is None else [pool])
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_transported_algebras_match_full_validation(n):
+    # the enumerator validates one table per orbit and reads the rest off
+    # their rows; validating every labeled table must build the same algebras
+    want, rejected = oracles.validate_each_table(
+        _default_labels(n), [tab for tab, _ in _free_tables(n, None)[0]]
+    )
+    res = enumerate_effect_algebras(n)
+    assert res.rejected == rejected == 0
+    assert list(map(oracles.algebra_fields, res.algebras)) == list(
+        map(oracles.algebra_fields, want)
+    )
+    reps = classes(n).algebras
+    if n < 8:  # the first labeled member of each class
+        firsts = {}
+        for E in want:
+            firsts.setdefault(canonical_form(E), E)
+        assert [E.name for E in reps] == [E.name for E in firsts.values()]
+    by_name = {E.name: E for E in want}
+    assert [oracles.algebra_fields(E) for E in reps] == [
+        oracles.algebra_fields(by_name[E.name]) for E in reps
+    ]
+
+
+def complement_pairs(tab) -> int:
+    'The complement type j of a table: its interior pairs x + y = 1 with x < y.'
+    one = len(tab) - 1
+    return sum(tab[x].index(one) > x for x in range(1, one))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_validation_per_base_table(monkeypatch, n):
+    import unsharp.enumeration as enumeration
+
+    calls = []
+    real = enumeration.validate_tables
+    monkeypatch.setattr(
+        enumeration, "validate_tables", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    types = [complement_pairs(E.sums) for E in enumerate_effect_algebras(n).algebras]
+    # each base table of type j stands for |relabelings of type j| labeled tables
+    bases = sum(types.count(j) // len(_relabelings(n, j)) for j in set(types))
+    assert len(calls) == bases == {2: 1, 3: 1, 4: 4, 5: 6, 6: 41, 7: 71}[n]
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_free_search_rejects_no_completed_table(n):
     assert enumerate_effect_algebras(n).rejected == 0
@@ -294,5 +365,14 @@ def test_rejected_counts_what_the_validator_refuses(monkeypatch):
 
     monkeypatch.setattr(enumeration, "validate_tables", refuse_first)
     res = enumerate_effect_algebras(5)
-    assert (res.labeled_count, res.rejected) == (15, 1)
-    assert [E.name for E in res.algebras] == [f"EA5-{i}" for i in range(15)]
+    # one table stands for its base table's orbit, so the whole orbit goes
+    refused = calls[0][1]
+    orbit = len(_relabelings(5, complement_pairs(refused)))
+    assert (res.labeled_count, res.rejected) == (16 - orbit, orbit)
+    assert orbit > 1
+    assert [E.name for E in res.algebras] == [f"EA5-{i}" for i in range(16 - orbit)]
+    monkeypatch.undo()
+    kept = {E.sums for E in res.algebras}
+    gone = [E for E in enumerate_effect_algebras(5).algebras if E.sums not in kept]
+    assert len(gone) == orbit and refused in [E.sums for E in gone]
+    assert all(is_isomorphic(E, gone[0]) for E in gone)
