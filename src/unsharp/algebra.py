@@ -13,12 +13,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .poset import MAX_CARRIER, Involution, OrderError, Poset, Subset, iter_bits
-from .poset import validate_involution
+from .poset import MAX_CARRIER, Involution, OrderError, Poset, Subset, check_order_axioms
+from .poset import iter_bits, validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
-
-SumTable = tuple[tuple[Optional[int], ...], ...]
-
 
 class InvalidAlgebraError(ValueError):
     'Raised when tables fail validation; carries the offending report.'
@@ -30,38 +27,23 @@ class InvalidAlgebraError(ValueError):
 
 
 class EffectAlgebra:
-    """A validated finite effect algebra.
+    """A finite effect algebra, read off a sum table known to be valid.
 
-    Instances come out of :func:`validate_tables` (or the convenience
-    constructor :meth:`from_tables`) and are immutable afterwards, so the
-    implication table is built on first use and kept.  The `*_bits`
-    helpers work on subsets given as bitmasks and assume the operation is
-    defined, which holds wherever the law suites call them.
+    The constructor is the only way an instance is made, and it checks
+    nothing: `validate_tables` (and so :meth:`from_tables`) calls it on a
+    table that passed, the enumerator and `relabel` on isomorphic images
+    of validated tables.  It takes the labels as a tuple and the sums as a
+    tuple of rows, None where undefined, and reads x' (the u with x + u = 1)
+    and the order (x <= y iff x + z = y for some z) off the rows in one pass.
+    Instances are immutable afterwards, so the implication table is built
+    on first use and kept.  The `*_bits` helpers work on subsets given as
+    bitmasks and assume the operation is defined, which holds wherever the
+    law suites call them.
     """
 
     __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name", "__dict__")
 
-    def __init__(self, n, sums, comp, zero, one, labels, order, name="E"):
-        self.n = n
-        self.sums = sums
-        self.comp = comp
-        self.zero = zero
-        self.one = one
-        self.labels = labels
-        self.order = order
-        self.name = name
-
-    @classmethod
-    def from_tables(cls, labels, sums, zero, one, declared_comp=None, name="E"):
-        report = validate_tables(labels, sums, zero, one, declared_comp, name)
-        if not report.ok:
-            raise InvalidAlgebraError(report)
-        return report.algebra
-
-    @classmethod
-    def _from_valid(cls, labels, sums, zero, one, name="E"):
-        """What validate_tables builds from a table known to be valid (labels a
-        tuple, sums a tuple of tuples), such as an isomorphic image of a validated one."""
+    def __init__(self, labels, sums, zero, one, name="E"):
         n = len(sums)
         up, down = [0] * n, [0] * n
         for x, row in enumerate(sums):
@@ -69,8 +51,16 @@ class EffectAlgebra:
                 if v is not None:
                     up[x] |= 1 << v
                     down[v] |= 1 << x
-        order = Poset._unchecked(tuple(up), tuple(down), zero, one, labels)
-        return cls(n, sums, tuple(r.index(one) for r in sums), zero, one, labels, order, name)
+        self.n, self.sums, self.comp = n, sums, tuple(row.index(one) for row in sums)
+        self.zero, self.one, self.labels, self.name = zero, one, labels, name
+        self.order = Poset._unchecked(tuple(up), tuple(down), zero, one, labels)
+
+    @classmethod
+    def from_tables(cls, labels, sums, zero, one, declared_comp=None, name="E"):
+        report = validate_tables(labels, sums, zero, one, declared_comp, name)
+        if not report.ok:
+            raise InvalidAlgebraError(report)
+        return report.algebra
 
     def __repr__(self):
         return f"<EffectAlgebra {self.name} n={self.n}>"
@@ -192,7 +182,7 @@ def validate_tables(
     declared_comp: Optional[dict] = None,
     name: str = "E",
 ) -> ValidationReport:
-    """Validate a partial sum table and derive the full structure.
+    """Validate a partial sum table and, if it passes, build its algebra.
 
     Stages run in the order E1, E4, E3, induced-order axioms, E2; the
     first failing stage stops the run and reports its first witness.
@@ -235,39 +225,28 @@ def validate_tables(
             return fail("E4", (x,), "sum with the top element defined")
 
     # E3: exactly one orthosupplement per element
-    comp: list[Optional[int]] = [None] * n
     for x, row in enumerate(table):
         if one not in row:
             return fail("E3", (x,), "no orthosupplement")
-        comp[x] = row.index(one)
+        u = row.index(one)
         if row.count(one) > 1:
-            return fail(
-                "E3",
-                (x, comp[x], row.index(one, comp[x] + 1)),
-                "duplicate complement candidates",
-            )
+            return fail("E3", (x, u, row.index(one, u + 1)), "duplicate complement candidates")
     if declared_comp:
         for x, u in declared_comp.items():
-            if comp[x] != u:
-                return fail(
-                    "complement",
-                    (x, u, comp[x]),
-                    "declared complement disagrees with the table",
-                )
+            if table[x].index(one) != u:
+                wit = (x, u, table[x].index(one))
+                return fail("complement", wit, "declared complement disagrees with the table")
 
     # induced-order axioms; x <= y iff some z gives x + z = y
     up = [0] * n
-    for x in range(n):
-        for z in range(n):
-            v = table[x][z]
+    for x, row in enumerate(table):
+        for v in row:
             if v is not None:
                 up[x] |= 1 << v
     try:
-        order = Poset(up, labels)
+        check_order_axioms(up)
     except OrderError as exc:
         return fail("order", exc.witness, f"induced relation not {exc.reason}")
-    except ValueError:
-        order = None  # no bottom or no top, which the checks below report
     full = (1 << n) - 1
     if up[zero] != full:
         x = (~up[zero] & full).bit_length() - 1
@@ -278,16 +257,7 @@ def validate_tables(
     if wit:
         return fail("E2", wit, "associativity fails")
 
-    algebra = EffectAlgebra(
-        n,
-        tuple(tuple(row) for row in table),
-        tuple(comp),  # fully populated here
-        zero,
-        one,
-        labels,
-        order,
-        name,
-    )
+    algebra = EffectAlgebra(labels, tuple(map(tuple, table)), zero, one, name)
     return ValidationReport([], algebra)
 
 

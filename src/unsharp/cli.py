@@ -264,7 +264,7 @@ def _failure_text(rep: PropertyReport) -> str:
 
 def cmd_check(args) -> int:
     E = _load(args.file)
-    names = args.suite.split(",") if args.suite else list(SUITES)
+    names = list(SUITES) if args.suite is None else args.suite.split(",")
     for name in names:
         if name not in SUITES:
             print(f"unknown suite {name!r}; choose from {','.join(SUITES)}",

@@ -217,11 +217,13 @@ def emit_spec(source: Union[AlgebraSpec, EffectAlgebra]) -> str:
 
 def emit_dot(E: EffectAlgebra) -> str:
     'Hasse diagram of the induced order as a DOT digraph, bottom to top.'
-    out = [f'digraph "{E.name}" {{', "  rankdir=BT;"]
-    for lab in E.labels:
+    # inside a quoted DOT ID, a double quote is the one character escaped
+    name, *labels = (s.replace('"', r'\"') for s in (E.name, *E.labels))
+    out = [f'digraph "{name}" {{', "  rankdir=BT;"]
+    for lab in labels:
         out.append(f'  "{lab}";')
     for lo, hi in E.order.hasse_edges():
-        out.append(f'  "{E.labels[lo]}" -> "{E.labels[hi]}";')
+        out.append(f'  "{labels[lo]}" -> "{labels[hi]}";')
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -23,8 +23,10 @@ type j, base table of type j) onto the labeled tables of type j, and no
 table is found twice.  The labeled tables are sorted into the order of a
 cell-by-cell search.  A relabeling is an isomorphism, so the first table
 met in each base table's orbit is validated, and its canonical form found,
-for the whole orbit; the rest are built unchecked from their rows, only
-when listed.  The result counts search nodes and tables in refused orbits.
+for the whole orbit.  Every algebra, validated or not, comes from the
+EffectAlgebra constructor, which reads it off its rows; the members not
+validated are built only when listed.  The result counts search nodes
+and tables in refused orbits.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn
@@ -52,16 +54,6 @@ MAX_RESTRICTED = 10
 
 def _default_labels(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n - 1)) + ("1",)
-
-
-def _base_state(n: int):
-    t = [[UNKNOWN] * n for _ in range(n)]
-    one = n - 1
-    for x in range(n):
-        t[0][x] = t[x][0] = x
-    for x in range(1, n):
-        t[one][x] = t[x][one] = UNDEF
-    return t
 
 
 def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
@@ -126,10 +118,15 @@ def _search(t, cells, choices, idx, n, out) -> int:
 
 
 def _complement_state(n: int, inv) -> list:
-    'The base table with x + inv[x] = 1 preset for every interior x.'
-    t = _base_state(n)
+    'The table with x + 0 = x, no other sum with 1, and x + inv[x] = 1 preset.'
+    t = [[UNKNOWN] * n for _ in range(n)]
+    one = n - 1
+    for x in range(n):
+        t[0][x] = t[x][0] = x
+    for x in range(1, n):
+        t[one][x] = t[x][one] = UNDEF
     for x in range(1, n - 1):
-        t[x][inv[x]] = t[inv[x]][x] = n - 1
+        t[x][inv[x]] = t[inv[x]][x] = one
     return t
 
 
@@ -261,7 +258,7 @@ def enumerate_effect_algebras(
         # a class's first member is the first of its orbit, so E is set there
         reps.setdefault(forms[base], E)
         if not up_to_iso:
-            algebras.append(E or EffectAlgebra._from_valid(labels, tab, 0, n - 1, name))
+            algebras.append(E or EffectAlgebra(labels, tab, 0, n - 1, name))
     return EnumerationResult(
         n, list(reps.values()) if up_to_iso else algebras, labeled, len(reps), up_to_iso,
         nodes, len(tables) - labeled,
@@ -357,13 +354,13 @@ def _invariant_keys(E: EffectAlgebra) -> list[tuple]:
 
 
 def relabel(E: EffectAlgebra, perm, name: Optional[str] = None) -> EffectAlgebra:
-    'Transport the algebra along perm (perm[old] = new), an isomorphism, so unchecked.'
+    """Transport the algebra along perm (perm[old] = new).  An isomorphism keeps
+    the table valid, so it goes to the EffectAlgebra constructor unvalidated."""
     if sorted(perm) != list(range(E.n)):
         raise ValueError("not a permutation")
     labels = tuple(E.labels[x] for x in sorted(range(E.n), key=perm.__getitem__))
-    return EffectAlgebra._from_valid(
-        labels, _transport(E.sums, perm), perm[E.zero], perm[E.one], name or E.name
-    )
+    sums = _transport(E.sums, perm)
+    return EffectAlgebra(labels, sums, perm[E.zero], perm[E.one], name or E.name)
 
 
 def _encode(E: EffectAlgebra, perm) -> tuple:
@@ -392,19 +389,12 @@ def canonical_form(E: EffectAlgebra) -> tuple:
     for x in interior:
         groups.setdefault(keys[x], []).append(x)
     ordered = [groups[k] for k in sorted(groups)]
-    slot_blocks = []
-    slot = 1
-    for g in ordered:
-        slot_blocks.append(range(slot, slot + len(g)))
-        slot += len(g)
     best = None
     for choice in itertools.product(*(itertools.permutations(g) for g in ordered)):
-        perm = [0] * n
-        perm[E.zero] = 0
-        perm[E.one] = n - 1
-        for g_perm, block in zip(choice, slot_blocks):
-            for old, new in zip(g_perm, block):
-                perm[old] = new
+        perm = [0] * n  # zero goes to slot 0
+        perm[E.one] = n - 1  # the same slot when n = 1, where zero is one
+        for new, old in enumerate(itertools.chain.from_iterable(choice), 1):
+            perm[old] = new
         enc = _encode(E, perm)
         if best is None or enc < best:
             best = enc

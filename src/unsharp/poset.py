@@ -122,10 +122,33 @@ class OrderError(ValueError):
         self.witness = witness
 
 
+def check_order_axioms(up: Sequence[int]) -> None:
+    """Raise OrderError at the first axiom the up-sets break, with its first witness.
+
+    Reflexivity is checked for x in turn, then antisymmetry for x < y, then
+    transitivity for x <= y, naming the largest z above y but not above x.
+    A mask outside the carrier raises ValueError where reflexivity meets it.
+    """
+    full = (1 << len(up)) - 1
+    for x, mask in enumerate(up):
+        if mask < 0 or mask & ~full:
+            raise ValueError(f"up-mask of {x} falls outside the carrier")
+        if not mask >> x & 1:
+            raise OrderError("reflexive", (x,))
+    for x, mask in enumerate(up):
+        for y in iter_bits(mask & ~((2 << x) - 1)):
+            if up[y] >> x & 1:
+                raise OrderError("antisymmetric", (x, y))
+    for x, mask in enumerate(up):
+        for y in iter_bits(mask):
+            if up[y] & ~mask:
+                raise OrderError("transitive", (x, y, (up[y] & ~mask).bit_length() - 1))
+
+
 class Poset:
     """A bounded partial order, kept as up-set bitmasks (up[x] = {y : x <= y}).
 
-    The constructor validates reflexivity, antisymmetry and transitivity
+    The constructor checks the order axioms with `check_order_axioms`
     (raising OrderError) and the existence of a bottom and a top; anything
     else raises ValueError.
     The pair-cone tables are built on first use and kept, since the order
@@ -138,31 +161,13 @@ class Poset:
         n = len(up)
         if not 1 <= n <= MAX_CARRIER:
             raise ValueError(f"carrier size {n} outside 1..{MAX_CARRIER}")
-        full = (1 << n) - 1
         up = tuple(int(m) for m in up)
-        for x, mask in enumerate(up):
-            if mask < 0 or mask & ~full:
-                raise ValueError(f"up-mask of {x} falls outside the carrier")
-            if not mask >> x & 1:
-                raise OrderError("reflexive", (x,))
-        for x in range(n):
-            for y in range(x + 1, n):
-                if up[x] >> y & 1 and up[y] >> x & 1:
-                    raise OrderError("antisymmetric", (x, y))
-        for x in range(n):
-            rest = up[x]
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                rest ^= low
-                if up[y] & ~up[x]:
-                    z = (up[y] & ~up[x]).bit_length() - 1
-                    raise OrderError("transitive", (x, y, z))
+        check_order_axioms(up)
         down = [0] * n
         for x in range(n):
-            for y in range(n):
-                if up[x] >> y & 1:
-                    down[y] |= 1 << x
+            for y in iter_bits(up[x]):
+                down[y] |= 1 << x
+        full = (1 << n) - 1
         bottoms = [x for x in range(n) if up[x] == full]
         tops = [y for y in range(n) if down[y] == full]
         if len(bottoms) != 1 or len(tops) != 1:
@@ -175,21 +180,18 @@ class Poset:
                 raise ValueError("label count differs from carrier size")
             if len(set(labels)) != n:
                 raise ValueError("labels are not pairwise distinct")
-        self.n = n
-        self.up = up
-        self.down = tuple(down)
-        self.bottom = bottoms[0]
-        self.top = tops[0]
-        self.labels = labels
-        self.full_bits = full
+        self._assign(up, tuple(down), bottoms[0], tops[0], labels)
 
     @classmethod
     def _unchecked(cls, up, down, bottom, top, labels) -> "Poset":
         'A poset from masks already known to form a bounded order; nothing is checked.'
         p = cls.__new__(cls)
-        p.n, p.up, p.down, p.bottom, p.top, p.labels = len(up), up, down, bottom, top, labels
-        p.full_bits = (1 << p.n) - 1
+        p._assign(up, down, bottom, top, labels)
         return p
+
+    def _assign(self, up, down, bottom, top, labels):
+        self.n, self.full_bits = len(up), (1 << len(up)) - 1
+        self.up, self.down, self.bottom, self.top, self.labels = up, down, bottom, top, labels
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)

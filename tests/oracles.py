@@ -1009,8 +1009,32 @@ def validate_each_table(labels, tables, order: Poset | None = None):
     return algebras, len(tables) - len(algebras)
 
 
+def poset_fields(p: Poset) -> tuple:
+    'Everything a poset holds apart from cached tables.'
+    return (p.n, p.up, p.down, p.bottom, p.top, p.labels, p.full_bits)
+
+
 def algebra_fields(E: EffectAlgebra) -> tuple:
     'Everything an algebra and its order hold apart from cached tables.'
-    o = E.order
-    return (E.name, E.n, E.labels, E.sums, E.comp, E.zero, E.one,
-            o.n, o.up, o.down, o.bottom, o.top, o.labels, o.full_bits)
+    return (E.name, E.n, E.labels, E.sums, E.comp, E.zero, E.one, *poset_fields(E.order))
+
+
+def derived_fields(E: EffectAlgebra) -> tuple:
+    """comp, up, down, bottom and top read off the sum table by the definitions.
+
+    x' is the unique u with x + u = 1; x <= y iff x + z = y for some z;
+    down is the converse of up, bottom is below everything and top above.
+    """
+    n, sums, full = E.n, E.sums, (1 << E.n) - 1
+    comp = []
+    for x in range(n):
+        (u,) = [u for u in range(n) if sums[x][u] == E.one]
+        comp.append(u)
+    up = tuple(
+        sum(1 << y for y in range(n) if any(sums[x][z] == y for z in range(n)))
+        for x in range(n)
+    )
+    down = tuple(sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n))
+    (bottom,) = [x for x in range(n) if up[x] == full]
+    (top,) = [y for y in range(n) if down[y] == full]
+    return tuple(comp), up, down, bottom, top

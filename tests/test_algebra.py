@@ -3,14 +3,17 @@ import pytest
 from unsharp import (
     EffectAlgebra,
     InvalidAlgebraError,
+    Poset,
     check_cone_equations,
     check_sum_laws,
+    enumerate_effect_algebras,
     fixture,
     is_monotonous,
     validate_tables,
 )
 
 import e9_data
+import oracles
 from conftest import idx
 
 
@@ -180,3 +183,14 @@ def test_order_stage_reports_first_witness(sums, text):
     labels = ("0", "a", "b", "1")[: len(sums) - 1] + ("1",)
     rep = validate_tables(labels, sums, 0, len(sums) - 1)
     assert [str(v) for v in rep.violations] == [text]
+
+
+def test_constructor_derives_complement_and_order_by_the_definitions(fixture_algebras):
+    # the constructor reads comp and the order off the rows in one pass;
+    # the oracle reads them off by the definitions
+    labeled = [E for n in range(2, 8) for E in enumerate_effect_algebras(n).algebras]
+    assert len(labeled) == 1170
+    for E in labeled + fixture_algebras:
+        p = E.order
+        assert (E.comp, p.up, p.down, p.bottom, p.top) == oracles.derived_fields(E), E.name
+        assert oracles.poset_fields(p) == oracles.poset_fields(Poset(p.up, E.labels)), E.name

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from unsharp.cli import main
+from unsharp.cli import SUITES, main
 from unsharp.fixtures import BUNDLED
 
 
@@ -89,6 +89,16 @@ def test_order_and_dot(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+def test_dot_escapes_double_quotes(capsys, tmp_path):
+    doc = tmp_path / "quoted.ea"
+    doc.write_text('algebra Q"x\nelements 0 a"b 1\nzero 0\none 1\nsum a"b a"b = 1\n')
+    code, out, _ = run(capsys, "order", str(doc), "--dot")
+    assert code == 0 and out == (
+        'digraph "Q\\"x" {\n  rankdir=BT;\n  "0";\n  "a\\"b";\n  "1";\n'
+        '  "0" -> "a\\"b";\n  "a\\"b" -> "1";\n}\n'
+    )
+
+
 def test_implies(capsys):
     code, out, _ = run(capsys, "implies", "fixture:E9", "e", "a")
     assert code == 0 and out.strip() == "{c,f}"
@@ -169,6 +179,11 @@ def test_check_suite_selection(capsys):
     assert code == 0 and out == "th2: pass\nroundtrip: pass\n"
     code, _, err = run(capsys, "check", "fixture:E9", "--suite", "wrong")
     assert code == 2
+    # an explicit empty name is refused like any unknown one; no --suite runs all
+    for value in ("", "th2,"):
+        code, out, err = run(capsys, "check", "fixture:E9", "--suite", value)
+        assert (code, out) == (2, "")
+        assert err == "unknown suite ''; choose from lemma1,lemma2,th2,th4,c1-c5,th3,roundtrip\n"
 
 
 def test_console_script_entry():
@@ -227,7 +242,7 @@ def test_enumerate_ignores_threads(capsys, monkeypatch, threads):
 
 @pytest.mark.parametrize("name", ["CHAIN-64", "BOOL-6"])
 def test_check_large_fixtures_within_budget(name):
-    suites = "lemma1,lemma2,th2,th4,c1-c5,roundtrip"
+    suites = ",".join(SUITES)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "unsharp", "check", f"fixture:{name}", "--suite", suites],
@@ -236,7 +251,7 @@ def test_check_large_fixtures_within_budget(name):
         timeout=30,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count(": pass") == 6
+    assert proc.stdout.count(": pass") == 7
     assert time.perf_counter() - start < 30.0
 
 
@@ -322,15 +337,16 @@ def test_each_command_loads_only_the_modules_it_uses(argv, extra):
 def test_ded_enumerate_streams_into_a_closed_pipe():
     # 3^31 + 1 systems: the first lines come at once and a reader that
     # stops early ends the process quietly, as `| head` does
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "unsharp", "ded", "fixture:CHAIN-64", "--enumerate"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    head = [proc.stdout.readline() for _ in range(3)]
-    proc.stdout.close()
-    try:
-        code = proc.wait(timeout=30)
-    finally:
-        proc.kill()
+    ) as proc:
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=30)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
     assert head == ["{1}\n", "{a1,1}\n", "{a2,1}\n"]
-    assert code == 0 and proc.stderr.read() == ""
+    assert code == 0 and err == ""

@@ -163,6 +163,10 @@ def test_trivial_iso_cases(e9, e6):
     assert find_isomorphism(chain, chain) == (0, 1)
     assert not is_isomorphic(e6, fixture("BOOL-2"))  # sizes differ
     assert is_isomorphic(fixture("BOOL-1"), chain)
+    # one element, where zero is one
+    point = EffectAlgebra.from_tables(("0",), [[None]], 0, 0)
+    assert canonical_form(point) == (1, 0)
+    assert find_isomorphism(point, point) == (0,)
 
 
 def test_canonical_form_invariance(e9):

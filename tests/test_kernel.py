@@ -221,7 +221,7 @@ def table_implies(E, x, y):
 
 def with_imp_bits(E, imp):
     'A copy of `E` carrying the implication table `imp` in place of its own.'
-    F = EffectAlgebra(E.n, E.sums, E.comp, E.zero, E.one, E.labels, E.order, E.name)
+    F = EffectAlgebra(E.labels, E.sums, E.zero, E.one, E.name)
     F.__dict__["imp_bits"] = tuple(map(tuple, imp))
     return F
 

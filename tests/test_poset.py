@@ -144,6 +144,8 @@ def test_validate_involution_clauses(e9):
         ((0b10, 0b11), (0,)),
         ((0b111, 0b110, 0b110), (1, 2)),
         ((0b1111, 0b0110, 0b1100, 0b1000), (1, 2, 3)),
+        # the largest z above y and not above x
+        ((0b11111, 0b00110, 0b11100, 0b11000, 0b10000), (1, 2, 4)),
     ],
 )
 def test_poset_names_the_first_broken_axiom(up, witness):

@@ -114,10 +114,13 @@ def test_from_effect_algebra_raises_report_on_mutated_table(e9):
     a, b, f = (idx(e9, lab) for lab in "abf")
     sums = [list(row) for row in e9.sums]
     sums[a][b] = sums[b][a] = f
-    bad = EffectAlgebra(e9.n, tuple(map(tuple, sums)), e9.comp, e9.zero, e9.one,
-                        e9.labels, e9.order, "E9-mutated")
+    # the mutated sums with E9's own complement and order, and no cached table
+    bad = EffectAlgebra(e9.labels, tuple(map(tuple, sums)), e9.zero, e9.one, "E9-mutated")
+    bad.comp, bad.order = e9.comp, e9.order
     with pytest.raises(InvalidAlgebraError) as err:
         from_effect_algebra(bad)
     report = err.value.report
     assert report == validate_surp(from_effect_algebra(bad, validate=False))
-    assert report.first("C2") is not None
+    assert [(v.axiom, v.witness) for v in report.violations] == [
+        ("C2", (5, 6, 7)), ("C2", (1, 6)), ("C3", (2, 7, 2)),
+    ]
