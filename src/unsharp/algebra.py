@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .poset import MAX_CARRIER, Involution, OrderError, Poset, Subset, check_order_axioms
 from .poset import iter_bits, validate_involution
-from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
+from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
 class InvalidAlgebraError(ValueError):
     'Raised when tables fail validation; carries the offending report.'
@@ -206,6 +206,9 @@ def validate_tables(
         for v in row:
             if v is not None and not 0 <= v < n:
                 raise ValueError(f"sum value {v} outside the carrier")
+    for x, u in (declared_comp or {}).items():
+        if not (0 <= x < n and 0 <= u < n):
+            raise ValueError(f"declared complement {x}: {u} outside the carrier")
 
     for x in range(n):
         if table[zero][x] is None and table[x][zero] is None:
@@ -309,16 +312,10 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
         replace(inv.clause("antitone"), clause="complement_antitone"),
     ]
 
-    wit = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if (sums[a][b] is not None) != leq(a, comp[b])
-        ),
-        None,
-    )
-    clauses.append(ClauseResult("sum_defined_iff_below_complement", wit is None, wit))
+    clauses.append(_check(
+        "sum_defined_iff_below_complement", n, 2,
+        lambda a, b: (sums[a][b] is not None) == leq(a, comp[b]),
+    ))
 
     wit = None
     for a in range(n):
@@ -337,28 +334,15 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
             break
     clauses.append(ClauseResult("sum_monotone", wit is None, wit))
 
-    wit = None
-    for a in range(n):
-        for b in range(n):
-            if not leq(a, b):
-                continue
-            d = sums[a][comp[b]]
-            if d is None or sums[a][comp[d]] != b:
-                wit = (a, b)
-                break
-            e = sums[comp[b]][a]
-            if e is None or comp[sums[comp[b]][comp[e]]] != a:
-                wit = (a, b)
-                break
-        if wit:
-            break
-    clauses.append(ClauseResult("difference_recovery", wit is None, wit))
+    def recovers(a, b):
+        d, e = sums[a][comp[b]], sums[comp[b]][a]
+        return not leq(a, b) or (
+            d is not None and sums[a][comp[d]] == b
+            and e is not None and comp[sums[comp[b]][comp[e]]] == a
+        )
 
-    wit = next(
-        ((a,) for a in range(n) if sums[a][E.zero] != a or sums[E.zero][a] != a),
-        None,
-    )
-    clauses.append(ClauseResult("zero_neutral", wit is None, wit))
+    clauses.append(_check("difference_recovery", n, 2, recovers))
+    clauses.append(_check("zero_neutral", n, 1, lambda a: sums[a][E.zero] == a == sums[E.zero][a]))
 
     clauses.append(replace(inv.clause("swaps_bounds"), clause="bounds_complement"))
     return PropertyReport("sum-laws", clauses)
@@ -369,22 +353,21 @@ def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
 
     L(a,b) = (a' + (a' + L(a,b))')'  and  U(a,b) = a + (a + U(a,b)')'.
     """
-    p, comp, add = E.order, E.comp_bits, E.add_bits
-    low_wit = up_wit = None
-    for a in range(E.n):
-        ac = E.comp[a]
-        for b in range(E.n):
-            low = p.pair_lower[a][b]
-            if low_wit is None and comp(add(ac, comp(add(ac, low)))) != low:
-                low_wit = (a, b)
-            upper = p.pair_upper[a][b]
-            if up_wit is None and add(a, comp(add(a, comp(upper)))) != upper:
-                up_wit = (a, b)
+    n, comp, add, ac = E.n, E.comp_bits, E.add_bits, E.comp
+    low2, up2 = E.order.pair_lower, E.order.pair_upper
     return PropertyReport(
         "cone-equations",
         [
-            ClauseResult("lower_cone_reconstruction", low_wit is None, low_wit),
-            ClauseResult("upper_cone_reconstruction", up_wit is None, up_wit),
+            _check(
+                "lower_cone_reconstruction", n, 2,
+                lambda a, b: comp(add(ac[a], comp(add(ac[a], low2[a][b])))) == low2[a][b],
+                key=lambda a, b: (a, low2[a][b]),
+            ),
+            _check(
+                "upper_cone_reconstruction", n, 2,
+                lambda a, b: add(a, comp(add(a, comp(up2[a][b])))) == up2[a][b],
+                key=lambda a, b: (a, up2[a][b]),
+            ),
         ],
     )
 

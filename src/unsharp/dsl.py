@@ -217,8 +217,9 @@ def emit_spec(source: Union[AlgebraSpec, EffectAlgebra]) -> str:
 
 def emit_dot(E: EffectAlgebra) -> str:
     'Hasse diagram of the induced order as a DOT digraph, bottom to top.'
-    # inside a quoted DOT ID, a double quote is the one character escaped
-    name, *labels = (s.replace('"', r'\"') for s in (E.name, *E.labels))
+    # inside a quoted DOT ID a backslash escapes the next character, so a
+    # backslash is doubled before a double quote is escaped
+    name, *labels = (s.replace("\\", "\\\\").replace('"', r'\"') for s in (E.name, *E.labels))
     out = [f'digraph "{name}" {{', "  rankdir=BT;"]
     for lab in labels:
         out.append(f'  "{lab}";')

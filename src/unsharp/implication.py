@@ -7,7 +7,7 @@ from typing import Iterator, Union
 
 from .algebra import EffectAlgebra
 from .poset import Subset
-from .reports import ClauseResult, PropertyReport
+from .reports import ClauseResult, PropertyReport, _check
 
 ElemOrSet = Union[int, Subset]
 
@@ -64,20 +64,6 @@ def implication_table(E: EffectAlgebra) -> ImplicationTable:
     return ImplicationTable(E)
 
 
-def _check(name: str, n: int, arity: int, holds, quick=None) -> ClauseResult:
-    """A clause over all tuples of the carrier; the witness is the first failing one.
-
-    `quick`, when given, decides the clause on a reduced set of cases; when
-    it passes the scan is skipped, and when it fails the scan finds the witness.
-    """
-    if quick is not None and quick():
-        return ClauseResult(name, True, None)
-    wit = next(
-        (t for t in itertools.product(range(n), repeat=arity) if not holds(*t)), None
-    )
-    return ClauseResult(name, wit is None, wit)
-
-
 def exchange_failures(E: EffectAlgebra) -> Iterator[tuple[int, int, int]]:
     """Triples breaking consequent exchange, in lexicographic order:
     (a -> b) <= U(a',c')  iff  (a -> c) <= U(a',b').
@@ -108,11 +94,11 @@ def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
     tuples.
     """
     n, p, comp = E.n, E.order, E.comp
-    imp, up, down, low2 = E.imp_bits, p.up, p.down, p.pair_lower
+    imp, up, down, low2, up2 = E.imp_bits, p.up, p.down, p.pair_lower, p.pair_upper
 
     def complement_forms(a, b):
         v1 = E.comp_bits(E.odot_bits(a, E.comp_bits(low2[a][b])))
-        v2 = E.comp_bits(E.odot_bits(a, p.pair_upper[comp[a]][comp[b]]))
+        v2 = E.comp_bits(E.odot_bits(a, up2[comp[a]][comp[b]]))
         return imp[a][b] == v1 == v2
 
     covers = p.hasse_edges()
@@ -134,10 +120,12 @@ def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
         _check(
             "lower_cone_collapse", n, 2,
             lambda a, b: p.lower_bits(imp[a][b]) == down[comp[a]],
+            key=lambda a, b: (a, imp[a][b]),
         ),
         _check(
             "product_recovers_cone", n, 2,
             lambda a, b: E.odot_bits(a, imp[a][b]) == low2[a][b],
+            key=lambda a, b: (a, imp[a][b], low2[a][b]),
         ),
         _check(
             "monotone_in_consequent", n, 3,
@@ -145,7 +133,10 @@ def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
             # inclusion is transitive, so the covers b < c decide it
             lambda: all(not row[b] & ~row[c] for row in imp for b, c in covers),
         ),
-        _check("product_complement_forms", n, 2, complement_forms),
+        _check(
+            "product_complement_forms", n, 2, complement_forms,
+            key=lambda a, b: (a, imp[a][b], low2[a][b], up2[comp[a]][comp[b]]),
+        ),
         ClauseResult("consequent_exchange", exchange is None, exchange),
     ]
     if p.is_lattice():
@@ -168,7 +159,8 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
     the chained expressions against the closed form L(a') + L(a,b).
     """
     n, p, comp, imp = E.n, E.order, E.comp, E.imp_bits
-    L, U, down, up, low2 = p.lower_bits, p.upper_bits, p.down, p.up, p.pair_lower
+    L, U, down, up = p.lower_bits, p.upper_bits, p.down, p.up
+    low2, up2 = p.pair_lower, p.pair_upper
     memo: dict[tuple[int, int], int] = {}
 
     def set_sum(a: int, b: int) -> int:
@@ -192,7 +184,7 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         return set_sum(1 << comp[a], down[a] & low) == imp[a][comp[b]]
 
     def cone_antecedent(a, b):
-        ua_comp, uc = up_comp[a], p.pair_upper[comp[a]][comp[b]]
+        ua_comp, uc = up_comp[a], up2[comp[a]][comp[b]]
         first = set_sum(ua_comp, low_up[a] & down[b])
         closed = set_sum(down[comp[a]], low2[a][b])
         return (
@@ -202,7 +194,7 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         )
 
     def own_upper(a, b):
-        return set_sum(1 << comp[a], down[a] & L(p.pair_upper[a][b]))
+        return set_sum(1 << comp[a], down[a] & L(up2[a][b]))
 
     clauses = [
         _check("double_negation", n, 1, double_negation),
@@ -218,16 +210,26 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         _check(
             "cone_consequent", n, 2,
             lambda a, b: set_sum(1 << comp[a], down[a] & low_up[b]) == imp[a][b],
+            key=lambda a, b: (a, down[a] & low_up[b], imp[a][b]),
         ),
-        _check("cone_antecedent", n, 2, cone_antecedent),
+        _check(
+            "cone_antecedent", n, 2, cone_antecedent,
+            key=lambda a, b: (a, low_up[a] & down[b], low_up[a] & low_up[b],
+                              up2[comp[a]][comp[b]], low2[a][b]),
+        ),
         _check(
             "own_lower_cone", n, 2,
             lambda a, b: set_sum(1 << comp[a], down[a] & L(low2[a][b])) == 1 << comp[a],
+            key=lambda a, b: (a, low2[a][b]),
         ),
         _check(
             "own_upper_cone", n, 2,
             lambda a, b: own_upper(a, b) == E.add_bits(comp[a], down[a]),
+            key=lambda a, b: (a, up2[a][b]),
         ),
-        _check("tautology_cone", n, 2, lambda a, b: U(own_upper(a, b)) == 1 << E.one),
+        _check(
+            "tautology_cone", n, 2, lambda a, b: U(own_upper(a, b)) == 1 << E.one,
+            key=lambda a, b: (a, up2[a][b]),
+        ),
     ]
     return PropertyReport("set-implication", clauses)

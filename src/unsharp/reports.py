@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -51,6 +52,34 @@ class ClauseResult:
     witness: Optional[tuple] = None
     skipped: bool = False
     detail: str = ""
+
+
+def _check(name: str, n: int, arity: int, holds, quick=None, key=None) -> ClauseResult:
+    """A clause over all tuples of the carrier; the witness is the first failing one.
+
+    `quick`, when given, decides the clause on a reduced set of cases; when
+    it passes the scan is skipped, and when it fails the scan finds the witness.
+    `key`, when given, maps a tuple to everything `holds` reads of it, so
+    `holds` runs once per distinct key, for this call only; the scan still
+    walks the tuples in order, so the witness is unchanged.
+    """
+    if quick is not None and quick():
+        return ClauseResult(name, True, None)
+    if key is not None:
+        verdicts: dict = {}
+
+        def decide(*t):
+            k = key(*t)
+            v = verdicts.get(k)
+            if v is None:
+                v = verdicts[k] = holds(*t)
+            return v
+    else:
+        decide = holds
+    wit = next(
+        (t for t in itertools.product(range(n), repeat=arity) if not decide(*t)), None
+    )
+    return ClauseResult(name, wit is None, wit)
 
 
 @dataclass

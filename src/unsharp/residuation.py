@@ -95,17 +95,23 @@ def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResid
 def adjointness_failures(p: Poset, inv, products, up_imp) -> Iterator[tuple[int, int, int]]:
     """Triples breaking unsharp adjointness (C3), in lexicographic order:
     U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z),
-    with U(y -> z) read from the table `up_imp`."""
+    with U(y -> z) read from the table `up_imp`.  x enters only through
+    U(x,y'), so the failing z are found once per (y, U(x,y'))."""
     n, ul = p.n, p.pair_ul
+    failing: dict[tuple[int, int], list[int]] = {}
     for x in range(n):
         for y in range(n):
             umask = p.up[x] & p.up[inv[y]]
-            image = _odot_bits(products, umask, y)
-            ul_y, ui_y = ul[y], up_imp[y]
-            for z in range(n):
-                lhs = image is not None and not (image & ~ul_y[z])
-                if lhs != (not (umask & ~ui_y[z])):
-                    yield (x, y, z)
+            zs = failing.get((y, umask))
+            if zs is None:
+                image = _odot_bits(products, umask, y)
+                ul_y, ui_y = ul[y], up_imp[y]
+                zs = failing[y, umask] = [
+                    z for z in range(n)
+                    if (image is not None and not (image & ~ul_y[z])) != (not (umask & ~ui_y[z]))
+                ]
+            for z in zs:
+                yield (x, y, z)
 
 
 def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:

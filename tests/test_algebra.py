@@ -109,6 +109,10 @@ def test_structural_problems_raise():
         validate_tables(("0", "1"), [[0, 1]], 0, 1)
     with pytest.raises(ValueError):
         validate_tables(("0", "1"), [[0, 9], [9, None]], 0, 1)
+    # a declared complement is checked against the carrier, key and value
+    for declared in ({5: 0}, {-1: 0}, {0: 2}):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            validate_tables(("0", "1"), [[None, None], [None, None]], 0, 1, declared)
 
 
 def test_from_tables_raises_with_report():
