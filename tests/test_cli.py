@@ -251,6 +251,33 @@ def test_enumerate_ignores_threads(capsys, monkeypatch, threads):
     assert (code, out, err) == (0, "n=4: 4 labeled, 3 up to isomorphism\n", "")
 
 
+CHECK_ALL_PASS = [
+    "lemma1: pass", "lemma2: pass", "th2: pass", "th4: pass",
+    "c1-c5: pass", "th3: pass", "roundtrip: pass",
+]
+
+
+def run_module(*argv):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "unsharp", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert time.perf_counter() - start < 30.0
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", ["CHAIN-64", "BOOL-6"])
+def test_check_large_fixtures_within_budget(name):
+    # every suite spelled out prints what the default check prints in
+    # test_full_check_and_ded_on_large_fixtures_within_budget
+    out = run_module("check", f"fixture:{name}", "--suite", ",".join(SUITES))
+    assert out.splitlines() == CHECK_ALL_PASS
+
+
 @pytest.mark.parametrize("name", ["CHAIN-64", "BOOL-6"])
 def test_laws_monotonous_exhaustive_on_large_fixtures_within_budget(capsys, name):
     # the reduction is exact at every size, so every verdict says exhaustive
@@ -271,31 +298,12 @@ LARGE_DED = {
 @pytest.mark.parametrize("command", ["check", "ded"])
 @pytest.mark.parametrize("name", sorted(LARGE_DED))
 def test_full_check_and_ded_on_large_fixtures_within_budget(command, name):
-    # th3 is exhaustive at every size, and ded counts in closed form; on the
-    # two largest, check with every suite spelled out must print the same
-    argvs = [[command, f"fixture:{name}"]]
-    if command == "check" and name in ("BOOL-6", "CHAIN-64"):
-        argvs.append([*argvs[0], "--suite", ",".join(SUITES)])
-    outs = []
-    for argv in argvs:
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "unsharp", *argv],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert time.perf_counter() - start < 30.0
-        outs.append(proc.stdout)
+    # th3 is exhaustive at every size, and ded counts in closed form
+    out = run_module(command, f"fixture:{name}")
     if command == "check":
-        assert outs[0].splitlines() == [
-            "lemma1: pass", "lemma2: pass", "th2: pass", "th4: pass",
-            "c1-c5: pass", "th3: pass", "roundtrip: pass",
-        ]
+        assert out.splitlines() == CHECK_ALL_PASS
     else:
-        assert outs[0] == LARGE_DED[name] + "\n"
-    assert len(set(outs)) == 1
+        assert out == LARGE_DED[name] + "\n"
 
 
 BASE_MODULES = {
