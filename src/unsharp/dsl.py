@@ -62,13 +62,13 @@ class AlgebraSpec:
     comps: list[CompEntry] = field(default_factory=list)
 
 
-def _column_of(raw: str, token: str, occurrence: int = 1) -> int:
-    pos = -1
-    for _ in range(occurrence):
-        pos = raw.find(token, pos + 1)
-        if pos < 0:
-            return 1
-    return pos + 1
+def _column(line: str, i: int) -> int:
+    'The 1-based column where the i-th whitespace-separated word of `line` starts.'
+    start = end = 0
+    for word in line.split()[: i + 1]:
+        start = line.index(word, end)
+        end = start + len(word)
+    return start + 1
 
 
 def parse_spec(text: str) -> AlgebraSpec:
@@ -79,19 +79,18 @@ def parse_spec(text: str) -> AlgebraSpec:
     seen_pairs: dict[frozenset, SumEntry] = {}
     seen_comp: dict[str, CompEntry] = {}
 
-    def known(label: str, lineno: int, raw: str):
+    def known(words: list[str], i: int, lineno: int, line: str):
         if labels is None:
             raise DslError("elements must be declared first", lineno)
+        label = words[i]
         if label not in labels:
-            raise DslError(
-                f"unknown label {label!r}", lineno, _column_of(raw, label)
-            )
+            raise DslError(f"unknown label {label!r}", lineno, _column(line, i))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         words = line.split()
+        if not words:
+            continue
         head = words[0]
         if head == "algebra":
             if len(words) != 2:
@@ -106,14 +105,13 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise DslError("expected at least one element label", lineno)
             if len(set(words[1:])) != len(words) - 1:
                 dup = next(w for w in words[1:] if words[1:].count(w) > 1)
-                raise DslError(
-                    f"duplicate label {dup!r}", lineno, _column_of(raw, dup, 2)
-                )
+                second = words.index(dup, words.index(dup, 1) + 1)
+                raise DslError(f"duplicate label {dup!r}", lineno, _column(line, second))
             labels = tuple(words[1:])
         elif head in ("zero", "one"):
             if len(words) != 2:
                 raise DslError(f"expected: {head} LABEL", lineno)
-            known(words[1], lineno, raw)
+            known(words, 1, lineno, line)
             if head in bounds:
                 raise DslError(f"{head} declared twice", lineno)
             bounds[head] = words[1]
@@ -121,8 +119,8 @@ def parse_spec(text: str) -> AlgebraSpec:
             if len(words) != 5 or words[3] != "=":
                 raise DslError("expected: sum X Y = Z", lineno)
             x, y, value = words[1], words[2], words[4]
-            for lab in (x, y, value):
-                known(lab, lineno, raw)
+            for i in (1, 2, 4):
+                known(words, i, lineno, line)
             pair = frozenset((x, y))
             if pair in seen_pairs:
                 prev = seen_pairs[pair]
@@ -130,15 +128,15 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise DslError(
                     f"{what} sum for {x}+{y} (first given on line {prev.line})",
                     lineno,
-                    _column_of(raw, x, 1 + (x == head)),
+                    _column(line, 1),
                 )
             seen_pairs[pair] = SumEntry(x, y, value, lineno)
         elif head == "complement":
             if len(words) != 4 or words[2] != "=":
                 raise DslError("expected: complement X = Y", lineno)
             x, y = words[1], words[3]
-            known(x, lineno, raw)
-            known(y, lineno, raw)
+            known(words, 1, lineno, line)
+            known(words, 3, lineno, line)
             for lab, other in ((x, y), (y, x)):
                 if lab in seen_comp and _comp_partner(seen_comp[lab], lab) != other:
                     raise DslError(

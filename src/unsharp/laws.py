@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .algebra import EffectAlgebra, MonotonicityResult, is_monotonous
-from .poset import Subset
+from .poset import Subset, _walk_u_classes
 from .reports import ClauseResult, LawReport, LawViolation, PropertyReport
 
 
@@ -132,26 +132,15 @@ def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
     The result is reported, never asserted: the law is tied to monotonicity,
     which not every algebra enjoys, so the probe result rides along.
     """
-    p, n, comp = E.order, E.n, E.comp
-    L, U, ul = p.lower_bits, p.upper_bits, p.pair_ul
-    up_imp = E.up_imp_bits
-    wit = None
-    for x in range(n):
-        for y in range(n):
-            uxy = p.up[x] & p.up[comp[y]]
-            u_image_low = U(L(E.odot_bits(y, uxy)))
-            u_low_uxy = U(L(uxy))
-            z = next(
-                (
-                    z
-                    for z in range(n)
-                    if (not ul[y][z] & ~u_image_low) != (not up_imp[y][z] & ~u_low_uxy)
-                ),
-                None,
-            )
-            if z is not None:
-                wit = (x, y, z)
-                break
-        if wit:
-            break
+    p, n = E.order, E.n
+    L, U, ul, up_imp = p.lower_bits, p.upper_bits, p.pair_ul, E.up_imp_bits
+
+    def failing(y, uxy):
+        u_image_low, u_low_uxy = U(L(E.odot_bits(y, uxy))), U(L(uxy))
+        return [
+            z for z in range(n)
+            if (not ul[y][z] & ~u_image_low) != (not up_imp[y][z] & ~u_low_uxy)
+        ]
+
+    wit = next(_walk_u_classes(p, E.comp, failing), None)
     return ConeAdjointness(wit is None, wit, is_monotonous(E))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .reports import ClauseResult, PropertyReport
+from .reports import ClauseResult, PropertyReport, _check
 
 MAX_CARRIER = 64
 
@@ -317,20 +317,29 @@ def validate_involution(p: Poset, inv: Involution) -> PropertyReport:
         return PropertyReport("involution", clauses)
     clauses.append(ClauseResult("permutation", True))
 
-    wit = next(((x,) for x in range(p.n) if m[m[x]] != x), None)
-    clauses.append(ClauseResult("involutive", wit is None, wit))
-
-    wit = None
-    for x in range(p.n):
-        for y in range(p.n):
-            if p.leq(x, y) and not p.leq(m[y], m[x]):
-                wit = (x, y)
-                break
-        if wit:
-            break
-    clauses.append(ClauseResult("antitone", wit is None, wit))
+    clauses.append(_check("involutive", p.n, 1, lambda x: m[m[x]] == x))
+    clauses.append(_check(
+        "antitone", p.n, 2, lambda x, y: not p.leq(x, y) or p.leq(m[y], m[x])
+    ))
 
     swaps = m[p.bottom] == p.top and m[p.top] == p.bottom
     wit = None if swaps else (p.bottom, p.top)
     clauses.append(ClauseResult("swaps_bounds", swaps, wit))
     return PropertyReport("involution", clauses)
+
+
+def _walk_u_classes(p: Poset, inv, failing) -> Iterator[tuple[int, int, int]]:
+    """The triples (x, y, z) with z in failing(y, U(x,y')), in lexicographic order.
+
+    The adjointness laws read x only through U(x,y'), given to `failing`
+    as a bitmask, so `failing` runs once per distinct (y, U(x,y')).
+    """
+    memo: dict[tuple[int, int], list[int]] = {}
+    for x in range(p.n):
+        for y in range(p.n):
+            umask = p.up[x] & p.up[inv[y]]
+            zs = memo.get((y, umask))
+            if zs is None:
+                zs = memo[y, umask] = failing(y, umask)
+            for z in zs:
+                yield (x, y, z)

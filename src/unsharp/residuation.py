@@ -12,7 +12,6 @@ candidates report exactly what they break.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -24,8 +23,8 @@ from .algebra import (
     validate_tables,
 )
 from .implication import exchange_failures
-from .poset import Involution, Poset, Subset, iter_bits, validate_involution
-from .reports import ClauseResult, PropertyReport, ValidationReport, Violation
+from .poset import Involution, Poset, Subset, _walk_u_classes, iter_bits, validate_involution
+from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
 
 @dataclass
@@ -95,23 +94,24 @@ def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResid
 def adjointness_failures(p: Poset, inv, products, up_imp) -> Iterator[tuple[int, int, int]]:
     """Triples breaking unsharp adjointness (C3), in lexicographic order:
     U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z),
-    with U(y -> z) read from the table `up_imp`.  x enters only through
-    U(x,y'), so the failing z are found once per (y, U(x,y'))."""
+    with U(y -> z) read from the table `up_imp`."""
     n, ul = p.n, p.pair_ul
-    failing: dict[tuple[int, int], list[int]] = {}
-    for x in range(n):
-        for y in range(n):
-            umask = p.up[x] & p.up[inv[y]]
-            zs = failing.get((y, umask))
-            if zs is None:
-                image = _odot_bits(products, umask, y)
-                ul_y, ui_y = ul[y], up_imp[y]
-                zs = failing[y, umask] = [
-                    z for z in range(n)
-                    if (image is not None and not (image & ~ul_y[z])) != (not (umask & ~ui_y[z]))
-                ]
-            for z in zs:
-                yield (x, y, z)
+
+    def failing(y, umask):
+        image = _odot_bits(products, umask, y)
+        ul_y, ui_y = ul[y], up_imp[y]
+        return [
+            z for z in range(n)
+            if (image is not None and not (image & ~ul_y[z])) != (not (umask & ~ui_y[z]))
+        ]
+
+    return _walk_u_classes(p, inv, failing)
+
+
+def _first_adjointness_failure(c: UnsharpResiduatedPoset) -> Optional[tuple[int, int, int]]:
+    'The first C3 triple, with U(y -> z) built from the tables `c` carries, which may be mutated.'
+    up_imp = [[c.poset.upper_bits(m.bits) for m in row] for row in c.imps]
+    return next(adjointness_failures(c.poset, c.inv, c.products, up_imp), None)
 
 
 def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
@@ -122,7 +122,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     mutation can break several at once.
     """
     p = c.poset
-    n = p.n
+    n, up = p.n, p.up
     inv = c.inv
     prod = c.products
     violations: list[Violation] = []
@@ -136,88 +136,39 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
         return ValidationReport(violations, None)
 
     def add(axiom, witness, message):
-        violations.append(Violation(axiom, witness, message))
+        if witness:
+            violations.append(Violation(axiom, witness, message))
+
+    def first(arity, holds):
+        return _check("", n, arity, holds).witness
 
     # C2: strict partial commutative monoid, monotone, with recovery
-    wit = next(
-        (
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if (prod[x][y] is not None) != p.leq(inv[x], y)
-        ),
+    add("C2", first(2, lambda x, y: (prod[x][y] is not None) == p.leq(inv[x], y)),
+        "strictness: product defined iff x' <= y")
+    add("C2", first_asymmetric_pair(prod), "product not commutative")
+    add("C2", first(1, lambda x: prod[x][p.top] == x == prod[p.top][x]), "top is not a unit")
+    add("C2", first_nonassociative_triple(prod), "product not associative")
+    # only x >= z' and y >= x are walked, where `first` would test all n^3 triples
+    add("C2", next(
+        ((x, y, z) for z in range(n) for x in iter_bits(up[inv[z]]) if prod[x][z] is not None
+         for y in iter_bits(up[x])
+         if prod[y][z] is not None and not up[prod[x][z]] >> prod[y][z] & 1),
         None,
-    )
-    if wit:
-        add("C2", wit, "strictness: product defined iff x' <= y")
-    wit = first_asymmetric_pair(prod)
-    if wit:
-        add("C2", wit, "product not commutative")
-    wit = next(
-        (
-            (x,)
-            for x in range(n)
-            if prod[x][p.top] != x or prod[p.top][x] != x
-        ),
-        None,
-    )
-    if wit:
-        add("C2", wit, "top is not a unit")
-    wit = first_nonassociative_triple(prod)
-    if wit:
-        add("C2", wit, "product not associative")
-    wit = None
-    for z, x in itertools.product(range(n), repeat=2):
-        pxz = prod[x][z]
-        if pxz is None or not p.up[inv[z]] >> x & 1:
-            continue
-        y = next(
-            (y for y in iter_bits(p.up[x]) if prod[y][z] is not None
-             and not p.up[pxz] >> prod[y][z] & 1),
-            None,
-        )
-        if y is not None:
-            wit = (x, y, z)
-            break
-    if wit:
-        add("C2", (wit[0], wit[1], wit[2]), "product not monotone")
-    wit = None
-    for x in range(n):
-        for y in range(n):
-            if not p.leq(x, y):
-                continue
-            inner = prod[y][inv[x]]
-            if inner is None or prod[y][inv[inner]] != x:
-                wit = (x, y)
-                break
-        if wit:
-            break
-    if wit:
-        add("C2", wit, "recovery x = y (.) (y (.) x')' fails")
+    ), "product not monotone")
+    add("C2", first(2, lambda x, y: not p.leq(x, y) or (
+        prod[y][inv[x]] is not None and prod[y][inv[prod[y][inv[x]]]] == x
+    )), "recovery x = y (.) (y (.) x')' fails")
 
-    # C3: unsharp adjointness, quantified over all triples, with U(y -> z)
-    # built from the tables handed in, which may have been mutated
-    imp_bits = [[m.bits for m in row] for row in c.imps]
-    up_imp = [[p.upper_bits(m) for m in row] for row in imp_bits]
-    wit = next(adjointness_failures(p, inv, prod, up_imp), None)
-    if wit:
-        add("C3", wit, "unsharp adjointness fails")
+    # C3: unsharp adjointness, quantified over all triples
+    add("C3", _first_adjointness_failure(c), "unsharp adjointness fails")
 
     # C4: x -> 0 = {x'}
-    wit = next(
-        (
-            (x,)
-            for x in range(n)
-            if imp_bits[x][p.bottom] != 1 << inv[x]
-        ),
-        None,
-    )
-    if wit:
-        add("C4", wit, "implication to bottom is not the involute singleton")
+    add("C4", first(1, lambda x: c.imps[x][p.bottom].bits == 1 << inv[x]),
+        "implication to bottom is not the involute singleton")
 
     # C5: divisibility x (.) (x -> y) = L(x,y)
     divisible = all(
-        _odot_bits(prod, imp_bits[x][y], x) == p.pair_lower[x][y]
+        _odot_bits(prod, c.imps[x][y].bits, x) == p.pair_lower[x][y]
         for x in range(n)
         for y in range(n)
     )
@@ -236,8 +187,7 @@ def check_dual_adjointness(c: UnsharpResiduatedPoset) -> PropertyReport:
     the corresponding subset-inclusion side of C3's primary condition, so
     the cone form fails exactly where C3 does, at the same first triple.
     """
-    up_imp = [[c.poset.upper_bits(m.bits) for m in row] for row in c.imps]
-    adj_wit = next(adjointness_failures(c.poset, c.inv, c.products, up_imp), None)
+    adj_wit = _first_adjointness_failure(c)
     return PropertyReport(
         "dual-adjointness",
         [ClauseResult("cone_order_adjointness", adj_wit is None, adj_wit)],

@@ -670,6 +670,45 @@ def closed_form_ded(E: EffectAlgebra, max_picks: int | None = None) -> list[int]
     return sorted(found, key=lambda bits: (bits.bit_count(), Subset(bits, E.n).indices()))
 
 
+def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
+    """The seven basic laws of + and ', each scanned over all pairs or
+    triples in lexicographic order up to its first failing tuple.
+
+    The package reads the complement clauses off the involution clauses,
+    which are not reported when x -> x' is not a permutation; it raises
+    KeyError there, and so does this reference.
+    """
+    n, comp, sums, leq, zero, one = E.n, E.comp, E.sums, E.leq, E.zero, E.one
+    if sorted(comp) != list(range(n)):
+        raise KeyError("x -> x' is not a permutation of the carrier")
+
+    def clause(name, arity, fails):
+        wit = next((t for t in itertools.product(range(n), repeat=arity) if fails(*t)), None)
+        return ClauseResult(name, wit is None, wit)
+
+    def recovery_fails(a, b):
+        if not leq(a, b):
+            return False
+        d, e = sums[a][comp[b]], sums[comp[b]][a]
+        return (
+            d is None or sums[a][comp[d]] != b
+            or e is None or comp[sums[comp[b]][comp[e]]] != a
+        )
+
+    swaps = comp[zero] == one and comp[one] == zero
+    return PropertyReport("sum-laws", [
+        clause("double_complement", 1, lambda a: comp[comp[a]] != a),
+        clause("complement_antitone", 2, lambda a, b: leq(a, b) and not leq(comp[b], comp[a])),
+        clause("sum_defined_iff_below_complement", 2,
+               lambda a, b: (sums[a][b] is not None) != leq(a, comp[b])),
+        clause("sum_monotone", 3, lambda a, b, c: leq(a, b) and sums[b][c] is not None and (
+            sums[a][c] is None or not leq(sums[a][c], sums[b][c]))),
+        clause("difference_recovery", 2, recovery_fails),
+        clause("zero_neutral", 1, lambda a: not sums[a][zero] == a == sums[zero][a]),
+        ClauseResult("bounds_complement", swaps, None if swaps else (zero, one)),
+    ])
+
+
 def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
     """Both cones of a pair are recovered from sums against the pair itself.
 

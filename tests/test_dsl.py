@@ -76,6 +76,22 @@ def test_column_diagnostics():
     assert err.value.column == "sum 0 q = 1".index("q") + 1
 
 
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        # each offending token also occurs earlier on its line, inside another word
+        ("elements 0 e e 1\n", 1, 14),
+        ("elements 0 a 1\nzero 0\none 1\nsum a u = 1\n", 4, 7),
+        ("elements 0 m 1\nzero 0\none 1\nsum m m = 1\nsum m m = m\n", 5, 5),
+        ("elements 0 1\nzero e\n", 2, 6),
+    ],
+)
+def test_error_column_is_that_of_the_offending_token(text, line, column):
+    with pytest.raises(DslError) as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_complement_declarations_checked():
     good = E9_TEXT + "complement a = g\ncomplement d = d\n"
     assert spec_report(parse_spec(good)).ok

@@ -134,8 +134,10 @@ def test_validate_involution_clauses(e9):
     swapped[1], swapped[2] = swapped[2], swapped[1]  # breaks involutivity
     rep = validate_involution(e9.order, Involution(tuple(swapped)))
     assert not rep.ok
-    failing = {c.clause for c in rep.failures()}
-    assert "involutive" in failing or "antitone" in failing
+    # now a -> f -> b, and b <= d while d -> d is not below b -> g
+    assert [(c.clause, c.witness) for c in rep.failures()] == [
+        ("involutive", (1,)), ("antitone", (2, 4)),
+    ]
 
 
 @pytest.mark.parametrize(
