@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .poset import MAX_CARRIER, Involution, OrderError, Poset, Subset, check_order_axioms
-from .poset import iter_bits, validate_involution
+from .poset import MAX_CARRIER, OrderError, Poset, Subset, check_order_axioms
+from .poset import _involution_clauses, iter_bits, maximal_bits
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
 class InvalidAlgebraError(ValueError):
@@ -35,10 +35,10 @@ class EffectAlgebra:
     of validated tables.  It takes the labels as a tuple and the sums as a
     tuple of rows, None where undefined, and reads x' (the u with x + u = 1)
     and the order (x <= y iff x + z = y for some z) off the rows in one pass.
-    Instances are immutable afterwards, so the implication table is built
-    on first use and kept.  The `*_bits` helpers work on subsets given as
-    bitmasks and assume the operation is defined, which holds wherever the
-    law suites call them.
+    Instances are immutable afterwards, so the implication and product
+    tables are built on first use and kept.  The `*_bits` helpers work on
+    subsets given as bitmasks and assume the operation is defined, which
+    holds wherever the law suites call them.
     """
 
     __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name", "__dict__")
@@ -84,32 +84,47 @@ class EffectAlgebra:
 
     def comp_bits(self, mask: int) -> int:
         "A' = {x' : x in A}."
-        bits, comp = 0, self.comp
-        while mask:
-            low = mask & -mask
-            bits |= 1 << comp[low.bit_length() - 1]
-            mask ^= low
-        return bits
+        return _image(self.comp, mask)
 
     def add_bits(self, x: int, mask: int) -> int:
         "x + A elementwise, for A below x'."
-        bits, row = 0, self.sums[x]
-        while mask:
-            low = mask & -mask
-            bits |= 1 << row[low.bit_length() - 1]
-            mask ^= low
-        return bits
+        return _image(self.sums[x], mask)
 
     def sum_bits(self, a: int, b: int) -> int:
-        "A + B elementwise, for A below B' pairwise."
-        bits = 0
+        """A + B elementwise, for A below B' pairwise.
+
+        When B is a down-set, x + B is the union of the intervals [x, x + m]
+        over the maximal elements m of B, one mask AND each: for w <= m,
+        x + w is defined and below x + m; and any v in [x, x + m] is some
+        x + w, where x + w <= x + m gives w <= m by cancellation.
+        """
+        return self._sum_bits(a, b, maximal_bits(b, self.order.up))
+
+    def _sum_bits(self, a: int, b: int, tops: int) -> int:
+        'A + B as in `sum_bits`, given the maximal elements of B.'
+        up, down, sums, bits = self.order.up, self.order.down, self.sums, 0
+        maxima = list(iter_bits(tops))
+        if any(down[m] & ~b for m in maxima):  # B is not a down-set
+            for x in iter_bits(a):
+                bits |= _image(sums[x], b)
+            return bits
         for x in iter_bits(a):
-            bits |= self.add_bits(x, b)
+            row, above = sums[x], up[x]
+            for m in maxima:
+                bits |= above & down[row[m]]
         return bits
 
     def odot_bits(self, x: int, mask: int) -> int:
-        "x (.) A = (x' + A')' elementwise, for every element of A above x'."
-        return self.comp_bits(self.add_bits(self.comp[x], self.comp_bits(mask)))
+        "x (.) A elementwise, for every element of A above x'."
+        return _image(self.products[x], mask)
+
+    @cached_property
+    def products(self) -> tuple[tuple[Optional[int], ...], ...]:
+        "x (.) y = (x' + y')' for every pair, None where undefined."
+        comp, sums = self.comp, self.sums
+        return tuple(
+            tuple(None if (v := sums[c][d]) is None else comp[v] for d in comp) for c in comp
+        )
 
     @cached_property
     def imp_bits(self) -> tuple[tuple[int, ...], ...]:
@@ -157,7 +172,9 @@ class EffectAlgebra:
         'A + B elementwise; requires A <= B-orthosupplement pairwise.'
         if a.n != self.n or b.n != self.n:
             raise ValueError("carrier mismatch")
-        if not self.order.set_leq(a, self.set_complement(b)):
+        tops = maximal_bits(b.bits, self.order.up)
+        # A is below B' pairwise iff it is below m' for every maximal m of B
+        if a.bits & ~self.order.lower_bits(self.comp_bits(tops)):
             wit = next(
                 (x, y)
                 for x in a
@@ -167,11 +184,21 @@ class EffectAlgebra:
             raise ValueError(
                 f"set sum undefined: {self.labels[wit[0]]} + {self.labels[wit[1]]}"
             )
-        return Subset(self.sum_bits(a.bits, b.bits), self.n)
+        return Subset(self._sum_bits(a.bits, b.bits, tops), self.n)
 
     def render(self, a: Subset) -> str:
         'Subset as "{x,y,...}" in declared element order.'
         return "{" + ",".join(self.labels[i] for i in a) + "}"
+
+
+def _image(row: Sequence[int], mask: int) -> int:
+    'The bitmask {row[a] : a in A}; every row[a] must be defined.'
+    bits = 0
+    while mask:
+        low = mask & -mask
+        bits |= 1 << row[low.bit_length() - 1]
+        mask ^= low
+    return bits
 
 
 def validate_tables(
@@ -303,13 +330,15 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
     """Seven basic laws of + and ' that every valid algebra satisfies.
 
     Each clause records the lexicographically first witness on failure.
+    The algebra's tables need not be valid: x' is whatever u a row gives
+    x + u = 1 first, and a law reads undefined sums as failing.
     """
     n, comp, sums, leq = E.n, E.comp, E.sums, E.leq
     # the complement clauses are the involution clauses on (E.order, E.comp)
-    inv = validate_involution(E.order, Involution(comp))
+    involutive, antitone, swaps = _involution_clauses(E.order, comp)
     clauses = [
-        replace(inv.clause("involutive"), clause="double_complement"),
-        replace(inv.clause("antitone"), clause="complement_antitone"),
+        replace(involutive, clause="double_complement"),
+        replace(antitone, clause="complement_antitone"),
     ]
 
     clauses.append(_check(
@@ -330,13 +359,13 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
         d, e = sums[a][comp[b]], sums[comp[b]][a]
         return not leq(a, b) or (
             d is not None and sums[a][comp[d]] == b
-            and e is not None and comp[sums[comp[b]][comp[e]]] == a
+            and e is not None and (f := sums[comp[b]][comp[e]]) is not None and comp[f] == a
         )
 
     clauses.append(_check("difference_recovery", n, 2, recovers))
     clauses.append(_check("zero_neutral", n, 1, lambda a: sums[a][E.zero] == a == sums[E.zero][a]))
 
-    clauses.append(replace(inv.clause("swaps_bounds"), clause="bounds_complement"))
+    clauses.append(replace(swaps, clause="bounds_complement"))
     return PropertyReport("sum-laws", clauses)
 
 

@@ -260,20 +260,26 @@ class Poset:
 
     # -- lattice structure ----------------------------------------------
 
+    # a finite set has a greatest element iff it has exactly one maximal one
     def meet(self, x: int, y: int) -> Optional[int]:
         """Greatest common lower bound, or None when no greatest one exists."""
-        return _extremum(self.down[x] & self.down[y], self.down)
+        maxima = maximal_bits(self.down[x] & self.down[y], self.up)
+        return maxima.bit_length() - 1 if not maxima & (maxima - 1) else None
 
     def join(self, x: int, y: int) -> Optional[int]:
         """Least common upper bound, or None when no least one exists."""
-        return _extremum(self.up[x] & self.up[y], self.up)
+        minima = maximal_bits(self.up[x] & self.up[y], self.down)
+        return minima.bit_length() - 1 if not minima & (minima - 1) else None
 
     def is_lattice(self) -> bool:
-        return all(
-            self.meet(x, y) is not None and self.join(x, y) is not None
-            for x in range(self.n)
-            for y in range(x, self.n)
-        )
+        'Every pair has a meet and a join; decided once per poset.'
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> bool:
+        # pairwise meets give every finite meet, so the join of x, y is the meet of U(x,y)
+        n, meet = self.n, self.meet
+        return all(meet(x, y) is not None for x in range(n) for y in range(x + 1, n))
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y): x < y with nothing strictly between."""
@@ -291,16 +297,15 @@ class Poset:
         return edges
 
 
-def _extremum(common: int, cones: Sequence[int]) -> Optional[int]:
-    'The member m of `common` whose cone holds all of it, or None.'
-    rest = common
+def maximal_bits(mask: int, up: Sequence[int]) -> int:
+    'The members of `mask` with no other member above them; given down-sets, the minimal ones.'
+    tops, rest = 0, mask
     while rest:
         low = rest & -rest
-        m = low.bit_length() - 1
         rest ^= low
-        if not (common & ~cones[m]):
-            return m
-    return None
+        if up[low.bit_length() - 1] & mask == low:
+            tops |= low
+    return tops
 
 
 def validate_involution(p: Poset, inv: Involution) -> PropertyReport:
@@ -316,16 +321,17 @@ def validate_involution(p: Poset, inv: Involution) -> PropertyReport:
                                     detail="mapping is not a permutation of the carrier"))
         return PropertyReport("involution", clauses)
     clauses.append(ClauseResult("permutation", True))
+    return PropertyReport("involution", clauses + _involution_clauses(p, m))
 
-    clauses.append(_check("involutive", p.n, 1, lambda x: m[m[x]] == x))
-    clauses.append(_check(
-        "antitone", p.n, 2, lambda x, y: not p.leq(x, y) or p.leq(m[y], m[x])
-    ))
 
+def _involution_clauses(p: Poset, m: Sequence[int]) -> list[ClauseResult]:
+    'The involutive, antitone and swaps_bounds clauses, for any map m of the carrier into itself.'
     swaps = m[p.bottom] == p.top and m[p.top] == p.bottom
-    wit = None if swaps else (p.bottom, p.top)
-    clauses.append(ClauseResult("swaps_bounds", swaps, wit))
-    return PropertyReport("involution", clauses)
+    return [
+        _check("involutive", p.n, 1, lambda x: m[m[x]] == x),
+        _check("antitone", p.n, 2, lambda x, y: not p.leq(x, y) or p.leq(m[y], m[x])),
+        ClauseResult("swaps_bounds", swaps, None if swaps else (p.bottom, p.top)),
+    ]
 
 
 def _walk_u_classes(p: Poset, inv, failing) -> Iterator[tuple[int, int, int]]:

@@ -78,11 +78,8 @@ def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResid
     the report.
     """
     n = E.n
-    products = tuple(
-        tuple(E.odot(x, y) for y in range(n)) for x in range(n)
-    )
     imps = tuple(tuple(Subset(m, n) for m in row) for row in E.imp_bits)
-    c = UnsharpResiduatedPoset(E.order, E.comp, products, imps, name=E.name)
+    c = UnsharpResiduatedPoset(E.order, E.comp, E.products, imps, name=E.name)
     if validate:
         report = validate_surp(c)
         if not report.ok:
@@ -277,8 +274,7 @@ def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
     Both biconditionals are computed per triple and must agree pointwise
     (and each holds outright on a valid algebra).
     """
-    products = [[E.odot(x, y) for y in range(E.n)] for x in range(E.n)]
-    adj = list(adjointness_failures(E.order, E.comp, products, E.up_imp_bits))
+    adj = list(adjointness_failures(E.order, E.comp, E.products, E.up_imp_bits))
     exch = list(exchange_failures(E))
     match_wit = min(set(adj) ^ set(exch), default=None)
     adj_wit = adj[0] if adj else None
