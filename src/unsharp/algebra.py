@@ -103,15 +103,23 @@ class EffectAlgebra:
     def _sum_bits(self, a: int, b: int, tops: int) -> int:
         'A + B as in `sum_bits`, given the maximal elements of B.'
         up, down, sums, bits = self.order.up, self.order.down, self.sums, 0
-        maxima = list(iter_bits(tops))
-        if any(down[m] & ~b for m in maxima):  # B is not a down-set
-            for x in iter_bits(a):
-                bits |= _image(sums[x], b)
-            return bits
-        for x in iter_bits(a):
+        maxima = []
+        while tops:
+            low = tops & -tops
+            m = low.bit_length() - 1
+            if down[m] & ~b:  # B is not a down-set
+                for x in iter_bits(a):
+                    bits |= _image(sums[x], b)
+                return bits
+            maxima.append(m)
+            tops ^= low
+        while a:
+            low = a & -a
+            x = low.bit_length() - 1
             row, above = sums[x], up[x]
             for m in maxima:
                 bits |= above & down[row[m]]
+            a ^= low
         return bits
 
     def odot_bits(self, x: int, mask: int) -> int:
@@ -152,7 +160,7 @@ class EffectAlgebra:
         "A' = {x' : x in A}."
         if a.n != self.n:
             raise ValueError("carrier mismatch")
-        return Subset(self.comp_bits(a.bits), self.n)
+        return Subset._wrap(self.comp_bits(a.bits), self.n)
 
     def add_elem_set(self, x: int, a: Subset) -> Subset:
         'x + A elementwise; requires A <= x-orthosupplement.'
@@ -166,7 +174,7 @@ class EffectAlgebra:
                 f"sum undefined: {self.labels[y]} is not below "
                 f"{self.labels[xc]} (adding {self.labels[x]})"
             )
-        return Subset(self.add_bits(x, a.bits), self.n)
+        return Subset._wrap(self.add_bits(x, a.bits), self.n)
 
     def add_sets(self, a: Subset, b: Subset) -> Subset:
         'A + B elementwise; requires A <= B-orthosupplement pairwise.'
@@ -184,7 +192,7 @@ class EffectAlgebra:
             raise ValueError(
                 f"set sum undefined: {self.labels[wit[0]]} + {self.labels[wit[1]]}"
             )
-        return Subset(self._sum_bits(a.bits, b.bits, tops), self.n)
+        return Subset._wrap(self._sum_bits(a.bits, b.bits, tops), self.n)
 
     def render(self, a: Subset) -> str:
         'Subset as "{x,y,...}" in declared element order.'

@@ -147,7 +147,7 @@ def iter_ded(E: EffectAlgebra) -> Iterator[DeductiveSystem]:
     Generated in order from the complement pairs, so the first systems
     arrive at once even when there are 3^31 of them."""
     for bits in _closed_form_ded(E):
-        yield DeductiveSystem(Subset(bits, E.n), E)
+        yield DeductiveSystem(Subset._wrap(bits, E.n), E)
 
 
 def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
@@ -187,7 +187,7 @@ def generate(E: EffectAlgebra, m: Subset) -> Subset:
     """
     if m.n != E.n:
         raise ValueError("carrier mismatch")
-    return Subset(_generated(E, m.bits), E.n)
+    return Subset._wrap(_generated(E, m.bits), E.n)
 
 
 def _generated(E: EffectAlgebra, bits: int) -> int:
@@ -202,7 +202,7 @@ def atoms(E: EffectAlgebra) -> list[DeductiveSystem]:
     An empty list means the hypothesis is unsatisfiable (e.g. two-element E).
     """
     return [
-        DeductiveSystem(Subset((1 << E.one) | (1 << x), E.n), E)
+        DeductiveSystem(Subset._wrap((1 << E.one) | (1 << x), E.n), E)
         for x in range(E.n)
         if x not in (E.zero, E.one) and E.comp[x] != x
     ]

@@ -22,7 +22,7 @@ def _as_subset(E: EffectAlgebra, v: ElemOrSet) -> Subset:
 
 def implies(E: EffectAlgebra, x: int, y: int) -> Subset:
     "x -> y = x' + L(x,y); always defined since L(x,y) <= x."
-    return Subset(E.imp_bits[x][y], E.n)
+    return Subset._wrap(E.imp_bits[x][y], E.n)
 
 
 def implies_sets(E: EffectAlgebra, a: ElemOrSet, b: ElemOrSet) -> Subset:
@@ -33,7 +33,7 @@ def implies_sets(E: EffectAlgebra, a: ElemOrSet, b: ElemOrSet) -> Subset:
     """
     sa, sb = _as_subset(E, a), _as_subset(E, b)
     low = E.order.lower_bits(sa.bits | sb.bits)
-    return Subset(E.sum_bits(E.comp_bits(sa.bits), low), E.n)
+    return Subset._wrap(E.sum_bits(E.comp_bits(sa.bits), low), E.n)
 
 
 def odot_image(E: EffectAlgebra, x: int, a: Subset) -> Subset:
@@ -44,7 +44,7 @@ def odot_image(E: EffectAlgebra, x: int, a: Subset) -> Subset:
     if outside:
         w = (outside & -outside).bit_length() - 1
         raise ValueError(f"product undefined: {E.labels[x]} (.) {E.labels[w]}")
-    return Subset(E.odot_bits(x, a.bits), E.n)
+    return Subset._wrap(E.odot_bits(x, a.bits), E.n)
 
 
 class ImplicationTable:

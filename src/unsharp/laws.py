@@ -20,7 +20,7 @@ def contraposition_pair(E: EffectAlgebra, x: int, y: int):
     "U(x -> y) vs U(y' -> x'): returns (equal, lhs cone, rhs cone)."
     up_imp = E.up_imp_bits
     lhs, rhs = up_imp[x][y], up_imp[E.comp[y]][E.comp[x]]
-    return lhs == rhs, Subset(lhs, E.n), Subset(rhs, E.n)
+    return lhs == rhs, Subset._wrap(lhs, E.n), Subset._wrap(rhs, E.n)
 
 
 def _contraposition_failures(E: EffectAlgebra) -> Iterator[tuple[int, int]]:
@@ -132,15 +132,12 @@ def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
     The result is reported, never asserted: the law is tied to monotonicity,
     which not every algebra enjoys, so the probe result rides along.
     """
-    p, n = E.order, E.n
-    L, U, ul, up_imp = p.lower_bits, p.upper_bits, p.pair_ul, E.up_imp_bits
+    p = E.order
+    L, U = p.lower_bits, p.upper_bits
 
     def failing(y, uxy):
         u_image_low, u_low_uxy = U(L(E.odot_bits(y, uxy))), U(L(uxy))
-        return [
-            z for z in range(n)
-            if (not ul[y][z] & ~u_image_low) != (not up_imp[y][z] & ~u_low_uxy)
-        ]
+        return lambda ul_z, ui_z: (not ul_z & ~u_image_low) != (not ui_z & ~u_low_uxy)
 
-    wit = next(_walk_u_classes(p, E.comp, failing), None)
+    wit = next(_walk_u_classes(p, E.comp, E.up_imp_bits, failing), None)
     return ConeAdjointness(wit is None, wit, is_monotonous(E))

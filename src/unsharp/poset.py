@@ -42,6 +42,14 @@ class Subset:
             raise ValueError("subset bits fall outside the carrier")
 
     @classmethod
+    def _wrap(cls, bits: int, n: int) -> "Subset":
+        'A Subset of a mask computed over a carrier the package holds; nothing is checked.'
+        s = object.__new__(cls)
+        fields = s.__dict__  # filled directly, past the frozen __setattr__
+        fields["bits"], fields["n"] = bits, n
+        return s
+
+    @classmethod
     def empty(cls, n: int) -> "Subset":
         return cls(0, n)
 
@@ -56,7 +64,8 @@ class Subset:
             if not 0 <= x < n:
                 raise ValueError(f"element {x} outside carrier 0..{n - 1}")
             bits |= 1 << x
-        return cls(bits, n)
+        # with n outside 0..64 the checked constructor raises its carrier-size error
+        return cls._wrap(bits, n) if 0 <= n <= MAX_CARRIER else cls(bits, n)
 
     @classmethod
     def single(cls, n: int, x: int) -> "Subset":
@@ -80,13 +89,13 @@ class Subset:
         return other.bits
 
     def __or__(self, other: "Subset") -> "Subset":
-        return Subset(self.bits | self._coerced(other), self.n)
+        return Subset._wrap(self.bits | self._coerced(other), self.n)
 
     def __and__(self, other: "Subset") -> "Subset":
-        return Subset(self.bits & self._coerced(other), self.n)
+        return Subset._wrap(self.bits & self._coerced(other), self.n)
 
     def __sub__(self, other: "Subset") -> "Subset":
-        return Subset(self.bits & ~self._coerced(other), self.n)
+        return Subset._wrap(self.bits & ~self._coerced(other), self.n)
 
     def issubset(self, other: "Subset") -> bool:
         return not (self.bits & ~self._coerced(other))
@@ -100,7 +109,7 @@ class Subset:
     def add(self, x: int) -> "Subset":
         if not 0 <= x < self.n:
             raise ValueError(f"element {x} outside carrier")
-        return Subset(self.bits | 1 << x, self.n)
+        return Subset._wrap(self.bits | 1 << x, self.n)
 
 
 @dataclass(frozen=True)
@@ -237,16 +246,16 @@ class Poset:
     def lower_cone(self, a: Subset) -> Subset:
         'L(A): everything below all of A; L(empty) is the whole carrier.'
         _check_same_carrier(self.n, a)
-        return Subset(self.lower_bits(a.bits), self.n)
+        return Subset._wrap(self.lower_bits(a.bits), self.n)
 
     def upper_cone(self, a: Subset) -> Subset:
         'U(A): everything above all of A; U(empty) is the whole carrier.'
         _check_same_carrier(self.n, a)
-        return Subset(self.upper_bits(a.bits), self.n)
+        return Subset._wrap(self.upper_bits(a.bits), self.n)
 
     def cone_pair(self, *elements: int) -> tuple[Subset, Subset]:
-        s = Subset.of(self.n, elements)
-        return self.lower_cone(s), self.upper_cone(s)
+        n, bits = self.n, Subset.of(self.n, elements).bits
+        return Subset._wrap(self.lower_bits(bits), n), Subset._wrap(self.upper_bits(bits), n)
 
     def set_leq(self, a: Subset, b: Subset) -> bool:
         'Every element of A below every element of B; vacuous when either is empty.'
@@ -256,30 +265,31 @@ class Poset:
 
     def interval(self, a: int, b: int) -> Subset:
         '[a,b] as a subset, possibly empty.'
-        return Subset(self.up[a] & self.down[b], self.n)
+        return Subset._wrap(self.up[a] & self.down[b], self.n)
 
     # -- lattice structure ----------------------------------------------
 
-    # a finite set has a greatest element iff it has exactly one maximal one
     def meet(self, x: int, y: int) -> Optional[int]:
         """Greatest common lower bound, or None when no greatest one exists."""
-        maxima = maximal_bits(self.down[x] & self.down[y], self.up)
-        return maxima.bit_length() - 1 if not maxima & (maxima - 1) else None
+        return self._meets[x][y]
 
+    @cached_property
+    def _meets(self) -> tuple[tuple[Optional[int], ...], ...]:
+        'The meet of every pair, None where there is none.'
+        # L(x,y) has a greatest element m iff it is L(m), and L is one-to-one
+        of_down = {d: m for m, d in enumerate(self.down)}
+        return tuple(tuple(map(of_down.get, row)) for row in self.pair_lower)
+
+    # a finite set has a least element iff it has exactly one minimal one
     def join(self, x: int, y: int) -> Optional[int]:
         """Least common upper bound, or None when no least one exists."""
         minima = maximal_bits(self.up[x] & self.up[y], self.down)
         return minima.bit_length() - 1 if not minima & (minima - 1) else None
 
     def is_lattice(self) -> bool:
-        'Every pair has a meet and a join; decided once per poset.'
-        return self._lattice
-
-    @cached_property
-    def _lattice(self) -> bool:
+        'Every pair has a meet and a join.'
         # pairwise meets give every finite meet, so the join of x, y is the meet of U(x,y)
-        n, meet = self.n, self.meet
-        return all(meet(x, y) is not None for x in range(n) for y in range(x + 1, n))
+        return all(None not in row for row in self._meets)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y): x < y with nothing strictly between."""
@@ -334,18 +344,29 @@ def _involution_clauses(p: Poset, m: Sequence[int]) -> list[ClauseResult]:
     ]
 
 
-def _walk_u_classes(p: Poset, inv, failing) -> Iterator[tuple[int, int, int]]:
-    """The triples (x, y, z) with z in failing(y, U(x,y')), in lexicographic order.
+def _walk_u_classes(p: Poset, inv, up_imp, failing) -> Iterator[tuple[int, int, int]]:
+    """The triples (x, y, z) failing an adjointness law, in lexicographic order.
 
-    The adjointness laws read x only through U(x,y'), given to `failing`
-    as a bitmask, so `failing` runs once per distinct (y, U(x,y')).
+    The laws read x only through U(x,y') and z only through the class
+    (UL(y,z), U(y -> z)), with U(y -> z) taken from the table `up_imp`.
+    `failing(y, U(x,y'))` runs once per distinct (y, U(x,y')) and returns
+    a test of a z-class, which runs once per class; the z-masks of the
+    classes that fail are joined.
     """
-    memo: dict[tuple[int, int], list[int]] = {}
-    for x in range(p.n):
-        for y in range(p.n):
-            umask = p.up[x] & p.up[inv[y]]
+    n, up, memo = p.n, p.up, {}
+    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for y, cls in enumerate(classes):
+        for z, key in enumerate(zip(p.pair_ul[y], up_imp[y])):
+            cls[key] = cls.get(key, 0) | 1 << z
+    for x in range(n):
+        for y in range(n):
+            umask = up[x] & up[inv[y]]
             zs = memo.get((y, umask))
             if zs is None:
-                zs = memo[y, umask] = failing(y, umask)
-            for z in zs:
+                fails, zs = failing(y, umask), 0
+                for key, zmask in classes[y].items():
+                    if fails(*key):
+                        zs |= zmask
+                memo[y, umask] = zs
+            for z in iter_bits(zs):
                 yield (x, y, z)

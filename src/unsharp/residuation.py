@@ -78,8 +78,9 @@ def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResid
     the report.
     """
     n = E.n
-    imps = tuple(tuple(Subset(m, n) for m in row) for row in E.imp_bits)
+    imps = tuple(tuple(Subset._wrap(m, n) for m in row) for row in E.imp_bits)
     c = UnsharpResiduatedPoset(E.order, E.comp, E.products, imps, name=E.name)
+    c._source = (imps, E)  # C3 reads U(y -> z) off E while c keeps these cells
     if validate:
         report = validate_surp(c)
         if not report.ok:
@@ -92,22 +93,24 @@ def adjointness_failures(p: Poset, inv, products, up_imp) -> Iterator[tuple[int,
     """Triples breaking unsharp adjointness (C3), in lexicographic order:
     U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z),
     with U(y -> z) read from the table `up_imp`."""
-    n, ul = p.n, p.pair_ul
 
     def failing(y, umask):
         image = _odot_bits(products, umask, y)
-        ul_y, ui_y = ul[y], up_imp[y]
-        return [
-            z for z in range(n)
-            if (image is not None and not (image & ~ul_y[z])) != (not (umask & ~ui_y[z]))
-        ]
+        return lambda ul_z, ui_z: (image is not None and not image & ~ul_z) != (not umask & ~ui_z)
 
-    return _walk_u_classes(p, inv, failing)
+    return _walk_u_classes(p, inv, up_imp, failing)
 
 
 def _first_adjointness_failure(c: UnsharpResiduatedPoset) -> Optional[tuple[int, int, int]]:
-    'The first C3 triple, with U(y -> z) built from the tables `c` carries, which may be mutated.'
-    up_imp = [[c.poset.upper_bits(m.bits) for m in row] for row in c.imps]
+    """The first C3 triple, with U(y -> z) read from the tables `c` carries, which may be mutated.
+
+    U(y -> z) is the algebra's `up_imp_bits` while `c.imps` and `c.poset` are the
+    objects `from_effect_algebra` built; a `replace` copy or an assignment rebuilds it."""
+    imps, E = getattr(c, "_source", (None, None))
+    if imps is c.imps and E.order is c.poset:
+        up_imp = E.up_imp_bits
+    else:
+        up_imp = [[c.poset.upper_bits(m.bits) for m in row] for row in c.imps]
     return next(adjointness_failures(c.poset, c.inv, c.products, up_imp), None)
 
 
@@ -163,11 +166,11 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     add("C4", first(1, lambda x: c.imps[x][p.bottom].bits == 1 << inv[x]),
         "implication to bottom is not the involute singleton")
 
-    # C5: divisibility x (.) (x -> y) = L(x,y)
+    # C5: divisibility x (.) (x -> y) = L(x,y), once per distinct pair in a row
     divisible = all(
-        _odot_bits(prod, c.imps[x][y].bits, x) == p.pair_lower[x][y]
+        _odot_bits(prod, imp, x) == low
         for x in range(n)
-        for y in range(n)
+        for imp, low in {(cell.bits, m) for cell, m in zip(c.imps[x], p.pair_lower[x])}
     )
 
     if violations:

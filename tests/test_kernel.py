@@ -163,6 +163,19 @@ def test_monotonicity_reduction_matches_the_sweep(labeled, fixtures):
             assert res.exhaustive and res == oracles.is_monotonous(E), E.name
 
 
+def test_meet_join_and_lattice_match_oracle(labeled):
+    lattices = 0
+    for E in [*labeled, *map(fixture, ("E9", "E6", "BOOL-4", "CHAIN-16"))]:
+        p = E.order
+        for x in range(E.n):
+            for y in range(E.n):
+                got = (p.meet(x, y), p.join(x, y))
+                assert got == (oracles.meet(p, x, y), oracles.join(p, x, y)), (E.name, x, y)
+        assert p.is_lattice() == oracles.is_lattice(p), E.name
+        lattices += p.is_lattice()
+    assert 0 < lattices < len(labeled)
+
+
 def test_monotonicity_witness_takes_the_largest_failing_a_l():
     # EA8-40: at x = x4 the A_l of the first failing l is {x3,x4,x5}, with
     # B = {0,x6}; the sweep reports the numerically largest failing A_l
@@ -243,6 +256,50 @@ def test_mutated_tables_report_like_oracle():
         ("C3", "unsharp adjointness fails"),
         ("C4", "implication to bottom is not the involute singleton"),
     }
+
+
+def test_c3_reads_the_cells_after_replace_or_assignment(e9):
+    # on the tables `from_effect_algebra` builds, C3 reads U(y -> z) off the
+    # algebra; a copy made by `replace`, or an assignment to `imps`, must be
+    # read from its own cells, here with one U(y -> z) changed
+    c = from_effect_algebra(e9, validate=False)
+    n = e9.n
+    y, z = next((y, z) for y in range(n) for z in range(n)
+                if z != e9.zero and e9.up_imp_bits[y][z] != 1 << e9.one)
+    imps = [list(row) for row in c.imps]
+    imps[y][z] = Subset.single(n, e9.one)
+    imps = tuple(map(tuple, imps))
+    by_assignment = from_effect_algebra(e9, validate=False)
+    by_assignment.imps = imps
+    want = oracles.validate_surp(replace(c, imps=imps))
+    assert [v.axiom for v in want.violations] == ["C3"]
+    for bad in (replace(c, imps=imps), by_assignment):
+        assert validate_surp(bad) == want
+        assert_dual_adjointness_like_oracle(bad, e9.name)
+    assert validate_surp(c).ok and check_dual_adjointness(c).ok
+
+
+def test_one_cell_mutations_break_divisibility_like_oracle(e9):
+    # C5 is decided once per distinct pair (x -> y, L(x,y)) in a row, so a
+    # changed cell must still count where an unchanged cell of its row shares
+    # its L(x,y); every one-member change of every cell against the oracle
+    c = from_effect_algebra(e9, validate=False)
+    n, low = e9.n, e9.order.pair_lower
+    kinds = set()
+    for x in range(n):
+        for y in range(n):
+            for w in range(n):
+                imps = [list(row) for row in c.imps]
+                imps[x][y] = cell = Subset(imps[x][y].bits ^ 1 << w, n)
+                bad = replace(c, imps=tuple(map(tuple, imps)))
+                rep = validate_surp(bad)
+                assert rep == oracles.validate_surp(bad), (x, y, w)
+                if rep.ok and not rep.algebra.divisible:
+                    shared = low[x].count(low[x][y]) > 1
+                    kinds.add((shared, all(c.products[u][x] is not None for u in cell)))
+    # C1-C4 pass and C5 fails with L(x,y) shared and not, and with
+    # x (.) (x -> y) undefined and defined but wrong
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_monotonicity_scan_takes_z_before_x(e6):
