@@ -33,6 +33,9 @@ given poset; there every order-reversing involution is preset in turn
 and the definedness pattern is forced, which keeps carriers like n = 9
 tractable.  Both modes run one search routine, which differs only in the
 values each cell may take.
+
+`canonical_form`, `find_isomorphism` and `is_isomorphic` all rest on one
+canonical labeling, found by an individualization-refinement search.
 """
 
 from __future__ import annotations
@@ -343,16 +346,6 @@ def _restricted_tables(p: Poset) -> tuple[list, int]:
 # -- isomorphism ------------------------------------------------------------
 
 
-def _invariant_keys(E: EffectAlgebra) -> list[tuple]:
-    keys = []
-    for x in range(E.n):
-        deg = sum(1 for y in range(E.n) if E.sums[x][y] is not None)
-        below = E.order.down[x].bit_count()
-        above = E.order.up[x].bit_count()
-        keys.append((deg, below, above, E.comp[x] == x))
-    return keys
-
-
 def relabel(E: EffectAlgebra, perm, name: Optional[str] = None) -> EffectAlgebra:
     """Transport the algebra along perm (perm[old] = new).  An isomorphism keeps
     the table valid, so it goes to the EffectAlgebra constructor unvalidated."""
@@ -363,92 +356,94 @@ def relabel(E: EffectAlgebra, perm, name: Optional[str] = None) -> EffectAlgebra
     return EffectAlgebra(labels, sums, perm[E.zero], perm[E.one], name or E.name)
 
 
-def _encode(E: EffectAlgebra, perm) -> tuple:
-    n = E.n
-    grid = [[n] * n for _ in range(n)]
-    for x in range(n):
-        px = perm[x]
-        for y in range(n):
-            v = E.sums[x][y]
-            if v is not None:
-                grid[px][perm[y]] = perm[v]
-    return tuple(v for row in grid for v in row)
+def _ranks(keys: list) -> list[int]:
+    'Each key replaced by the number of distinct keys below it.'
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
+    """(form, slot): the least encoding over the leaves of an
+    individualization-refinement search, and the labeling (slot[x] = the new
+    index of x) whose relabeled table it encodes.
+
+    Colours start as the ranks of (|L(x)|, |U(x)|, x' = x), which puts 0
+    first and 1 last.  They are refined by the multiset of (colour of y,
+    colour of x + y) over the defined sums until no class splits; the old
+    colour leads each key, so classes split in place, and colours stay
+    ranks below n, so c(y) * n + c(x + y) codes a pair without collision.
+    A colouring that is not discrete individualizes each member of its first
+    smallest non-singleton class in turn, that member going first in its
+    class; a discrete one is a leaf and encodes the table relabeled by it,
+    row by row, with n for undefined.  Two leaves with equal encodings give
+    an automorphism that fixes the path they share: the later leaf's branch
+    off that path is the image of one searched before and is left, and a
+    sibling is skipped when the automorphisms found so far that fix the path
+    carry an explored sibling onto it.  See McKay and Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 60 (2014).
+    """
+    n, sums, up, down = E.n, E.sums, E.order.up, E.order.down
+    best: list = []  # encoding, slot, its inverse and the path of the least leaf so far
+    autos: list = []  # automorphisms g, g[x] the image of x
+
+    def visit(colour: list[int], path: tuple) -> int:
+        'Search below one node; the depth to resume at, len(path) unless a branch is left.'
+        count = 0
+        while count < max(colour) + 1 < n:
+            count = max(colour) + 1
+            colour = _ranks([
+                (c, *sorted([colour[y] * n + colour[s]
+                             for y, s in enumerate(row) if s is not None]))
+                if colour.count(c) > 1 else (c,)  # a singleton class cannot split
+                for c, row in zip(colour, sums)
+            ])
+        if max(colour) + 1 == n:
+            moved = {None: n, **dict(enumerate(colour))}
+            order = sorted(range(n), key=colour.__getitem__)
+            code = tuple([moved[sums[x][y]] for x in order for y in order])
+            if not best or code < best[0]:
+                best[:] = code, colour, order, path
+            elif code == best[0]:
+                autos.append([best[2][c] for c in colour])
+                return next(i for i, (p, q) in enumerate(zip(path, best[3])) if p != q)
+            return len(path)
+        _, t = min((colour.count(c), c) for c in set(colour) if colour.count(c) > 1)
+        explored: list[int] = []
+        for v in (x for x, c in enumerate(colour) if c == t):
+            fixing = [g for g in autos if all(g[p] == p for p in path)]
+            orbit, grow = set(explored), list(explored)
+            while grow:  # the explored siblings' orbit under the path-fixing automorphisms
+                u = grow.pop()
+                images = {g[u] for g in fixing} - orbit
+                orbit |= images
+                grow += images
+            if v in orbit:
+                continue
+            explored.append(v)
+            child = [c + (c > t or (c == t and x != v)) for x, c in enumerate(colour)]
+            back = visit(child, (*path, v))
+            if back < len(path):
+                return back
+        return len(path)
+
+    cones = [(down[x].bit_count(), up[x].bit_count(), E.comp[x] == x) for x in range(n)]
+    visit(_ranks(cones), ())
+    return (n, *best[0]), best[1]
 
 
 def canonical_form(E: EffectAlgebra) -> tuple:
-    """A relabeling-invariant encoding: minimal table over allowed renamings.
-
-    0 goes to slot 0 and 1 to the last slot; interior elements may only
-    land in the slot block of their invariant class, which keeps the
-    search small without ever separating isomorphic algebras.
-    """
-    n = E.n
-    keys = _invariant_keys(E)
-    interior = [x for x in range(n) if x not in (E.zero, E.one)]
-    groups: dict[tuple, list[int]] = {}
-    for x in interior:
-        groups.setdefault(keys[x], []).append(x)
-    ordered = [groups[k] for k in sorted(groups)]
-    best = None
-    for choice in itertools.product(*(itertools.permutations(g) for g in ordered)):
-        perm = [0] * n  # zero goes to slot 0
-        perm[E.one] = n - 1  # the same slot when n = 1, where zero is one
-        for new, old in enumerate(itertools.chain.from_iterable(choice), 1):
-            perm[old] = new
-        enc = _encode(E, perm)
-        if best is None or enc < best:
-            best = enc
-    return (n, *best)
+    'A relabeling-invariant encoding, equal for two algebras exactly when they are isomorphic.'
+    return _canonical_labeling(E)[0]
 
 
 def find_isomorphism(E1: EffectAlgebra, E2: EffectAlgebra) -> Optional[tuple]:
-    """A 0,1-fixing bijection transporting one sum table onto the other."""
-    if E1.n != E2.n:
+    """A 0,1-fixing bijection transporting one sum table onto the other:
+    E1's canonical labeling followed by the inverse of E2's."""
+    (form1, slot1), (form2, slot2) = _canonical_labeling(E1), _canonical_labeling(E2)
+    if form1 != form2:
         return None
-    n = E1.n
-    k1, k2 = _invariant_keys(E1), _invariant_keys(E2)
-    if sorted(k1) != sorted(k2):
-        return None
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * n
-    mapping[E1.zero] = E2.zero
-    used[E2.zero] = True
-    if E1.one != E1.zero:
-        mapping[E1.one] = E2.one
-        used[E2.one] = True
-    todo = [x for x in range(n) if mapping[x] is None]
-
-    def consistent(x: int) -> bool:
-        mx = mapping[x]
-        for a in range(n):
-            ma = mapping[a]
-            if ma is None:
-                continue
-            v, w = E1.sums[x][a], E2.sums[mx][ma]
-            if (v is None) != (w is None):
-                return False
-            if v is not None and mapping[v] is not None and mapping[v] != w:
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(todo):
-            return _encode(E1, mapping) == _encode(E2, range(n))
-        x = todo[i]
-        for y in range(n):
-            if used[y] or k2[y] != k1[x]:
-                continue
-            mapping[x] = y
-            used[y] = True
-            if consistent(x) and rec(i + 1):
-                return True
-            mapping[x] = None
-            used[y] = False
-        return False
-
-    if rec(0):
-        return tuple(mapping)  # type: ignore[arg-type]
-    return None
+    where = sorted(range(E2.n), key=slot2.__getitem__)
+    return tuple(where[c] for c in slot1)
 
 
 def is_isomorphic(E1: EffectAlgebra, E2: EffectAlgebra) -> bool:

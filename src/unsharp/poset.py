@@ -55,17 +55,18 @@ class Subset:
 
     @classmethod
     def full(cls, n: int) -> "Subset":
-        return cls((1 << n) - 1, n)
+        return cls.of(n, range(n))
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "Subset":
+        if not 0 <= n <= MAX_CARRIER:
+            raise ValueError(f"carrier size {n} outside 0..{MAX_CARRIER}")
         bits = 0
         for x in elements:
             if not 0 <= x < n:
                 raise ValueError(f"element {x} outside carrier 0..{n - 1}")
             bits |= 1 << x
-        # with n outside 0..64 the checked constructor raises its carrier-size error
-        return cls._wrap(bits, n) if 0 <= n <= MAX_CARRIER else cls(bits, n)
+        return cls._wrap(bits, n)
 
     @classmethod
     def single(cls, n: int, x: int) -> "Subset":

@@ -1093,6 +1093,107 @@ def validate_each_table(labels, tables, order: Poset | None = None):
     return algebras, len(tables) - len(algebras)
 
 
+# -- isomorphism: the block-product form and the backtracking search ---------
+
+
+def _invariant_keys(E: EffectAlgebra) -> list[tuple]:
+    keys = []
+    for x in range(E.n):
+        deg = sum(1 for y in range(E.n) if E.sums[x][y] is not None)
+        below = E.order.down[x].bit_count()
+        above = E.order.up[x].bit_count()
+        keys.append((deg, below, above, E.comp[x] == x))
+    return keys
+
+
+def _encode(E: EffectAlgebra, perm) -> tuple:
+    n = E.n
+    grid = [[n] * n for _ in range(n)]
+    for x in range(n):
+        px = perm[x]
+        for y in range(n):
+            v = E.sums[x][y]
+            if v is not None:
+                grid[px][perm[y]] = perm[v]
+    return tuple(v for row in grid for v in row)
+
+
+def canonical_form(E: EffectAlgebra) -> tuple:
+    """The least table encoding over every renaming that sends 0 to slot 0,
+    1 to the last slot and each interior element into the slot block of its
+    invariant class (row degree, |L(x)|, |U(x)|, x' = x).  The product of
+    the blocks' permutations is tried in full, so it only serves up to a
+    few hundred thousand renamings (BOOL-4 is about the limit)."""
+    n = E.n
+    keys = _invariant_keys(E)
+    interior = [x for x in range(n) if x not in (E.zero, E.one)]
+    groups: dict[tuple, list[int]] = {}
+    for x in interior:
+        groups.setdefault(keys[x], []).append(x)
+    ordered = [groups[k] for k in sorted(groups)]
+    best = None
+    for choice in itertools.product(*(itertools.permutations(g) for g in ordered)):
+        perm = [0] * n  # zero goes to slot 0
+        perm[E.one] = n - 1  # the same slot when n = 1, where zero is one
+        for new, old in enumerate(itertools.chain.from_iterable(choice), 1):
+            perm[old] = new
+        enc = _encode(E, perm)
+        if best is None or enc < best:
+            best = enc
+    return (n, *best)
+
+
+def find_isomorphism(E1: EffectAlgebra, E2: EffectAlgebra):
+    """A 0,1-fixing bijection transporting one sum table onto the other, by
+    backtracking over images of matching invariant class."""
+    if E1.n != E2.n:
+        return None
+    n = E1.n
+    k1, k2 = _invariant_keys(E1), _invariant_keys(E2)
+    if sorted(k1) != sorted(k2):
+        return None
+    mapping: list = [None] * n
+    used = [False] * n
+    mapping[E1.zero] = E2.zero
+    used[E2.zero] = True
+    if E1.one != E1.zero:
+        mapping[E1.one] = E2.one
+        used[E2.one] = True
+    todo = [x for x in range(n) if mapping[x] is None]
+
+    def consistent(x: int) -> bool:
+        mx = mapping[x]
+        for a in range(n):
+            ma = mapping[a]
+            if ma is None:
+                continue
+            v, w = E1.sums[x][a], E2.sums[mx][ma]
+            if (v is None) != (w is None):
+                return False
+            if v is not None and mapping[v] is not None and mapping[v] != w:
+                return False
+        return True
+
+    def rec(i: int) -> bool:
+        if i == len(todo):
+            return _encode(E1, mapping) == _encode(E2, range(n))
+        x = todo[i]
+        for y in range(n):
+            if used[y] or k2[y] != k1[x]:
+                continue
+            mapping[x] = y
+            used[y] = True
+            if consistent(x) and rec(i + 1):
+                return True
+            mapping[x] = None
+            used[y] = False
+        return False
+
+    if rec(0):
+        return tuple(mapping)
+    return None
+
+
 def poset_fields(p: Poset) -> tuple:
     'Everything a poset holds apart from cached tables.'
     return (p.n, p.up, p.down, p.bottom, p.top, p.labels, p.full_bits)

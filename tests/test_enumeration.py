@@ -1,7 +1,9 @@
 import functools
 import itertools
 import math
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from unsharp import (
     find_isomorphism,
     fixture,
     is_isomorphic,
+    load_algebra,
     relabel,
     validate_tables,
 )
@@ -180,6 +183,115 @@ def test_canonical_form_invariance(e9):
         rng.shuffle(shuffled)
         F = relabel(e9, [0, *shuffled, 8])
         assert canonical_form(F) == base
+
+
+# -- the canonical labeling against the block-product oracle in oracles.py ---
+
+
+def partition(forms) -> list[int]:
+    'Each form numbered by its first appearance, as perfbench/make_corpus.py numbers classes.'
+    ids: dict = {}
+    return [ids.setdefault(f, len(ids)) for f in forms]
+
+
+def carries(E, F, iso) -> bool:
+    'iso maps every sum of E, defined or not, onto the same sum of F.'
+    return iso is not None and all(
+        F.sums[iso[x]][iso[y]] == (None if v is None else iso[v])
+        for x, row in enumerate(E.sums)
+        for y, v in enumerate(row)
+    )
+
+
+def relabelings(E, seed: int, count: int = 2):
+    'E under seeded permutations of its whole carrier, which move 0 and 1 too.'
+    rng = random.Random(seed)
+    return [relabel(E, rng.sample(range(E.n), E.n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_canonical_form_partitions_like_oracle(n):
+    # 1 + 1 + 4 + 16 + 142 + 1,006 = 1,170 labeled algebras over the six n
+    algebras = enumerate_effect_algebras(n).algebras
+    ids = partition(map(canonical_form, algebras))
+    assert ids == partition(map(oracles.canonical_form, algebras))
+    firsts = {}
+    for E, i in zip(algebras, ids):
+        first = firsts.setdefault(i, E)
+        assert carries(first, E, find_isomorphism(first, E)), E.name
+    if len(firsts) > 1:  # each against the first member of another class
+        for E, i in zip(algebras, ids):
+            assert find_isomorphism(firsts[(i + 1) % len(firsts)], E) is None, E.name
+
+
+SMALL_FIXTURES = ("E9", "E6", "BOOL-1", "BOOL-2", "BOOL-3", *(f"CHAIN-{n}" for n in range(2, 17)))
+
+
+def test_fixture_isomorphism_matches_oracle():
+    algebras = [
+        F for seed, name in enumerate(SMALL_FIXTURES)
+        for E in [fixture(name)] for F in (E, *relabelings(E, seed))
+    ]
+    assert partition(map(canonical_form, algebras)) == partition(
+        map(oracles.canonical_form, algebras)
+    )
+    for E, F in itertools.product(algebras, repeat=2):
+        if E.n == F.n:
+            iso, want = find_isomorphism(E, F), oracles.find_isomorphism(E, F)
+            assert (iso is None) == (want is None), (E.name, F.name)
+            assert iso is None or carries(E, F, iso), (E.name, F.name)
+
+
+def horizontal_sum(A, B):
+    'A and B, both with 0 first and 1 last, glued at 0 and 1: no other sum crosses over.'
+    n = A.n + B.n - 2
+    sums = [[None] * n for _ in range(n)]
+    for X, moved in ((A, [*range(A.n - 1), n - 1]), (B, [0, *range(A.n - 1, n)])):
+        for x, row in enumerate(X.sums):
+            for y, v in enumerate(row):
+                if v is not None:
+                    sums[moved[x]][moved[y]] = moved[v]
+    labels = tuple(f"e{x}" for x in range(n))
+    return EffectAlgebra.from_tables(labels, sums, 0, n - 1, name=f"{A.name}+{B.name}")
+
+
+def test_horizontal_sum_isomorphism_matches_oracle():
+    # here the search meets an automorphism before it has seen every kind of
+    # leaf, so leaving more of the tree than the automorphism covers would
+    # change the form
+    reps = {E.name: E for n in (6, 7) for E in classes(n).algebras}
+    E = horizontal_sum(reps["EA6-16"], reps["EA7-4"])
+    algebras = [E, *relabelings(E, seed=1, count=6)]
+    assert len({canonical_form(F) for F in algebras}) == 1
+    assert len({oracles.canonical_form(F) for F in algebras}) == 1
+    for F in algebras:
+        assert carries(E, F, find_isomorphism(E, F))
+
+
+@pytest.mark.parametrize("name", ["BOOL-4", "BOOL-5", "BOOL-6", "CHAIN-32", "CHAIN-64"])
+def test_canonical_labeling_on_large_fixtures(name):
+    # beyond the oracle's reach: invariance and the returned maps
+    E = fixture(name)
+    form = canonical_form(E)
+    for F in relabelings(E, seed=E.n, count=3):
+        assert canonical_form(F) == form
+        assert carries(E, F, find_isomorphism(E, F))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_boolean_algebra_is_not_the_chain_of_its_size(k):
+    assert find_isomorphism(fixture(f"BOOL-{k}"), fixture(f"CHAIN-{2 ** k}")) is None
+
+
+def test_corpus_class_ids_follow_canonical_form():
+    # perfbench/corpus numbers its classes by first appearance of the form;
+    # the files are only read here
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    for n in range(2, 8):
+        text = (corpus / f"n{n}.ea").read_text(encoding="utf-8")
+        chunks = [chunk.partition("\n") for chunk in text.split("# class ")[1:]]
+        pinned = [int(head) for head, _, _ in chunks]
+        assert partition(canonical_form(load_algebra(doc)) for _, _, doc in chunks) == pinned, n
 
 
 def test_bounds_are_enforced():

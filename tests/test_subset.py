@@ -74,10 +74,11 @@ def test_public_constructors_keep_their_checks():
         raises(f"carrier size {n} outside 0..64", Subset.empty, n)
         raises(f"carrier size {n} outside 0..64", Subset.of, n, ())
     raises("carrier size 65 outside 0..64", Subset.full, 65)
-    raises("negative shift count", Subset.full, -1)
+    raises("carrier size -1 outside 0..64", Subset.full, -1)
     raises("carrier size 65 outside 0..64", Subset.of, 65, (0, 64))
     raises("carrier size 65 outside 0..64", Subset.single, 65, 3)
-    raises("element 0 outside carrier 0..-2", Subset.of, -1, (0,))
+    raises("carrier size -1 outside 0..64", Subset.of, -1, (0,))
+    raises("carrier size -1 outside 0..64", Subset.single, -1, 0)
     raises("subset bits fall outside the carrier", Subset, 0b1000, 3)
     raises("subset bits fall outside the carrier", Subset, -1, 3)
     raises("subset bits fall outside the carrier", Subset, 1, 0)
