@@ -199,22 +199,20 @@ def cmd_laws(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .enumeration import MAX_FREE, enumerate_effect_algebras
+    from .enumeration import MAX_FREE, _count_free, enumerate_effect_algebras
     if not 2 <= args.n <= MAX_FREE:  # before --emit creates its directory
         raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
     emit = args.emit and not args.count_only
     if emit:  # an unusable path fails before the search, not after it
         os.makedirs(args.emit, exist_ok=True)
-    # both counts come in either mode; only --emit needs every labeled algebra
-    result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso or not emit)
-    print(
-        f"n={result.n}: {result.labeled_count} labeled, "
-        f"{result.iso_count} up to isomorphism"
-    )
+        result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso)
+        labeled, iso = result.labeled_count, result.iso_count
+    else:  # the count line alone needs no labeled algebra
+        labeled, iso, _, _ = _count_free(args.n)
+    print(f"n={args.n}: {labeled} labeled, {iso} up to isomorphism")
     if emit:
         for E in result.algebras:
-            path = os.path.join(args.emit, f"{E.name}.ea")
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(os.path.join(args.emit, f"{E.name}.ea"), "w", encoding="utf-8") as fh:
                 fh.write(dsl.emit_spec(E))
         print(f"wrote {len(result.algebras)} files to {args.emit}")
     return 0

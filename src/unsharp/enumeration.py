@@ -20,13 +20,15 @@ to pairs in order, fixed points to fixed points in order); tau carries a
 table with complement s_j to one with complement s, and tau^-1 carries it
 back.  So (tau, T) -> tau.T is a bijection from the pairs (involution of
 type j, base table of type j) onto the labeled tables of type j, and no
-table is found twice.  The labeled tables are sorted into the order of a
-cell-by-cell search.  A relabeling is an isomorphism, so the first table
-met in each base table's orbit is validated, and its canonical form found,
-for the whole orbit.  Every algebra, validated or not, comes from the
-EffectAlgebra constructor, which reads it off its rows; the members not
-validated are built only when listed.  The result counts search nodes
-and tables in refused orbits.
+table is found twice.  A relabeling is an isomorphism, so each base table
+is validated, and its canonical form found, once for its whole orbit.
+The counts need nothing more: a valid base table of type j stands for
+|relabelings of type j| labeled tables, and each distinct form is a
+class.  Only a listing relabels, each tau once as a getter over the cells
+and a lookup of the values; the labeled tables are sorted into the order
+of a cell-by-cell search, and each listed algebra comes from the
+EffectAlgebra constructor, which reads it off its rows.  The result
+counts search nodes and tables in refused orbits.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn
@@ -43,6 +45,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .algebra import EffectAlgebra, validate_tables
@@ -152,42 +155,33 @@ def _relabelings(n: int, j: int) -> list[tuple[int, ...]]:
     return taus
 
 
-def _transport(tab, tau) -> tuple:
-    'The table tab carried along tau: tau[x] + tau[y] = tau[x + y].'
-    old = [0] * len(tau)
-    for x, new in enumerate(tau):
-        old[new] = x
-    moved = {None: None, **dict(enumerate(tau))}
-    return tuple(tuple(map(moved.__getitem__, map(tab[x].__getitem__, old))) for x in old)
+def _mover(tau):
+    """The relabeling along tau (tau[old] = new), built once per tau: it takes a
+    table's cells row by row and gives the rows of the table carried along tau,
+    tau[x] + tau[y] = tau[x + y]."""
+    n = len(tau)
+    old = sorted(range(n), key=tau.__getitem__)
+    pick = itemgetter(*[x * n + y for x in old for y in old]) if n > 1 else tuple
+    value = {None: None, **dict(enumerate(tau))}.__getitem__
+    return lambda cells: tuple(zip(*[map(value, pick(cells))] * n))
 
 
-def _type_tables(args) -> tuple[list, int]:
-    """Every labeled table whose complement has j pairs, and the node count.
-
-    The search runs once, with the canonical involution (1 2)(3 4)...(2j-1 2j)
-    preset; each base table is then carried to every other involution of
-    the type.  Entries are (table, index of its base table).
-    """
+def _type_tables(args) -> tuple:
+    """Complement type j: its relabelings, its base tables (complement
+    (1 2)(3 4)...(2j-1 2j)), their forms and the number of search nodes."""
     n, j = args
     inv = list(range(n))
     for a in range(1, 2 * j, 2):
         inv[a], inv[a + 1] = a + 1, a
     t = _complement_state(n, inv)
     cells = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1) if t[x][y] == UNKNOWN]
-    values = (UNDEF, *range(1, n - 1))
     base: list = []
-    nodes = _search(t, cells, [values] * len(cells), 0, n, base)
-    taus = _relabelings(n, j)
-    return [(_transport(tab, tau), b) for b, tab in enumerate(base) for tau in taus], nodes
+    nodes = _search(t, cells, [(UNDEF, *range(1, n - 1))] * len(cells), 0, n, base)
+    return _relabelings(n, j), base, _forms(_default_labels(n), base), nodes
 
 
-def _free_tables(n: int, threads: Optional[int]) -> tuple[list, int]:
-    """Every labeled table on n elements, in the order of a cell-by-cell search.
-
-    Entries are (table, (j, base index)).  Tables sort by their interior
-    upper-triangle cells with undefined first, the order in which one
-    search over all cells with values (undefined, 1..n-1) emits them.
-    """
+def _free_types(n: int, threads: Optional[int]) -> list:
+    'What `_type_tables` finds for each complement type.'
     args = [(n, j) for j in range((n - 2) // 2 + 1)]
     # at most one worker per CPU and per complement type
     workers = max(1, min(threads or 1, os.cpu_count() or 1, len(args)))
@@ -195,14 +189,41 @@ def _free_tables(n: int, threads: Optional[int]) -> tuple[list, int]:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_type_tables, args)
-    else:
-        chunks = [_type_tables(a) for a in args]
-    tables = [(tab, (j, b)) for j, (chunk, _) in enumerate(chunks) for tab, b in chunk]
+            return pool.map(_type_tables, args)
+    return [_type_tables(a) for a in args]
+
+
+def _free_tables(types: list) -> list:
+    """Every labeled table, (table, (j, base index)), in the order of one
+    search over all cells with values (undefined, 1..n-1)."""
+    tables = []
+    for j, (taus, base, _, _) in enumerate(types):
+        cells = [tuple(itertools.chain.from_iterable(tab)) for tab in base]
+        for move in map(_mover, taus):
+            tables += [(move(c), (j, b)) for b, c in enumerate(cells)]
     # two tables first differ in the upper triangle, which the lower one
     # mirrors row by row; interior sums are never 0, so 0 stands for undefined
     tables.sort(key=lambda e: [v or 0 for row in e[0][1:-1] for v in row[1:-1]])
-    return tables, sum(count for _, count in chunks)
+    return tables
+
+
+def _forms(labels, base: list, order: Optional[Poset] = None) -> list:
+    """Per base table: the canonical form of its orbit, or None where the
+    validator (or the order filter) refuses it; one validation serves the orbit."""
+    found = (validate_tables(labels, tab, 0, len(tab) - 1).algebra for tab in base)
+    return [canonical_form(E) if E is not None and (order is None or E.order.up == order.up)
+            else None for E in found]
+
+
+def _count_free(n: int) -> tuple[int, int, int, int]:
+    """(labeled, iso, nodes, rejected) as `enumerate_effect_algebras(n)` counts
+    them: a base table stands for |relabelings of its type| labeled tables,
+    so nothing is relabeled, sorted or built."""
+    types = _free_types(n, None)
+    labeled = sum(len(taus) * (len(forms) - forms.count(None)) for taus, _, forms, _ in types)
+    rejected = sum(len(taus) * forms.count(None) for taus, _, forms, _ in types)
+    classes = {form for _, _, forms, _ in types for form in forms} - {None}
+    return labeled, len(classes), sum(t[3] for t in types), rejected
 
 
 @dataclass
@@ -236,35 +257,29 @@ def enumerate_effect_algebras(
         if not 2 <= n <= MAX_RESTRICTED:
             raise ValueError(f"restricted search supports 2..{MAX_RESTRICTED} elements")
         found, nodes = _restricted_tables(induced_order)
-        tables = [(tab, i) for i, tab in enumerate(found)]
         labels = induced_order.labels
+        forms = [_forms(labels, found, induced_order)]
+        tables = [(tab, (0, i)) for i, tab in enumerate(found)]
     else:
         if not 2 <= n <= MAX_FREE:
             raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
-        tables, nodes = _free_tables(n, threads)
-        labels = _default_labels(n)
+        types = _free_types(n, threads)
+        labels, nodes = _default_labels(n), sum(t[3] for t in types)
+        forms = [t[2] for t in types]
+        tables = _free_tables(types)
 
-    algebras = []
-    forms: dict = {}  # per base table: the canonical form of its orbit, None if refused
-    reps: dict = {}  # per class: its first labeled member
-    labeled = 0
-    for tab, base in tables:
-        name, E = f"EA{n}-{labeled}", None
-        if base not in forms:
-            # the first table met is validated for its whole orbit: they are isomorphic
-            E = validate_tables(labels, tab, 0, n - 1, name=name).algebra  # None if refused
-            ok = E is not None and (induced_order is None or E.order.up == induced_order.up)
-            forms[base] = canonical_form(E) if ok else None
-        if forms[base] is None:
+    algebras, classes, labeled = [], set(), 0
+    for tab, (j, b) in tables:
+        form = forms[j][b]
+        if form is None:
             continue
+        # with up_to_iso a class keeps its first labeled member
+        if not (up_to_iso and form in classes):
+            algebras.append(EffectAlgebra(labels, tab, 0, n - 1, f"EA{n}-{labeled}"))
+        classes.add(form)
         labeled += 1
-        # a class's first member is the first of its orbit, so E is set there
-        reps.setdefault(forms[base], E)
-        if not up_to_iso:
-            algebras.append(E or EffectAlgebra(labels, tab, 0, n - 1, name))
     return EnumerationResult(
-        n, list(reps.values()) if up_to_iso else algebras, labeled, len(reps), up_to_iso,
-        nodes, len(tables) - labeled,
+        n, algebras, labeled, len(classes), up_to_iso, nodes, len(tables) - labeled
     )
 
 
@@ -327,15 +342,10 @@ def _restricted_tables(p: Poset) -> tuple[list, int]:
         t = _complement_state(n, inv)
         # x + y is defined exactly when x <= y'; those cells get a value
         free, preset = [], []
-        for x in range(1, n - 1):
-            for y in range(x, n - 1):
-                if t[x][y] != UNKNOWN:
-                    preset.append((x, y))
-                elif p.leq(x, inv[y]):
-                    free.append((x, y))
-                else:
-                    t[x][y] = t[y][x] = UNDEF
-                    preset.append((x, y))
+        for x, y in itertools.combinations_with_replacement(range(1, n - 1), 2):
+            if t[x][y] == UNKNOWN and not p.leq(x, inv[y]):
+                t[x][y] = t[y][x] = UNDEF
+            (free if t[x][y] == UNKNOWN else preset).append((x, y))
         if not all(_assoc_cell_ok(t, n, x, y) for x, y in preset):
             continue
         choices = [tuple(iter_bits(p.up[x] & p.up[y] & values)) for x, y in free]
@@ -352,7 +362,7 @@ def relabel(E: EffectAlgebra, perm, name: Optional[str] = None) -> EffectAlgebra
     if sorted(perm) != list(range(E.n)):
         raise ValueError("not a permutation")
     labels = tuple(E.labels[x] for x in sorted(range(E.n), key=perm.__getitem__))
-    sums = _transport(E.sums, perm)
+    sums = _mover(perm)(tuple(itertools.chain.from_iterable(E.sums)))
     return EffectAlgebra(labels, sums, perm[E.zero], perm[E.one], name or E.name)
 
 
@@ -368,10 +378,12 @@ def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
     index of x) whose relabeled table it encodes.
 
     Colours start as the ranks of (|L(x)|, |U(x)|, x' = x), which puts 0
-    first and 1 last.  They are refined by the multiset of (colour of y,
-    colour of x + y) over the defined sums until no class splits; the old
-    colour leads each key, so classes split in place, and colours stay
-    ranks below n, so c(y) * n + c(x + y) codes a pair without collision.
+    first and 1 last; a colouring that is discrete already is the one leaf.
+    Otherwise they are refined by the multiset of (colour of y, colour of
+    x + y) over the defined sums until no class splits; the old colour
+    leads each key, so classes split in place (and a round that splits
+    none leaves every colour as it was), and colours stay ranks below n,
+    so c(y) * n + c(x + y) codes a pair without collision.
     A colouring that is not discrete individualizes each member of its first
     smallest non-singleton class in turn, that member going first in its
     class; a discrete one is a leaf and encodes the table relabeled by it,
@@ -383,31 +395,41 @@ def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
     graph isomorphism, II", J. Symbolic Comput. 60 (2014).
     """
     n, sums, up, down = E.n, E.sums, E.order.up, E.order.down
+    # ranked as the tuples (|L(x)|, |U(x)|, x' = x) would be, as |U(x)| <= n
+    colour = _ranks([(down[x].bit_count() * (n + 1) + up[x].bit_count()) * 2
+                     + (E.comp[x] == x) for x in range(n)])
+    if max(colour) + 1 == n:  # the one leaf, encoded as in visit
+        order = sorted(range(n), key=colour.__getitem__)
+        return (n, *[n if (s := row[y]) is None else colour[s]
+                     for row in map(sums.__getitem__, order) for y in order]), colour
     best: list = []  # encoding, slot, its inverse and the path of the least leaf so far
     autos: list = []  # automorphisms g, g[x] the image of x
 
     def visit(colour: list[int], path: tuple) -> int:
         'Search below one node; the depth to resume at, len(path) unless a branch is left.'
         count = 0
-        while count < max(colour) + 1 < n:
-            count = max(colour) + 1
+        while count < (k := max(colour) + 1) < n:
+            count, sizes = k, [0] * k
+            for c in colour:
+                sizes[c] += 1
             colour = _ranks([
                 (c, *sorted([colour[y] * n + colour[s]
                              for y, s in enumerate(row) if s is not None]))
-                if colour.count(c) > 1 else (c,)  # a singleton class cannot split
+                if sizes[c] > 1 else (c,)  # a singleton class cannot split
                 for c, row in zip(colour, sums)
             ])
-        if max(colour) + 1 == n:
-            moved = {None: n, **dict(enumerate(colour))}
+        if k == n:
             order = sorted(range(n), key=colour.__getitem__)
-            code = tuple([moved[sums[x][y]] for x in order for y in order])
+            code = tuple([n if (s := row[y]) is None else colour[s]
+                          for row in map(sums.__getitem__, order) for y in order])
             if not best or code < best[0]:
                 best[:] = code, colour, order, path
             elif code == best[0]:
                 autos.append([best[2][c] for c in colour])
                 return next(i for i, (p, q) in enumerate(zip(path, best[3])) if p != q)
             return len(path)
-        _, t = min((colour.count(c), c) for c in set(colour) if colour.count(c) > 1)
+        # the last round split nothing, so sizes counts the classes of colour
+        _, t = min((size, c) for c, size in enumerate(sizes) if size > 1)
         explored: list[int] = []
         for v in (x for x, c in enumerate(colour) if c == t):
             fixing = [g for g in autos if all(g[p] == p for p in path)]
@@ -426,8 +448,7 @@ def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
                 return back
         return len(path)
 
-    cones = [(down[x].bit_count(), up[x].bit_count(), E.comp[x] == x) for x in range(n)]
-    visit(_ranks(cones), ())
+    visit(colour, ())
     return (n, *best[0]), best[1]
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -21,8 +22,11 @@ from unsharp import (
 from unsharp.cli import SUITES, run_suite
 from unsharp.enumeration import (
     _antitone_involutions,
+    _canonical_labeling,
+    _count_free,
     _default_labels,
     _free_tables,
+    _free_types,
     _relabelings,
 )
 from unsharp.reports import Violation
@@ -98,7 +102,15 @@ def test_labeled_count_is_the_orbit_sum(n):
     # independent of the relabeling step: each class contributes (n-2)!/|Aut(E)|
     res = classes(n)
     orbits = [math.factorial(n - 2) // automorphisms(E) for E in res.algebras]
-    assert sum(orbits) == res.labeled_count
+    assert sum(orbits) == res.labeled_count == _count_free(n)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_count_path_equals_the_listing(n):
+    # the count path sums the orbits of the base tables; the listing path
+    # relabels, sorts and builds them
+    res = classes(n)
+    assert _count_free(n) == (res.labeled_count, res.iso_count, res.nodes, res.rejected)
 
 
 def test_orbit_identity_small():
@@ -283,6 +295,33 @@ def test_boolean_algebra_is_not_the_chain_of_its_size(k):
     assert find_isomorphism(fixture(f"BOOL-{k}"), fixture(f"CHAIN-{2 ** k}")) is None
 
 
+def labeling_digest(algebras) -> str:
+    'sha256 over the (form, slot) of each canonical labeling, in order.'
+    digest = hashlib.sha256()
+    for E in algebras:
+        form, slot = _canonical_labeling(E)
+        digest.update(repr((form, tuple(slot))).encode())
+    return digest.hexdigest()
+
+
+PINNED_FIXTURES = ("E9", "E6", *(f"BOOL-{k}" for k in range(1, 7)),
+                   *(f"CHAIN-{k}" for k in range(2, 65)))
+
+
+def test_canonical_labelings_are_pinned():
+    # forms, slots and so the find_isomorphism maps may change only on purpose
+    labeled = (E for n in range(2, 8) for E in enumerate_effect_algebras(n).algebras)
+    assert labeling_digest(labeled) == (
+        "d48d775ec0a47757ea3c8123db3044f72d3c14169efab1a32b15f051b2ff996b"
+    )
+    assert labeling_digest(classes(8).algebras) == (
+        "3849cd0e06ed918313348e5bec337ddf1146d0a5b1cbbc2e3df409bf988811f3"
+    )
+    assert labeling_digest(map(fixture, PINNED_FIXTURES)) == (
+        "65824147742b00e8d3ac1ea5d6c62b4b467e2d29d584fc17d3bf3686134517a9"
+    )
+
+
 def test_corpus_class_ids_follow_canonical_form():
     # perfbench/corpus numbers its classes by first appearance of the form;
     # the files are only read here
@@ -349,9 +388,9 @@ RESTRICTED_NODES = {"E9": 22, "CHAIN-10": 339}
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_free_search_matches_oracle(n):
-    tables, nodes = _free_tables(n, None)
-    assert [tab for tab, _ in tables] == oracles.free_tables(n)
-    assert nodes == FREE_NODES[n]
+    types = _free_types(n, None)
+    assert [tab for tab, _ in _free_tables(types)] == oracles.free_tables(n)
+    assert sum(nodes for *_, nodes in types) == FREE_NODES[n]
 
 
 def test_restricted_search_and_involutions_match_oracle():
@@ -421,7 +460,7 @@ def test_transported_algebras_match_full_validation(n):
     # the enumerator validates one table per orbit and reads the rest off
     # their rows; validating every labeled table must build the same algebras
     want, rejected = oracles.validate_each_table(
-        _default_labels(n), [tab for tab, _ in _free_tables(n, None)[0]]
+        _default_labels(n), [tab for tab, _ in _free_tables(_free_types(n, None))]
     )
     res = enumerate_effect_algebras(n)
     assert res.rejected == rejected == 0
@@ -470,22 +509,27 @@ def test_rejected_counts_what_the_validator_refuses(monkeypatch):
     import unsharp.enumeration as enumeration
 
     real = enumeration.validate_tables
-    calls = []
+    refused = []
 
-    def refuse_first(*args, **kwargs):
-        calls.append(args)
+    def refuse_one(*args, **kwargs):
+        # the first table validated whose orbit has more than one member
         report = real(*args, **kwargs)
-        if len(calls) == 1:
+        if not refused and len(_relabelings(5, complement_pairs(args[1]))) > 1:
+            refused.append(args[1])
+        if args[1] in refused:
             return replace(report, violations=[Violation("planted", ())], algebra=None)
         return report
 
-    monkeypatch.setattr(enumeration, "validate_tables", refuse_first)
+    monkeypatch.setattr(enumeration, "validate_tables", refuse_one)
     res = enumerate_effect_algebras(5)
-    # one table stands for its base table's orbit, so the whole orbit goes
-    refused = calls[0][1]
+    counted = _count_free(5)
+    # one table stands for its base table's orbit, so the whole orbit goes,
+    # from the listing and from the counts alike
+    (refused,) = refused
     orbit = len(_relabelings(5, complement_pairs(refused)))
-    assert (res.labeled_count, res.rejected) == (16 - orbit, orbit)
     assert orbit > 1
+    assert (res.labeled_count, res.rejected) == (16 - orbit, orbit)
+    assert counted == (res.labeled_count, res.iso_count, res.nodes, res.rejected)
     assert [E.name for E in res.algebras] == [f"EA5-{i}" for i in range(16 - orbit)]
     monkeypatch.undo()
     kept = {E.sums for E in res.algebras}
