@@ -390,12 +390,12 @@ def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
             _check(
                 "lower_cone_reconstruction", n, 2,
                 lambda a, b: comp(add(ac[a], comp(add(ac[a], low2[a][b])))) == low2[a][b],
-                key=lambda a, b: (a, low2[a][b]),
+                key=low2.__getitem__,
             ),
             _check(
                 "upper_cone_reconstruction", n, 2,
                 lambda a, b: add(a, comp(add(a, comp(up2[a][b])))) == up2[a][b],
-                key=lambda a, b: (a, up2[a][b]),
+                key=up2.__getitem__,
             ),
         ],
     )

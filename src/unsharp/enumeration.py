@@ -201,9 +201,10 @@ def _free_tables(types: list) -> list:
         cells = [tuple(itertools.chain.from_iterable(tab)) for tab in base]
         for move in map(_mover, taus):
             tables += [(move(c), (j, b)) for b, c in enumerate(cells)]
-    # two tables first differ in the upper triangle, which the lower one
-    # mirrors row by row; interior sums are never 0, so 0 stands for undefined
-    tables.sort(key=lambda e: [v or 0 for row in e[0][1:-1] for v in row[1:-1]])
+    # symmetric tables first differ, row by row, in the upper triangle (the
+    # mirror of a lower cell is in an earlier row), so the key reads only that
+    # part of the interior; interior sums are never 0, so 0 stands for undefined
+    tables.sort(key=lambda e: [v or 0 for i, row in enumerate(e[0][1:-1], 1) for v in row[i:-1]])
     return tables
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import or_
 from typing import Iterator, Union
 
 from .algebra import EffectAlgebra
-from .poset import Subset
+from .poset import Subset, iter_bits
 from .reports import ClauseResult, PropertyReport, _check
 
 ElemOrSet = Union[int, Subset]
@@ -75,14 +77,12 @@ def exchange_failures(E: EffectAlgebra) -> Iterator[tuple[int, int, int]]:
     for a in range(n):
         up_imp, u_row = E.up_imp_bits[a], E.order.pair_upper[comp[a]]
         cls = [(u_row[comp[b]], up_imp[b]) for b in range(n)]
-        if all(
-            (not (u2 & ~ui1)) == (not (u1 & ~ui2))
-            for (u1, ui1), (u2, ui2) in itertools.combinations(set(cls), 2)
-        ):
+        pairs = itertools.combinations(set(cls), 2)
+        if all((u2 & ui1 == u2) == (u1 & ui2 == u1) for (u1, ui1), (u2, ui2) in pairs):
             continue
         for b, (u_ab, ui_b) in enumerate(cls):
             for c, (u_ac, ui_c) in enumerate(cls):
-                if (not (u_ac & ~ui_b)) != (not (u_ab & ~ui_c)):
+                if (u_ac & ui_b == u_ac) != (u_ab & ui_c == u_ab):
                     yield (a, b, c)
 
 
@@ -95,60 +95,67 @@ def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
     """
     n, p, comp = E.n, E.order, E.comp
     imp, up, down, low2, up2 = E.imp_bits, p.up, p.down, p.pair_lower, p.pair_upper
+    low_comp = functools.cache(E.comp_bits)  # L(a,b)' recurs across the rows
 
     def complement_forms(a, b):
-        v1 = E.comp_bits(E.odot_bits(a, E.comp_bits(low2[a][b])))
-        v2 = E.comp_bits(E.odot_bits(a, up2[comp[a]][comp[b]]))
+        inner, cone = low_comp(low2[a][b]), up2[comp[a]][comp[b]]
+        v1 = E.comp_bits(E.odot_bits(a, inner))
+        v2 = v1 if cone == inner else E.comp_bits(E.odot_bits(a, cone))
         return imp[a][b] == v1 == v2
 
+    def cells(a):  # row a of (a -> b, L(a,b)); in a lattice L(a,b) names the meet
+        return zip(imp[a], low2[a])
+
+    # only b >= a (and b <= a) is walked: elsewhere the clause holds
+    on_leq = next(((a, b) for a in range(n) for b in iter_bits(up[a])
+                   if imp[a][b] != up[comp[a]]), None)
+    on_geq = next(((a, b) for a in range(n) for b in iter_bits(down[a])
+                   if imp[a][b] != up[comp[a]] & down[E.sums[comp[a]][b]]), None)
+    columns = list(zip(*imp))
     covers = p.hasse_edges()
     exchange = next(exchange_failures(E), None)
     clauses = [
-        _check("bounded_by_complement_cone", n, 2, lambda a, b: not imp[a][b] & ~up[comp[a]]),
         _check(
-            "constant_on_leq", n, 2,
-            lambda a, b: not up[a] >> b & 1 or imp[a][b] == up[comp[a]],
+            "bounded_by_complement_cone", n, 2, lambda a, b: not imp[a][b] & ~up[comp[a]],
+            key=imp.__getitem__,
         ),
-        _check(
-            "interval_on_geq", n, 2,
-            lambda a, b: not up[b] >> a & 1
-            or imp[a][b] == up[comp[a]] & down[E.sums[comp[a]][b]],
-        ),
+        ClauseResult("constant_on_leq", on_leq is None, on_leq),
+        ClauseResult("interval_on_geq", on_geq is None, on_geq),
         _check("zero_antecedent", n, 1, lambda b: imp[E.zero][b] == 1 << E.one),
         _check("zero_consequent", n, 1, lambda a: imp[a][E.zero] == 1 << comp[a]),
         _check("one_antecedent", n, 1, lambda b: imp[E.one][b] == down[b]),
         _check(
             "lower_cone_collapse", n, 2,
             lambda a, b: p.lower_bits(imp[a][b]) == down[comp[a]],
-            key=lambda a, b: (a, imp[a][b]),
+            key=imp.__getitem__,
         ),
         _check(
             "product_recovers_cone", n, 2,
             lambda a, b: E.odot_bits(a, imp[a][b]) == low2[a][b],
-            key=lambda a, b: (a, imp[a][b], low2[a][b]),
+            key=cells,
         ),
         _check(
             "monotone_in_consequent", n, 3,
             lambda a, b, c: not up[b] >> c & 1 or not imp[a][b] & ~imp[a][c],
-            # inclusion is transitive, so the covers b < c decide it
-            lambda: all(not row[b] & ~row[c] for row in imp for b, c in covers),
+            # inclusion is transitive, so the covers b < c decide it, column by column
+            lambda: all(tuple(map(or_, columns[b], columns[c])) == columns[c]
+                        for b, c in covers),
         ),
         _check(
             "product_complement_forms", n, 2, complement_forms,
-            key=lambda a, b: (a, imp[a][b], low2[a][b], up2[comp[a]][comp[b]]),
+            # U(a',b') is L(a,b)', so the cells stand for it too
+            key=cells,
         ),
         ClauseResult("consequent_exchange", exchange is None, exchange),
     ]
     if p.is_lattice():
         clauses.append(_check(
             "meet_consequent_collapse", n, 2,
-            lambda a, b: imp[a][p.meet(a, b)] == imp[a][b],
+            lambda a, b: imp[a][p.meet(a, b)] == imp[a][b], key=cells,
         ))
     else:
-        clauses.append(
-            ClauseResult("meet_consequent_collapse", True, None, skipped=True,
-                         detail="not a lattice")
-        )
+        clauses.append(ClauseResult("meet_consequent_collapse", True, None, skipped=True,
+                                    detail="not a lattice"))
     return PropertyReport("element-implication", clauses)
 
 
@@ -159,8 +166,9 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
     the chained expressions against the closed form L(a') + L(a,b).
     """
     n, p, comp, imp = E.n, E.order, E.comp, E.imp_bits
-    L, U, down, up = p.lower_bits, p.upper_bits, p.down, p.up
-    low2, up2 = p.pair_lower, p.pair_upper
+    down, up, low2, up2 = p.down, p.up, p.pair_lower, p.pair_upper
+    # cones and complements recur on the same masks across pairs and clauses
+    L, U, comp_bits = functools.cache(p.lower_bits), p.upper_bits, functools.cache(E.comp_bits)
     memo: dict[tuple[int, int], int] = {}
 
     def set_sum(a: int, b: int) -> int:
@@ -174,10 +182,10 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
 
     def double_negation(a):
         na = imp[a][E.zero]
-        return set_sum(E.comp_bits(na), L(na) & down[E.zero]) == 1 << a
+        return set_sum(comp_bits(na), L(na) & down[E.zero]) == 1 << a
 
     # U(a)' and L(U(a)) per element, read by the cone clauses for every pair
-    up_comp = tuple(map(E.comp_bits, up))
+    up_comp = tuple(map(comp_bits, up))
     low_up = tuple(map(L, up))
 
     def nested(a, b, low):
@@ -189,12 +197,13 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         closed = set_sum(down[comp[a]], low2[a][b])
         return (
             first == set_sum(ua_comp, low_up[a] & low_up[b])
-            and first == set_sum(E.comp_bits(uc), L(uc) & down[comp[a]])
+            and first == set_sum(comp_bits(uc), L(uc) & down[comp[a]])
             and first == closed
         )
 
-    def own_upper(a, b):
-        return set_sum(1 << comp[a], down[a] & L(up2[a][b]))
+    @functools.cache
+    def own_upper(a, u):  # a' + (L(a) n L(U(a,b))) for u = U(a,b)
+        return set_sum(1 << comp[a], down[a] & L(u))
 
     clauses = [
         _check("double_negation", n, 1, double_negation),
@@ -210,26 +219,27 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         _check(
             "cone_consequent", n, 2,
             lambda a, b: set_sum(1 << comp[a], down[a] & low_up[b]) == imp[a][b],
-            key=lambda a, b: (a, down[a] & low_up[b], imp[a][b]),
+            key=lambda a: zip(map(down[a].__and__, low_up), imp[a]),
         ),
         _check(
             "cone_antecedent", n, 2, cone_antecedent,
-            key=lambda a, b: (a, low_up[a] & down[b], low_up[a] & low_up[b],
-                              up2[comp[a]][comp[b]], low2[a][b]),
+            # U(a',b') is L(a,b)', so L(a,b) stands for it too
+            key=lambda a: zip(map(low_up[a].__and__, down), map(low_up[a].__and__, low_up),
+                              low2[a]),
         ),
         _check(
             "own_lower_cone", n, 2,
             lambda a, b: set_sum(1 << comp[a], down[a] & L(low2[a][b])) == 1 << comp[a],
-            key=lambda a, b: (a, low2[a][b]),
+            key=low2.__getitem__,
         ),
         _check(
             "own_upper_cone", n, 2,
-            lambda a, b: own_upper(a, b) == E.add_bits(comp[a], down[a]),
-            key=lambda a, b: (a, up2[a][b]),
+            lambda a, b: own_upper(a, up2[a][b]) == E.add_bits(comp[a], down[a]),
+            key=up2.__getitem__,
         ),
         _check(
-            "tautology_cone", n, 2, lambda a, b: U(own_upper(a, b)) == 1 << E.one,
-            key=lambda a, b: (a, up2[a][b]),
+            "tautology_cone", n, 2, lambda a, b: U(own_upper(a, up2[a][b])) == 1 << E.one,
+            key=up2.__getitem__,
         ),
     ]
     return PropertyReport("set-implication", clauses)

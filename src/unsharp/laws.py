@@ -54,19 +54,10 @@ def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
     wit = next(((x, y) for x, y in _contraposition_failures(E) if p.comparable(x, y)), None)
     clauses = [ClauseResult("comparable_pairs", wit is None, wit)]
 
-    wit = None
-    checked = 0
-    for x in range(E.n):
-        for y in range(E.n):
-            m = p.meet(x, y)
-            if m is None:
-                continue
-            checked += 1
-            if up_imp[x][y] != up_imp[comp[m]][comp[x]]:
-                wit = (x, y)
-                break
-        if wit:
-            break
+    pairs = [(x, y) for x in range(E.n) for y in range(E.n) if p.meet(x, y) is not None]
+    wit = next(((x, y) for x, y in pairs if up_imp[x][y] != up_imp[comp[p.meet(x, y)]][comp[x]]),
+               None)
+    checked = len(pairs) if wit is None else pairs.index(wit) + 1  # up to the witness
     clauses.append(
         ClauseResult("meet_variant", wit is None, wit, detail=f"{checked} pairs with meets")
     )
@@ -132,12 +123,16 @@ def check_cone_level_adjointness(E: EffectAlgebra) -> ConeAdjointness:
     The result is reported, never asserted: the law is tied to monotonicity,
     which not every algebra enjoys, so the probe result rides along.
     """
-    p = E.order
-    L, U = p.lower_bits, p.upper_bits
-
-    def failing(y, uxy):
-        u_image_low, u_low_uxy = U(L(E.odot_bits(y, uxy))), U(L(uxy))
-        return lambda ul_z, ui_z: (not ul_z & ~u_image_low) != (not ui_z & ~u_low_uxy)
-
-    wit = next(_walk_u_classes(p, E.comp, E.up_imp_bits, failing), None)
+    wit = next(_cone_adjointness_failures(E), None)
     return ConeAdjointness(wit is None, wit, is_monotonous(E))
+
+
+def _cone_adjointness_failures(E: EffectAlgebra) -> Iterator[tuple[int, int, int]]:
+    'The triples breaking cone-level adjointness, in lexicographic order.'
+    L, U = E.order.lower_bits, E.order.upper_bits
+
+    def sides(y, uxy, uls, uis):
+        u_image_low, u_low_uxy = U(L(E.odot_bits(y, uxy))), U(L(uxy))
+        return [ul & u_image_low == ul for ul in uls], [ui & u_low_uxy == ui for ui in uis]
+
+    return _walk_u_classes(E.order, E.comp, E.up_imp_bits, sides)

@@ -294,18 +294,9 @@ class Poset:
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y): x < y with nothing strictly between."""
-        edges = []
-        for x in range(self.n):
-            strict_up = self.up[x] & ~(1 << x)
-            rest = strict_up
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                rest ^= low
-                between = strict_up & self.down[y] & ~(1 << y)
-                if not between:
-                    edges.append((x, y))
-        return edges
+        # the covers of x are the minimal elements strictly above it
+        return [(x, y) for x in range(self.n)
+                for y in iter_bits(maximal_bits(self.up[x] & ~(1 << x), self.down))]
 
 
 def maximal_bits(mask: int, up: Sequence[int]) -> int:
@@ -338,36 +329,39 @@ def validate_involution(p: Poset, inv: Involution) -> PropertyReport:
 def _involution_clauses(p: Poset, m: Sequence[int]) -> list[ClauseResult]:
     'The involutive, antitone and swaps_bounds clauses, for any map m of the carrier into itself.'
     swaps = m[p.bottom] == p.top and m[p.top] == p.bottom
+    # only y >= x is walked: elsewhere antitone holds
+    wit = next(((x, y) for x in range(p.n) for y in iter_bits(p.up[x])
+                if not p.up[m[y]] >> m[x] & 1), None)
     return [
         _check("involutive", p.n, 1, lambda x: m[m[x]] == x),
-        _check("antitone", p.n, 2, lambda x, y: not p.leq(x, y) or p.leq(m[y], m[x])),
+        ClauseResult("antitone", wit is None, wit),
         ClauseResult("swaps_bounds", swaps, None if swaps else (p.bottom, p.top)),
     ]
 
 
-def _walk_u_classes(p: Poset, inv, up_imp, failing) -> Iterator[tuple[int, int, int]]:
+def _walk_u_classes(p: Poset, inv, up_imp, sides) -> Iterator[tuple[int, int, int]]:
     """The triples (x, y, z) failing an adjointness law, in lexicographic order.
 
-    The laws read x only through U(x,y') and z only through the class
-    (UL(y,z), U(y -> z)), with U(y -> z) taken from the table `up_imp`.
-    `failing(y, U(x,y'))` runs once per distinct (y, U(x,y')) and returns
-    a test of a z-class, which runs once per class; the z-masks of the
-    classes that fail are joined.
+    The law, a biconditional, reads x only through U(x,y') and z only through
+    the class (UL(y,z), U(y -> z)), with U(y -> z) taken from `up_imp`.  Per
+    column y, `sides(y, U(x,y'), uls, uis)` runs once per distinct U(x,y') on
+    the classes' UL(y,z) and U(y -> z) and returns the two sides' truth values,
+    class by class; a class fails where they differ.  All columns are decided
+    first; the pairs (x, y) are walked only in columns where a class fails.
     """
-    n, up, memo = p.n, p.up, {}
-    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    for y, cls in enumerate(classes):
-        for z, key in enumerate(zip(p.pair_ul[y], up_imp[y])):
-            cls[key] = cls.get(key, 0) | 1 << z
+    n, up, bad = p.n, p.up, []
+    for y in range(n):
+        keys = list(zip(p.pair_ul[y], up_imp[y]))
+        uls, uis = zip(*dict.fromkeys(keys))
+        col = {}  # U(x,y') -> the z whose class fails with it, as a mask
+        for umask in dict.fromkeys(map(up[inv[y]].__and__, up)):
+            lhs, rhs = sides(y, umask, uls, uis)
+            if lhs != rhs:
+                failed = {key for key, lh, rh in zip(zip(uls, uis), lhs, rhs) if lh != rh}
+                col[umask] = sum(1 << z for z, key in enumerate(keys) if key in failed)
+        if col:
+            bad.append((y, col))
     for x in range(n):
-        for y in range(n):
-            umask = up[x] & up[inv[y]]
-            zs = memo.get((y, umask))
-            if zs is None:
-                fails, zs = failing(y, umask), 0
-                for key, zmask in classes[y].items():
-                    if fails(*key):
-                        zs |= zmask
-                memo[y, umask] = zs
-            for z in iter_bits(zs):
+        for y, col in bad:
+            for z in iter_bits(col.get(up[x] & up[inv[y]], 0)):
                 yield (x, y, z)

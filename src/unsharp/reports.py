@@ -59,27 +59,22 @@ def _check(name: str, n: int, arity: int, holds, quick=None, key=None) -> Clause
 
     `quick`, when given, decides the clause on a reduced set of cases; when
     it passes the scan is skipped, and when it fails the scan finds the witness.
-    `key`, when given, maps a tuple to everything `holds` reads of it, so
-    `holds` runs once per distinct key, for this call only; the scan still
-    walks the tuples in order, so the witness is unchanged.
+    `key`, given for a clause on pairs, maps a to the n keys of row a, one
+    per b, each standing for everything `holds(a, b)` reads of b.  The row's
+    distinct keys are found at C speed and `holds` runs once per key, in the
+    order the keys first appear in the row, on some b of that key; the first
+    key to fail names its first b, so the witness is still the first one.
     """
     if quick is not None and quick():
         return ClauseResult(name, True, None)
-    if key is not None:
-        verdicts: dict = {}
-
-        def decide(*t):
-            k = key(*t)
-            v = verdicts.get(k)
-            if v is None:
-                v = verdicts[k] = holds(*t)
-            return v
-    else:
-        decide = holds
-    wit = next(
-        (t for t in itertools.product(range(n), repeat=arity) if not decide(*t)), None
-    )
-    return ClauseResult(name, wit is None, wit)
+    if key is None:
+        wit = next((t for t in itertools.product(range(n), repeat=arity) if not holds(*t)), None)
+        return ClauseResult(name, wit is None, wit)
+    for a in range(n):
+        for k, b in dict(zip(key(a), range(n))).items():
+            if not holds(a, b):
+                return ClauseResult(name, False, (a, list(key(a)).index(k)))
+    return ClauseResult(name, True, None)
 
 
 @dataclass

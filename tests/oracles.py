@@ -927,6 +927,69 @@ def check_cone_level_adjointness(
     return ConeAdjointness(wit is None, wit, monotonicity)
 
 
+# -- scans: one call per tuple, and the adjointness walk over every pair -----
+
+
+def check_per_tuple(name: str, n: int, arity: int, holds) -> ClauseResult:
+    'A clause over all tuples in lexicographic order, one `holds` call each.'
+    wit = next((t for t in itertools.product(range(n), repeat=arity) if not holds(*t)), None)
+    return ClauseResult(name, wit is None, wit)
+
+
+def walk_u_classes(p: Poset, inv, up_imp, failing):
+    """The triples (x, y, z) failing an adjointness law, in lexicographic order.
+
+    Every pair (x, y) is visited; `failing(y, U(x,y'))` runs once per distinct
+    (y, U(x,y')) and returns a test of a z-class (UL(y,z), U(y -> z)), with
+    U(y -> z) taken from `up_imp`; the z-masks of the failing classes are joined.
+    """
+    n, up, memo = p.n, p.up, {}
+    classes: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for y, cls in enumerate(classes):
+        for z, key in enumerate(zip(p.pair_ul[y], up_imp[y])):
+            cls[key] = cls.get(key, 0) | 1 << z
+    for x in range(n):
+        for y in range(n):
+            umask = up[x] & up[inv[y]]
+            zs = memo.get((y, umask))
+            if zs is None:
+                fails, zs = failing(y, umask), 0
+                for key, zmask in classes[y].items():
+                    if fails(*key):
+                        zs |= zmask
+                memo[y, umask] = zs
+            for z in iter_bits(zs):
+                yield (x, y, z)
+
+
+def walk_adjointness_failures(p: Poset, inv, products, up_imp):
+    """C3 through `walk_u_classes`: U(x,y') (.) y <= UL(y,z) iff U(x,y') <= U(y -> z)."""
+
+    def failing(y, umask):
+        image = 0
+        for u in iter_bits(umask):
+            if products[u][y] is None:
+                image = None
+                break
+            image |= 1 << products[u][y]
+        return lambda ul_z, ui_z: (image is not None and not image & ~ul_z) != (not umask & ~ui_z)
+
+    return walk_u_classes(p, inv, up_imp, failing)
+
+
+def walk_cone_adjointness_failures(E: EffectAlgebra):
+    """Cone-level adjointness through `walk_u_classes`:
+    L(U(x,y') (.) y) <= UL(y,z) iff LU(x,y') <= U(y -> z)."""
+    p = E.order
+    L, U = p.lower_bits, p.upper_bits
+
+    def failing(y, uxy):
+        u_image_low, u_low_uxy = U(L(E.odot_bits(y, uxy))), U(L(uxy))
+        return lambda ul_z, ui_z: (not ul_z & ~u_image_low) != (not ui_z & ~u_low_uxy)
+
+    return walk_u_classes(p, E.comp, E.up_imp_bits, failing)
+
+
 # -- enumeration: the full-scan search -------------------------------------
 
 UNKNOWN = -2

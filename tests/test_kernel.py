@@ -35,6 +35,9 @@ from unsharp import (
 )
 
 from unsharp.implication import odot_image
+from unsharp.laws import _cone_adjointness_failures
+from unsharp.reports import _check
+from unsharp.residuation import adjointness_failures
 
 import oracles
 
@@ -233,6 +236,64 @@ def mutations(c, rng, count):
             imps = [list(row) for row in c.imps]
             imps[x][y] = Subset(rng.getrandbits(n), n)
             yield replace(c, imps=tuple(map(tuple, imps)))
+
+
+def test_row_keyed_check_matches_the_per_tuple_scan():
+    # `holds` reads b only through its key, and the keys of a row repeat;
+    # failing (a, key) pairs are planted in later rows, one key or several
+    # keys of one row, and a few rows fail at once
+    rng = random.Random(11)
+    planted = set()
+    for _ in range(800):
+        n = rng.randint(1, 12)
+        keys = [[rng.randrange(rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        bad = set()
+        mode = rng.randrange(4)
+        if mode:
+            rows = [rng.randrange(n // 2, n) for _ in range(1 if mode < 3 else 3)]
+            for a in rows:
+                picks = rng.sample(range(n), rng.randint(1, n)) if mode == 2 else [rng.randrange(n)]
+                bad.update((a, keys[a][b]) for b in picks)
+        calls = []
+
+        def holds(a, b):
+            calls.append((a, keys[a][b]))
+            return (a, keys[a][b]) not in bad
+
+        # the key is a list per row, or a one-shot iterator as `zip` gives
+        key = keys.__getitem__ if rng.randrange(2) else (lambda a: iter(keys[a]))
+        got = _check("clause", n, 2, holds, key=key)
+        assert len(calls) == len(set(calls)), "holds ran twice on one key of a row"
+        assert got == oracles.check_per_tuple("clause", n, 2, holds), (keys, bad)
+        planted.add((mode, got.passed))
+    assert planted >= {(0, True), (1, False), (2, False), (3, False)}
+
+
+def test_class_walk_lists_the_triples_of_the_pair_walk(labeled):
+    # the column-by-column walk against a memoised walk over every pair
+    # (x, y): the whole list of failing triples, not only the first, for C3
+    # and cone-level adjointness on every algebra with n <= 7, and for C3 on
+    # the mutated tables of the test below
+    cone_failing = 0
+    for E in labeled:
+        p, up_imp = E.order, E.up_imp_bits
+        got = list(adjointness_failures(p, E.comp, E.products, up_imp))
+        assert got == list(oracles.walk_adjointness_failures(p, E.comp, E.products, up_imp))
+        got = list(_cone_adjointness_failures(E))
+        assert got == list(oracles.walk_cone_adjointness_failures(E)), E.name
+        cone_failing += bool(got)
+    rng = random.Random(3)
+    c3_failing = 0
+    for name in ("E9", "E6", "BOOL-3", "CHAIN-7"):
+        c = from_effect_algebra(fixture(name), validate=False)
+        for bad in mutations(c, rng, 150):
+            p = bad.poset
+            up_imp = [[p.upper_bits(cell.bits) for cell in row] for row in bad.imps]
+            got = list(adjointness_failures(p, bad.inv, bad.products, up_imp))
+            assert got == list(oracles.walk_adjointness_failures(p, bad.inv, bad.products, up_imp))
+            c3_failing += len(got) > 1
+    # lists of more than one triple are compared on most mutations
+    assert cone_failing == 264 and c3_failing >= 200
 
 
 def test_mutated_tables_report_like_oracle():
