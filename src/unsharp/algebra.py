@@ -97,8 +97,15 @@ class EffectAlgebra:
         over the maximal elements m of B, one mask AND each: for w <= m,
         x + w is defined and below x + m; and any v in [x, x + m] is some
         x + w, where x + w <= x + m gives w <= m by cancellation.
+
+        When A = L(t) and B = L(m), the sum is one lookup in a table built
+        once per algebra, bottom-up along the order: L(t) + L(m) is [t, t + m]
+        joined with L(c) + L(m) for the lower covers c of t, since every x < t
+        lies under one.  It is not L(t + m): that needs Riesz decomposition,
+        which Boolean algebras and chains have and E6 and E9 do not.
         """
-        return self._sum_bits(a, b, maximal_bits(b, self.order.up))
+        m = self.order._principal.get(b)  # B = L(m): its maximal element by one lookup
+        return self._sum_bits(a, b, maximal_bits(b, self.order.up) if m is None else 1 << m)
 
     def _sum_bits(self, a: int, b: int, tops: int) -> int:
         'A + B as in `sum_bits`, given the maximal elements of B.'
@@ -113,6 +120,9 @@ class EffectAlgebra:
                 return bits
             maxima.append(m)
             tops ^= low
+        # a down-set with one maximal element m is L(m)
+        if len(maxima) == 1 and (t := self.order._principal.get(a)) is not None:
+            return self._down_sums[t][maxima[0]]
         while a:
             low = a & -a
             x = low.bit_length() - 1
@@ -121,6 +131,18 @@ class EffectAlgebra:
                 bits |= above & down[row[m]]
             a ^= low
         return bits
+
+    @cached_property
+    def _down_sums(self) -> tuple[list[int], ...]:
+        "L(t) + L(m) for every t <= m', 0 elsewhere, built as `sum_bits` describes."
+        n, up, down = self.n, self.order.up, self.order.down
+        table: list = [None] * n
+        for t in sorted(range(n), key=lambda t: down[t].bit_count()):
+            row = [0 if v is None else up[t] & down[v] for v in self.sums[t]]
+            for c in iter_bits(maximal_bits(down[t] & ~(1 << t), up)):
+                row = [r and r | s for r, s in zip(row, table[c])]
+            table[t] = row
+        return tuple(table)
 
     def odot_bits(self, x: int, mask: int) -> int:
         "x (.) A elementwise, for every element of A above x'."
@@ -180,18 +202,16 @@ class EffectAlgebra:
         'A + B elementwise; requires A <= B-orthosupplement pairwise.'
         if a.n != self.n or b.n != self.n:
             raise ValueError("carrier mismatch")
-        tops = maximal_bits(b.bits, self.order.up)
         # A is below B' pairwise iff it is below m' for every maximal m of B
-        if a.bits & ~self.order.lower_bits(self.comp_bits(tops)):
-            wit = next(
-                (x, y)
-                for x in a
-                for y in b
-                if not self.order.leq(x, self.comp[y])
-            )
-            raise ValueError(
-                f"set sum undefined: {self.labels[wit[0]]} + {self.labels[wit[1]]}"
-            )
+        m = self.order._principal.get(b.bits)
+        if m is None:
+            tops = maximal_bits(b.bits, self.order.up)
+            below = self.order.lower_bits(self.comp_bits(tops))
+        else:
+            tops, below = 1 << m, self.order.down[self.comp[m]]
+        if a.bits & ~below:
+            x, y = next((x, y) for x in a for y in b if not self.order.leq(x, self.comp[y]))
+            raise ValueError(f"set sum undefined: {self.labels[x]} + {self.labels[y]}")
         return Subset._wrap(self._sum_bits(a.bits, b.bits, tops), self.n)
 
     def render(self, a: Subset) -> str:

@@ -18,7 +18,6 @@ whitespace and comments.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
@@ -254,6 +253,7 @@ def emit_table(
     header = [corner, *E.labels]
     rows = [[E.labels[x], *cells[x]] for x in range(E.n)]
     if format == "csv":
+        import csv  # only here: the other commands need not load it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -275,11 +275,14 @@ class Poset:
         return self._meets[x][y]
 
     @cached_property
+    def _principal(self) -> dict[int, int]:
+        'L(t) -> t: a mask is a principal down-set iff it is a key, and L is one-to-one.'
+        return {d: t for t, d in enumerate(self.down)}
+
+    @cached_property
     def _meets(self) -> tuple[tuple[Optional[int], ...], ...]:
-        'The meet of every pair, None where there is none.'
-        # L(x,y) has a greatest element m iff it is L(m), and L is one-to-one
-        of_down = {d: m for m, d in enumerate(self.down)}
-        return tuple(tuple(map(of_down.get, row)) for row in self.pair_lower)
+        'The meet of every pair: the m with L(x,y) = L(m), None where there is none.'
+        return tuple(tuple(map(self._principal.get, row)) for row in self.pair_lower)
 
     # a finite set has a least element iff it has exactly one minimal one
     def join(self, x: int, y: int) -> Optional[int]:

@@ -15,15 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
-from .algebra import (
-    EffectAlgebra,
-    InvalidAlgebraError,
-    first_asymmetric_pair,
-    first_nonassociative_triple,
-    validate_tables,
-)
+from .algebra import EffectAlgebra, InvalidAlgebraError, _image, first_asymmetric_pair
+from .algebra import first_nonassociative_triple, validate_tables
 from .implication import exchange_failures
-from .poset import Involution, Poset, Subset, _walk_u_classes, iter_bits, validate_involution
+from .poset import Involution, Poset, Subset, _walk_u_classes, iter_bits, maximal_bits
+from .poset import validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
 
@@ -152,9 +148,18 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     add("C2", first_asymmetric_pair(prod), "product not commutative")
     add("C2", first(1, lambda x: prod[x][p.top] == x == prod[p.top][x]), "top is not a unit")
     add("C2", first_nonassociative_triple(prod), "product not associative")
-    # only x >= z' and y >= x are walked, where `first` would test all n^3 triples
+    # a column z defined at every x >= z' is monotone iff it is along the covers x < y
+    # above z', by transitivity; the scan only names the witness, walking x >= z', y >= x
+    covers, cols = [maximal_bits(up[x] & ~(1 << x), p.down) for x in range(n)], list(zip(*prod))
+
+    def monotone_on_covers(z):
+        col, above = cols[z], up[inv[z]]
+        return None not in map(col.__getitem__, iter_bits(above)) and all(
+            not _image(col, covers[x]) & ~up[col[x]] for x in iter_bits(above))
+
     add("C2", next(
-        ((x, y, z) for z in range(n) for x in iter_bits(up[inv[z]]) if prod[x][z] is not None
+        ((x, y, z) for z in range(n) if not monotone_on_covers(z)
+         for x in iter_bits(up[inv[z]]) if prod[x][z] is not None
          for y in iter_bits(up[x])
          if prod[y][z] is not None and not up[prod[x][z]] >> prod[y][z] & 1),
         None,

@@ -2,8 +2,10 @@
 `oracles.py`: verdicts, witnesses, skip flags and details, clause by clause."""
 
 import functools
+import itertools
 import random
 from dataclasses import replace
+from operator import or_
 
 import pytest
 
@@ -407,28 +409,39 @@ def test_mutated_sum_tables_report_like_oracle():
     }
 
 
-def set_sum_kind(E, b):
-    'How `sum_bits` takes B: empty, a down-set by its maximal elements, or member by member.'
-    if not b:
+SET_KINDS = ("empty", "principal", "other down-set", "one maximal, not a down-set",
+             "not a down-set")
+
+
+def set_kind(E, s):
+    """Which path `sum_bits` takes with s as A or as B: a principal down-set L(m)
+    is one table lookup, another down-set goes by its maximal elements, and
+    any other set member by member."""
+    if not s:
         return "empty"
-    if any(v not in b for y in b for v in range(E.n) if E.leq(v, y)):
-        return "not a down-set"
-    maxima = [m for m in b if not any(E.leq(m, y) for y in b if y != m)]
-    return "one maximal" if len(maxima) == 1 else "several maximal"
+    maxima = [m for m in s if not any(E.leq(m, y) for y in s if y != m)]
+    if any(v not in s for y in s for v in range(E.n) if E.leq(v, y)):
+        return "one maximal, not a down-set" if len(maxima) == 1 else "not a down-set"
+    return "principal" if len(maxima) == 1 else "other down-set"
 
 
 def assert_set_sums_like_oracle(E, rng, pairs):
     """A + B against the pairwise sums, for B each distinct cone L(x,y) of
-    `pairs`, the empty set and a random set, and for A the largest set below
-    B' pairwise, a random part of it, the empty set and a random set; an
-    undefined pair raises the same ValueError.  Returns the kinds of B met,
-    with "undefined" when some pair was."""
+    `pairs`, that cone without 0 (one maximal element, not a down-set), the
+    empty set and a random set, and for A the largest set below B' pairwise,
+    a random part of it, the down-set that part generates, the empty set and
+    a random set; an undefined pair raises the same ValueError.  Returns the
+    kinds (of A, of B) of the defined sums, with "undefined" when some pair
+    was undefined."""
     n, kinds = E.n, set()
     cones = {E.order.lower_cone(E.subset(x, y)) for x, y in pairs}
-    for b in [*sorted(cones, key=lambda s: s.bits), Subset(0, n), Subset(rng.getrandbits(n), n)]:
+    rest = {Subset(c.bits & ~(1 << E.zero), n) for c in cones} - {Subset(0, n)}
+    sets = [*sorted(cones | rest, key=lambda s: s.bits), Subset(0, n)]
+    for b in [*sets, Subset(rng.getrandbits(n), n)]:
         below = sum(1 << v for v in range(n) if all(E.add(v, w) is not None for w in b))
-        kinds.add(set_sum_kind(E, b))
-        for bits in (below, below & rng.getrandbits(n), 0, rng.getrandbits(n)):
+        part = below & rng.getrandbits(n)
+        generated = functools.reduce(or_, [E.order.down[v] for v in range(n) if part >> v & 1], 0)
+        for bits in (below, part, generated, 0, rng.getrandbits(n)):
             a = Subset(bits, n)
             try:
                 want = oracles.add_sets(E, a, b)
@@ -440,6 +453,7 @@ def assert_set_sums_like_oracle(E, rng, pairs):
                 continue
             assert E.add_sets(a, b) == want, (E.name, a, b)
             assert E.sum_bits(a.bits, b.bits) == want.bits, (E.name, a, b)
+            kinds.add((set_kind(E, a), set_kind(E, b)))
     return kinds
 
 
@@ -450,14 +464,37 @@ def test_set_sums_match_oracle(labeled, fixtures):
         pairs = [(x, y) for x in range(E.n) for y in range(E.n)]
         kinds |= {(E.name, k) for k in assert_set_sums_like_oracle(E, rng, pairs)}
     # L(x,y) has one maximal element on the lattice E6 and two on E9
-    assert {("E6", "one maximal"), ("E9", "several maximal")} <= kinds
-    assert {k for _, k in kinds} == {
-        "empty", "one maximal", "several maximal", "not a down-set", "undefined"
-    }
+    assert {("E6", (a, "principal")) for a in SET_KINDS} <= kinds
+    assert ("E9", ("principal", "other down-set")) in kinds
+    # every kind of A meets every kind of B, the table lookup included
+    assert {k for _, k in kinds} == {"undefined", *itertools.product(SET_KINDS, SET_KINDS)}
     for name in ("BOOL-6", "CHAIN-64"):
         E = fixture(name)
         pairs = [(rng.randrange(E.n), rng.randrange(E.n)) for _ in range(12)]
         assert "undefined" in assert_set_sums_like_oracle(E, rng, pairs), name
+
+
+def test_down_sums_table_against_oracle(labeled, fixtures):
+    # every entry L(t) + L(m), t <= m', against the pairwise sums, and 0 for
+    # the pairs with no sum; on Boolean algebras and chains, where Riesz
+    # decomposition holds, each entry is L(t + m), and on E9 and E6 it is not
+    larger = [fixture(name) for name in ("BOOL-5", "BOOL-6", "CHAIN-24", "CHAIN-32", "CHAIN-48",
+                                         "CHAIN-64")]
+    closed_form_misses = {}
+    for E in [*labeled, *fixtures, *larger]:
+        n, down = E.n, E.order.down
+        want = [[0] * n for _ in range(n)]
+        misses = 0
+        for t in range(n):
+            for m in range(n):
+                if E.leq(t, E.comp[m]):
+                    want[t][m] = oracles.add_sets(E, Subset(down[t], n), Subset(down[m], n)).bits
+                    misses += want[t][m] != down[E.sums[t][m]]
+        assert list(map(list, E._down_sums)) == want, E.name
+        closed_form_misses[E.name] = misses
+    bool_chain = [name for name in closed_form_misses if name.startswith(("BOOL-", "CHAIN-"))]
+    assert len(bool_chain) == 25 and not any(closed_form_misses[name] for name in bool_chain)
+    assert closed_form_misses["E9"] == 9 and closed_form_misses["E6"] == 4
 
 
 def test_products_match_oracle(labeled, fixtures):
