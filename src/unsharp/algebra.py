@@ -38,7 +38,9 @@ class EffectAlgebra:
     Instances are immutable afterwards, so the implication and product
     tables are built on first use and kept.  The `*_bits` helpers work on
     subsets given as bitmasks and assume the operation is defined, which
-    holds wherever the law suites call them.
+    holds wherever the law suites call them.  In every effect algebra the
+    image of an interval under ', x + and x (.) is an interval, which those
+    helpers read off two cones; any other set is walked member by member.
     """
 
     __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name", "__dict__")
@@ -83,12 +85,16 @@ class EffectAlgebra:
     # -- bitmask kernel ---------------------------------------------------
 
     def comp_bits(self, mask: int) -> int:
-        "A' = {x' : x in A}."
-        return _image(self.comp, mask)
+        "A' = {x' : x in A}; [p,q]' = [q',p'], as ' is an order-reversing involution."
+        if (pq := self.order._intervals.get(mask)) is None:
+            return _image(self.comp, mask)
+        return self.order.up[self.comp[pq[1]]] & self.order.down[self.comp[pq[0]]]
 
     def add_bits(self, x: int, mask: int) -> int:
-        "x + A elementwise, for A below x'."
-        return _image(self.sums[x], mask)
+        """x + A elementwise, for A below x'; x + [p,q] = [x+p, x+q] when x + q is
+        defined, as x + w grows with w <= q, and any v in [x+p, x+q] lies above
+        x, so it is some x + w, with p <= w <= q by cancellation."""
+        return _image(self.sums[x], mask, self.order)
 
     def sum_bits(self, a: int, b: int) -> int:
         """A + B elementwise, for A below B' pairwise.
@@ -145,8 +151,9 @@ class EffectAlgebra:
         return tuple(table)
 
     def odot_bits(self, x: int, mask: int) -> int:
-        "x (.) A elementwise, for every element of A above x'."
-        return _image(self.products[x], mask)
+        """x (.) A elementwise, for every element of A above x'; x (.) [p,q] =
+        [x (.) p, x (.) q] when x (.) p is defined: it is (x' + [q',p'])'."""
+        return _image(self.products[x], mask, self.order)
 
     @cached_property
     def products(self) -> tuple[tuple[Optional[int], ...], ...]:
@@ -212,6 +219,8 @@ class EffectAlgebra:
         if a.bits & ~below:
             x, y = next((x, y) for x in a for y in b if not self.order.leq(x, self.comp[y]))
             raise ValueError(f"set sum undefined: {self.labels[x]} + {self.labels[y]}")
+        if m is not None and (t := self.order._principal.get(a.bits)) is not None:
+            return Subset._wrap(self._down_sums[t][m], self.n)
         return Subset._wrap(self._sum_bits(a.bits, b.bits, tops), self.n)
 
     def render(self, a: Subset) -> str:
@@ -219,8 +228,14 @@ class EffectAlgebra:
         return "{" + ",".join(self.labels[i] for i in a) + "}"
 
 
-def _image(row: Sequence[int], mask: int) -> int:
-    'The bitmask {row[a] : a in A}; every row[a] must be defined.'
+def _image(row: Sequence[int], mask: int, order: Optional[Poset] = None) -> int:
+    """The bitmask {row[a] : a in A}; every row[a] must be defined.  Given the
+    order, an interval [p,q] with row[p] and row[q] defined maps onto
+    [row[p], row[q]], as it does in the rows of sums and products."""
+    if order is not None and (pq := order._intervals.get(mask)) is not None:
+        lo, hi = row[pq[0]], row[pq[1]]
+        if lo is not None and hi is not None:
+            return order.up[lo] & order.down[hi]
     bits = 0
     while mask:
         low = mask & -mask

@@ -95,10 +95,9 @@ def element_implication_suite(E: EffectAlgebra) -> PropertyReport:
     """
     n, p, comp = E.n, E.order, E.comp
     imp, up, down, low2, up2 = E.imp_bits, p.up, p.down, p.pair_lower, p.pair_upper
-    low_comp = functools.cache(E.comp_bits)  # L(a,b)' recurs across the rows
 
     def complement_forms(a, b):
-        inner, cone = low_comp(low2[a][b]), up2[comp[a]][comp[b]]
+        inner, cone = E.comp_bits(low2[a][b]), up2[comp[a]][comp[b]]
         v1 = E.comp_bits(E.odot_bits(a, inner))
         v2 = v1 if cone == inner else E.comp_bits(E.odot_bits(a, cone))
         return imp[a][b] == v1 == v2
@@ -167,8 +166,8 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
     """
     n, p, comp, imp = E.n, E.order, E.comp, E.imp_bits
     down, up, low2, up2 = p.down, p.up, p.pair_lower, p.pair_upper
-    # cones and complements recur on the same masks across pairs and clauses
-    L, U, comp_bits = functools.cache(p.lower_bits), p.upper_bits, functools.cache(E.comp_bits)
+    # lower cones recur on the same masks across pairs and clauses
+    L, U, comp_bits = functools.cache(p.lower_bits), p.upper_bits, E.comp_bits
     memo: dict[tuple[int, int], int] = {}
 
     def set_sum(a: int, b: int) -> int:

@@ -255,7 +255,14 @@ class Poset:
         return Subset._wrap(self.upper_bits(a.bits), self.n)
 
     def cone_pair(self, *elements: int) -> tuple[Subset, Subset]:
-        n, bits = self.n, Subset.of(self.n, elements).bits
+        'L(A) and U(A) for A given by its elements; one or two in-range ints read the cones off.'
+        n = self.n
+        if 0 < len(elements) < 3:
+            x, y = elements[0], elements[-1]
+            if type(x) is type(y) is int and 0 <= x < n and 0 <= y < n:
+                low, upp = self.down[x] & self.down[y], self.up[x] & self.up[y]
+                return Subset._wrap(low, n), Subset._wrap(upp, n)
+        bits = Subset.of(n, elements).bits
         return Subset._wrap(self.lower_bits(bits), n), Subset._wrap(self.upper_bits(bits), n)
 
     def set_leq(self, a: Subset, b: Subset) -> bool:
@@ -280,6 +287,12 @@ class Poset:
         return {d: t for t, d in enumerate(self.down)}
 
     @cached_property
+    def _intervals(self) -> dict[int, tuple[int, int]]:
+        '[p,q] -> (p, q) for every p <= q: a nonempty interval has a least and a greatest member.'
+        down = self.down
+        return {u & down[q]: (p, q) for p, u in enumerate(self.up) for q in iter_bits(u)}
+
+    @cached_property
     def _meets(self) -> tuple[tuple[Optional[int], ...], ...]:
         'The meet of every pair: the m with L(x,y) = L(m), None where there is none.'
         return tuple(tuple(map(self._principal.get, row)) for row in self.pair_lower)
@@ -295,11 +308,14 @@ class Poset:
         # pairwise meets give every finite meet, so the join of x, y is the meet of U(x,y)
         return all(None not in row for row in self._meets)
 
+    @cached_property
+    def _covers(self) -> tuple[int, ...]:
+        'The upper covers of every x, as bitmasks: the minimal elements strictly above it.'
+        return tuple(maximal_bits(u & ~(1 << x), self.down) for x, u in enumerate(self.up))
+
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y): x < y with nothing strictly between."""
-        # the covers of x are the minimal elements strictly above it
-        return [(x, y) for x in range(self.n)
-                for y in iter_bits(maximal_bits(self.up[x] & ~(1 << x), self.down))]
+        return [(x, y) for x, covers in enumerate(self._covers) for y in iter_bits(covers)]
 
 
 def maximal_bits(mask: int, up: Sequence[int]) -> int:

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from .algebra import EffectAlgebra, InvalidAlgebraError, _image, first_asymmetric_pair
 from .algebra import first_nonassociative_triple, validate_tables
 from .implication import exchange_failures
-from .poset import Involution, Poset, Subset, _walk_u_classes, iter_bits, maximal_bits
+from .poset import Involution, Poset, Subset, _walk_u_classes, iter_bits
 from .poset import validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
@@ -85,30 +85,36 @@ def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResid
     return c
 
 
-def adjointness_failures(p: Poset, inv, products, up_imp) -> Iterator[tuple[int, int, int]]:
+def adjointness_failures(p: Poset, inv, products, up_imp, odot=None) -> Iterator[tuple]:
     """Triples breaking unsharp adjointness (C3), in lexicographic order:
     U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z),
-    with U(y -> z) read from the table `up_imp`."""
+    with U(y -> z) read from the table `up_imp`.  U(x,y') (.) y is read off
+    `products`, or given `odot`, an algebra's own `odot_bits`, as
+    y (.) U(x,y'), every product of which is defined: U(x,y') lies in U(y')."""
 
     def sides(y, umask, uls, uis):
-        image = _odot_bits(products, umask, y)
+        image = _odot_bits(products, umask, y) if odot is None else odot(y, umask)
         lhs = [image is not None and image & ul == image for ul in uls]
         return lhs, [umask & ui == umask for ui in uis]
 
     return _walk_u_classes(p, inv, up_imp, sides)
 
 
-def _first_adjointness_failure(c: UnsharpResiduatedPoset) -> Optional[tuple[int, int, int]]:
-    """The first C3 triple, with U(y -> z) read from the tables `c` carries, which may be mutated.
-
-    U(y -> z) is the algebra's `up_imp_bits` while `c.imps` and `c.poset` are the
-    objects `from_effect_algebra` built; a `replace` copy or an assignment rebuilds it."""
+def _source_tables(c: UnsharpResiduatedPoset):
+    """U(y -> z) of the algebra `from_effect_algebra` built `c` from while `c` has its cells
+    and order, and its `odot_bits` while also its products and involution; else None."""
     imps, E = getattr(c, "_source", (None, None))
-    if imps is c.imps and E.order is c.poset:
-        up_imp = E.up_imp_bits
-    else:
+    if imps is not c.imps or E.order is not c.poset:
+        return None, None
+    return E.up_imp_bits, E.odot_bits if E.products is c.products and E.comp is c.inv else None
+
+
+def _first_adjointness_failure(c: UnsharpResiduatedPoset) -> Optional[tuple[int, int, int]]:
+    'The first C3 triple, read from the tables `c` carries, which may be mutated.'
+    up_imp, odot = _source_tables(c)
+    if up_imp is None:
         up_imp = [[c.poset.upper_bits(m.bits) for m in row] for row in c.imps]
-    return next(adjointness_failures(c.poset, c.inv, c.products, up_imp), None)
+    return next(adjointness_failures(c.poset, c.inv, c.products, up_imp, odot), None)
 
 
 def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
@@ -150,7 +156,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     add("C2", first_nonassociative_triple(prod), "product not associative")
     # a column z defined at every x >= z' is monotone iff it is along the covers x < y
     # above z', by transitivity; the scan only names the witness, walking x >= z', y >= x
-    covers, cols = [maximal_bits(up[x] & ~(1 << x), p.down) for x in range(n)], list(zip(*prod))
+    covers, cols = p._covers, list(zip(*prod))
 
     def monotone_on_covers(z):
         col, above = cols[z], up[inv[z]]
@@ -176,9 +182,11 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     add("C4", first(1, lambda x: c.imps[x][p.bottom].bits == 1 << inv[x]),
         "implication to bottom is not the involute singleton")
 
-    # C5: divisibility x (.) (x -> y) = L(x,y), once per distinct pair in a row
+    # C5: divisibility x (.) (x -> y) = L(x,y), once per distinct pair in a row;
+    # every product of the algebra's own is defined, as x -> y lies in U(x')
+    odot = _source_tables(c)[1] or (lambda x, imp: _odot_bits(prod, imp, x))
     divisible = all(
-        _odot_bits(prod, imp, x) == low
+        odot(x, imp) == low
         for x in range(n)
         for imp, low in {(cell.bits, m) for cell, m in zip(c.imps[x], p.pair_lower[x])}
     )
@@ -287,7 +295,7 @@ def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
     Both biconditionals are computed per triple and must agree pointwise
     (and each holds outright on a valid algebra).
     """
-    adj = list(adjointness_failures(E.order, E.comp, E.products, E.up_imp_bits))
+    adj = list(adjointness_failures(E.order, E.comp, E.products, E.up_imp_bits, E.odot_bits))
     exch = list(exchange_failures(E))
     match_wit = min(set(adj) ^ set(exch), default=None)
     adj_wit = adj[0] if adj else None

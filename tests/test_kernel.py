@@ -342,6 +342,32 @@ def test_c3_reads_the_cells_after_replace_or_assignment(e9):
     assert validate_surp(c).ok and check_dual_adjointness(c).ok
 
 
+def test_c3_and_c5_read_assigned_products_and_involution(e9, e6):
+    # C3 and C5 read u (.) y through the algebra's kernel only while the
+    # tables `from_effect_algebra` built carry its own products and
+    # involution; after an assignment to either they read the tables
+    rng = random.Random(31)
+    axioms = set()
+    for _ in range(40):
+        c = from_effect_algebra(e9, validate=False)
+        prods = [list(row) for row in c.products]
+        prods[rng.randrange(e9.n)][rng.randrange(e9.n)] = rng.choice([None, *range(e9.n)])
+        c.products = tuple(map(tuple, prods))
+        want = oracles.validate_surp(c)
+        assert validate_surp(c) == want
+        axioms.update(v.axiom for v in want.violations)
+    assert "C3" in axioms
+    # another antitone involution of E6's order, a <-> b' and b <-> a': C3 at
+    # y = a then reads U(x,b'), which holds b', and a (.) b' is undefined
+    c = from_effect_algebra(e6, validate=False)
+    a, a_comp, b, b_comp = (e6.labels.index(s) for s in ("a", "a'", "b", "b'"))
+    inv = list(c.inv)
+    inv[a], inv[b_comp], inv[b], inv[a_comp] = b_comp, a, a_comp, b
+    c.inv = tuple(inv)
+    assert e6.odot(a, b_comp) is None
+    assert validate_surp(c) == oracles.validate_surp(c)
+
+
 def test_one_cell_mutations_break_divisibility_like_oracle(e9):
     # C5 is decided once per distinct pair (x -> y, L(x,y)) in a row, so a
     # changed cell must still count where an unchanged cell of its row shares
@@ -518,6 +544,93 @@ def test_products_match_oracle(labeled, fixtures):
                 assert odot_image(E, x, a) == want, (E.name, x, a)
                 assert E.odot_bits(x, bits) == want.bits, (E.name, x, a)
         oracles.forget()
+
+
+def walk(row, mask):
+    'The image {row[a] : a in A} member by member; an undefined row[a] raises TypeError.'
+    image = 0
+    for a in range(len(row)):
+        if mask >> a & 1:
+            image |= 1 << row[a]
+    return image
+
+
+def outcome(fn, *args):
+    'What fn returns, or the text of the TypeError it raises on an undefined member.'
+    try:
+        return fn(*args)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_interval_images_match_the_walk(labeled, fixtures):
+    # A', x + A and x (.) A against the walk: on every interval [p,q], where
+    # the helpers read two cones, and on seeded sets that are not intervals,
+    # defined or not, where they walk; intervals whose far end has no sum
+    # (x + q) or no product (x (.) p) go down the walk and raise its TypeError
+    rng = random.Random(23)
+    kinds = set()
+    for E in [*labeled, *fixtures]:
+        n, p = E.n, E.order
+        intervals = {p.up[lo] & p.down[hi]: (lo, hi)
+                     for lo in range(n) for hi in range(n) if E.leq(lo, hi)}
+        # one key per pair p <= q: distinct pairs give distinct intervals
+        assert p._intervals == intervals
+        assert len(intervals) == sum(u.bit_count() for u in p.up), E.name
+        seeded = [rng.getrandbits(n) for _ in range(8)]
+        for mask in [*intervals, *seeded]:
+            assert E.comp_bits(mask) == walk(E.comp, mask), (E.name, mask)
+        for x in range(n):
+            below, above = p.down[E.comp[x]], p.up[E.comp[x]]
+            for mask in [*intervals, *seeded, *(below & m for m in seeded),
+                         *(above & m for m in seeded)]:
+                got = outcome(E.add_bits, x, mask), outcome(E.odot_bits, x, mask)
+                want = outcome(walk, E.sums[x], mask), outcome(walk, E.products[x], mask)
+                assert got == want, (E.name, x, mask)
+                if mask in intervals:
+                    lo, hi = intervals[mask]
+                    kinds.add("far sum" if (E.add(x, lo), E.add(x, hi)).count(None) == 1
+                              else "far product" if (E.odot(x, lo), E.odot(x, hi)).count(None) == 1
+                              else "interval")
+                else:
+                    kinds.add(("other", any(isinstance(w, str) for w in want)))
+    assert kinds == {"interval", "far sum", "far product", ("other", False), ("other", True)}
+
+
+def test_cone_pair_matches_oracle(labeled, fixtures):
+    # no element, one, two (x, x among them) and three, against the cones of
+    # the checked Subset; out-of-range elements raise as `Subset.of` does
+    rng = random.Random(29)
+    for E in [*labeled, *fixtures]:
+        n, p = E.n, E.order
+        triples = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(4)]
+        for elements in [(), *((x,) for x in range(n)), *itertools.product(range(n), repeat=2),
+                         *triples]:
+            a = Subset.of(n, elements)
+            assert p.cone_pair(*elements) == (oracles._lower(p, a), oracles._upper(p, a))
+        oracles.forget()
+        for elements in [(-1,), (n,), (0, n), (-1, 0), (n, n), (0, 0, n), (64,)]:
+            bad = next(x for x in elements if not 0 <= x < n)
+            with pytest.raises(ValueError) as got:
+                p.cone_pair(*elements)
+            assert str(got.value) == f"element {bad} outside carrier 0..{n - 1}"
+
+
+def test_principal_set_sums_match_oracle(labeled, fixtures):
+    # L(t) + L(m) for every pair, the table entry where t <= m' and the
+    # oracle's ValueError where not
+    for E in [*labeled, *fixtures]:
+        n, down = E.n, E.order.down
+        for t, m in itertools.product(range(n), repeat=2):
+            a, b = Subset(down[t], n), Subset(down[m], n)
+            try:
+                want = oracles.add_sets(E, a, b)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    E.add_sets(a, b)
+                assert str(got.value) == str(exc), (E.name, t, m)
+                continue
+            assert E.add_sets(a, b) == want, (E.name, t, m)
 
 
 @functools.cache
