@@ -30,17 +30,18 @@ class EffectAlgebra:
     """A finite effect algebra, read off a sum table known to be valid.
 
     The constructor is the only way an instance is made, and it checks
-    nothing: `validate_tables` (and so :meth:`from_tables`) calls it on a
-    table that passed, the enumerator and `relabel` on isomorphic images
-    of validated tables.  It takes the labels as a tuple and the sums as a
-    tuple of rows, None where undefined, and reads x' (the u with x + u = 1)
-    and the order (x <= y iff x + z = y for some z) off the rows in one pass.
-    Instances are immutable afterwards, so the implication and product
-    tables are built on first use and kept.  The `*_bits` helpers work on
-    subsets given as bitmasks and assume the operation is defined, which
-    holds wherever the law suites call them.  In every effect algebra the
-    image of an interval under ', x + and x (.) is an interval, which those
-    helpers read off two cones; any other set is walked member by member.
+    nothing: `validate_tables` (and so :meth:`from_tables`) calls it once E3
+    holds, decides the order stages on the instance and returns it only if
+    the table passes; the enumerator and `relabel` call it on isomorphic
+    images of validated tables.  It takes the labels as a tuple and the sums
+    as a tuple of rows, None where undefined, and reads x' (the u with
+    x + u = 1) and the order (x <= y iff x + z = y for some z) off the rows
+    in one pass.  Instances are immutable afterwards, so the implication and
+    product tables are built on first use and kept.  The `*_bits` helpers
+    work on subsets given as bitmasks and assume the operation is defined,
+    which holds wherever the law suites call them.  In every effect algebra
+    the image of an interval under ', x + and x (.) is an interval, which
+    those helpers read off two cones; any other set is walked member by member.
     """
 
     __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name", "__dict__")
@@ -258,8 +259,11 @@ def validate_tables(
     first failing stage stops the run and reports its first witness.
     Missing zero-row entries are filled with x + 0 = x beforehand;
     explicitly conflicting ones are left to fail the axiom checks.
-    Structural problems (bad shape, bad indices) raise ValueError instead
-    of being reported, since no algebra can be read off at all.
+    Structural problems (bad shape, an index that is not an int in 0..n-1)
+    raise ValueError instead of being reported, since no algebra can be
+    read off at all.  A stage walks a row only when the row fails, for the
+    witness.  The algebra is built once E3 and the declared complements
+    hold; the order stages, implied by E1-E4, read its cones if E2 fails.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -267,71 +271,74 @@ def validate_tables(
         raise ValueError(f"carrier size {n} outside 1..{MAX_CARRIER}")
     if len(set(labels)) != n:
         raise ValueError("labels are not pairwise distinct")
-    if not (0 <= zero < n and 0 <= one < n):
-        raise ValueError("zero/one index outside the carrier")
+    _check_indices("zero/one index", n, zero, one)
     if len(sums) != n or any(len(row) != n for row in sums):
         raise ValueError("sum table is not n x n")
     table: list[list[Optional[int]]] = [list(row) for row in sums]
     for row in table:
         for v in row:
-            if v is not None and not 0 <= v < n:
-                raise ValueError(f"sum value {v} outside the carrier")
+            if v is not None and not (isinstance(v, int) and 0 <= v < n):
+                _check_indices(f"sum value {v!r}", n, v)
     for x, u in (declared_comp or {}).items():
-        if not (0 <= x < n and 0 <= u < n):
-            raise ValueError(f"declared complement {x}: {u} outside the carrier")
+        _check_indices(f"declared complement {x!r}: {u!r}", n, x, u)
 
     for x in range(n):
         if table[zero][x] is None and table[x][zero] is None:
             table[zero][x] = x
             table[x][zero] = x
+    rows = tuple(map(tuple, table))
 
     def fail(axiom, witness, message):
         return ValidationReport([Violation(axiom, witness, message)])
 
-    wit = first_asymmetric_pair(table)
-    if wit:
-        return fail("E1", wit, "sum table is not symmetric")
+    if tuple(zip(*rows)) != rows:
+        return fail("E1", first_asymmetric_pair(rows), "sum table is not symmetric")
 
     # E4: one + x only for x = zero
     for x in range(n):
-        if x != zero and table[one][x] is not None:
+        if x != zero and rows[one][x] is not None:
             return fail("E4", (x,), "sum with the top element defined")
 
     # E3: exactly one orthosupplement per element
-    for x, row in enumerate(table):
-        if one not in row:
-            return fail("E3", (x,), "no orthosupplement")
-        u = row.index(one)
-        if row.count(one) > 1:
+    for x, row in enumerate(rows):
+        if row.count(one) != 1:
+            if one not in row:
+                return fail("E3", (x,), "no orthosupplement")
+            u = row.index(one)
             return fail("E3", (x, u, row.index(one, u + 1)), "duplicate complement candidates")
     if declared_comp:
         for x, u in declared_comp.items():
-            if table[x].index(one) != u:
-                wit = (x, u, table[x].index(one))
+            if rows[x].index(one) != u:
+                wit = (x, u, rows[x].index(one))
                 return fail("complement", wit, "declared complement disagrees with the table")
 
-    # induced-order axioms; x <= y iff some z gives x + z = y
-    up = [0] * n
-    for x, row in enumerate(table):
-        for v in row:
-            if v is not None:
-                up[x] |= 1 << v
-    try:
-        check_order_axioms(up)
-    except OrderError as exc:
-        return fail("order", exc.witness, f"induced relation not {exc.reason}")
-    full = (1 << n) - 1
-    if up[zero] != full:
-        x = (~up[zero] & full).bit_length() - 1
-        return fail("order", (zero, x), "zero is not a bottom element")
-    # one is the top already: E3 gave every x a sum x + x' = one
-
-    wit = first_nonassociative_triple(table)
-    if wit:
-        return fail("E2", wit, "associativity fails")
-
-    algebra = EffectAlgebra(labels, tuple(map(tuple, table)), zero, one, name)
+    # induced-order axioms; x <= y iff some z gives x + z = y.  With E1, E3
+    # and E4, E2 alone makes this a partial order with bottom zero (Foulis &
+    # Bennett 1994): (x + a) + b = x + (a + b) is transitivity; one + zero =
+    # one by E3 and E4, so (x' + x) + zero = one gives x + zero = x by E3; and
+    # y = x + a, x = y + b give x + (a + b) = x, which E2 and E4 allow only for
+    # a = b = zero.  So the order stage can fail only where E2 does
+    algebra = EffectAlgebra(labels, rows, zero, one, name)
+    triple = first_nonassociative_triple(rows)
+    if triple:
+        up = algebra.order.up
+        try:
+            check_order_axioms(up)
+        except OrderError as exc:
+            return fail("order", exc.witness, f"induced relation not {exc.reason}")
+        if missed := algebra.order.full_bits & ~up[zero]:  # the elements not above zero
+            return fail("order", (zero, missed.bit_length() - 1), "zero is not a bottom element")
+        return fail("E2", triple, "associativity fails")
     return ValidationReport([], algebra)
+
+
+def _check_indices(what: str, n: int, *values) -> None:
+    'Raise ValueError naming `what` unless every value is an int in 0..n-1.'
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"{what} is not an integer")
+        if not 0 <= v < n:
+            raise ValueError(f"{what} outside the carrier")
 
 
 def first_asymmetric_pair(table) -> Optional[tuple[int, int]]:

@@ -73,9 +73,10 @@ def _column(line: str, i: int) -> int:
 def parse_spec(text: str) -> AlgebraSpec:
     name: Optional[str] = None
     labels: Optional[tuple[str, ...]] = None
+    members: frozenset[str] = frozenset()  # the labels, once declared
     bounds: dict[str, str] = {}  # "zero" and "one", as declared
     comps: list[CompEntry] = []
-    seen_pairs: dict[frozenset, SumEntry] = {}
+    seen_pairs: dict[tuple[str, str], SumEntry] = {}  # keyed by the sorted pair
     seen_comp: dict[str, CompEntry] = {}
 
     def known(words: list[str], i: int, lineno: int, line: str):
@@ -107,6 +108,7 @@ def parse_spec(text: str) -> AlgebraSpec:
                 second = words.index(dup, words.index(dup, 1) + 1)
                 raise DslError(f"duplicate label {dup!r}", lineno, _column(line, second))
             labels = tuple(words[1:])
+            members = frozenset(labels)
         elif head in ("zero", "one"):
             if len(words) != 2:
                 raise DslError(f"expected: {head} LABEL", lineno)
@@ -118,11 +120,11 @@ def parse_spec(text: str) -> AlgebraSpec:
             if len(words) != 5 or words[3] != "=":
                 raise DslError("expected: sum X Y = Z", lineno)
             x, y, value = words[1], words[2], words[4]
-            for i in (1, 2, 4):
-                known(words, i, lineno, line)
-            pair = frozenset((x, y))
-            if pair in seen_pairs:
-                prev = seen_pairs[pair]
+            if not (x in members and y in members and value in members):
+                for i in (1, 2, 4):
+                    known(words, i, lineno, line)
+            pair = (x, y) if x <= y else (y, x)
+            if (prev := seen_pairs.get(pair)) is not None:
                 what = "conflicting" if prev.value != value else "duplicate"
                 raise DslError(
                     f"{what} sum for {x}+{y} (first given on line {prev.line})",

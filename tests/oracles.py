@@ -24,8 +24,8 @@ from unsharp import (
     Subset,
     UnsharpResiduatedPoset,
     validate_involution,
-    validate_tables,
 )
+from unsharp.algebra import first_asymmetric_pair, first_nonassociative_triple
 from unsharp.deduction import (
     CompletenessReport,
     DedLattice,
@@ -34,7 +34,7 @@ from unsharp.deduction import (
     _generated,
 )
 from unsharp.laws import ConeAdjointness
-from unsharp.poset import iter_bits
+from unsharp.poset import MAX_CARRIER, OrderError, check_order_axioms, iter_bits
 from unsharp.reports import (
     ClauseResult,
     LawReport,
@@ -1143,8 +1143,75 @@ def restricted_algebras(p: Poset) -> list[EffectAlgebra]:
     return validate_each_table(p.labels, tables, p)[0]
 
 
+def validate_tables(labels, sums, zero, one, declared_comp=None, name="E") -> ValidationReport:
+    """The validator stage by stage, cell by cell: E1, E4, E3, the declared
+    complements, the order axioms from up-sets read off the table, zero as
+    the bottom, E2, and only then the algebra.  Non-integer indices are not
+    screened; the package raises ValueError for them."""
+    labels = tuple(labels)
+    n = len(labels)
+    if not 1 <= n <= MAX_CARRIER:
+        raise ValueError(f"carrier size {n} outside 1..{MAX_CARRIER}")
+    if len(set(labels)) != n:
+        raise ValueError("labels are not pairwise distinct")
+    if not (0 <= zero < n and 0 <= one < n):
+        raise ValueError("zero/one index outside the carrier")
+    if len(sums) != n or any(len(row) != n for row in sums):
+        raise ValueError("sum table is not n x n")
+    table = [list(row) for row in sums]
+    for row in table:
+        for v in row:
+            if v is not None and not 0 <= v < n:
+                raise ValueError(f"sum value {v} outside the carrier")
+    for x, u in (declared_comp or {}).items():
+        if not (0 <= x < n and 0 <= u < n):
+            raise ValueError(f"declared complement {x}: {u} outside the carrier")
+
+    for x in range(n):
+        if table[zero][x] is None and table[x][zero] is None:
+            table[zero][x] = x
+            table[x][zero] = x
+
+    def fail(axiom, witness, message):
+        return ValidationReport([Violation(axiom, witness, message)])
+
+    wit = first_asymmetric_pair(table)
+    if wit:
+        return fail("E1", wit, "sum table is not symmetric")
+    for x in range(n):
+        if x != zero and table[one][x] is not None:
+            return fail("E4", (x,), "sum with the top element defined")
+    for x, row in enumerate(table):
+        if one not in row:
+            return fail("E3", (x,), "no orthosupplement")
+        u = row.index(one)
+        if row.count(one) > 1:
+            return fail("E3", (x, u, row.index(one, u + 1)), "duplicate complement candidates")
+    for x, u in (declared_comp or {}).items():
+        if table[x].index(one) != u:
+            wit = (x, u, table[x].index(one))
+            return fail("complement", wit, "declared complement disagrees with the table")
+    up = [0] * n
+    for x, row in enumerate(table):
+        for v in row:
+            if v is not None:
+                up[x] |= 1 << v
+    try:
+        check_order_axioms(up)
+    except OrderError as exc:
+        return fail("order", exc.witness, f"induced relation not {exc.reason}")
+    full = (1 << n) - 1
+    if up[zero] != full:
+        x = (~up[zero] & full).bit_length() - 1
+        return fail("order", (zero, x), "zero is not a bottom element")
+    wit = first_nonassociative_triple(table)
+    if wit:
+        return fail("E2", wit, "associativity fails")
+    return ValidationReport([], EffectAlgebra(labels, tuple(map(tuple, table)), zero, one, name))
+
+
 def validate_each_table(labels, tables, order: Poset | None = None):
-    """Every table through the full validator, kept when valid and, given an
+    """Every table through the validator above, kept when valid and, given an
     order, inducing exactly it: the algebras, named EA{n}-0, EA{n}-1, ... in
     table order, and the number of tables refused."""
     n = len(labels)

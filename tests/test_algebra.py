@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from unsharp import (
@@ -115,6 +117,46 @@ def test_structural_problems_raise():
             validate_tables(("0", "1"), [[None, None], [None, None]], 0, 1, declared)
 
 
+@pytest.mark.parametrize(
+    "x,y,cell,text",
+    [
+        (1, 2, "x", "sum value 'x' is not an integer"),
+        (1, 2, [1], "sum value [1] is not an integer"),
+        (1, 2, 3.0, "sum value 3.0 is not an integer"),
+        (0, 0, 0.0, "sum value 0.0 is not an integer"),
+    ],
+)
+def test_non_integer_sum_value_raises(x, y, cell, text):
+    # x + y = 1 as 3.0 and 0 + 0 = 0 as 0.0 compare equal to the integers and
+    # would pass every stage; they are refused before the first
+    labels, sums = table_of([("x", "y", "1")])
+    sums[x][y] = sums[y][x] = cell
+    with pytest.raises(ValueError) as err:
+        validate_tables(labels, sums, 0, 3)
+    assert str(err.value) == text
+
+
+def test_non_integer_indices_raise():
+    labels, sums = table_of([("x", "y", "1")])
+    for zero, one in (("0", 3), (0, "1"), (0.0, 3), (0, 3.0)):
+        with pytest.raises(ValueError) as err:
+            validate_tables(labels, sums, zero, one)
+        assert str(err.value) == "zero/one index is not an integer"
+    for declared, text in (
+        ({1: 2.0}, "declared complement 1: 2.0 is not an integer"),
+        ({1.0: 2}, "declared complement 1.0: 2 is not an integer"),
+        ({"x": 2}, "declared complement 'x': 2 is not an integer"),
+    ):
+        with pytest.raises(ValueError) as err:
+            validate_tables(labels, sums, 0, 3, declared)
+        assert str(err.value) == text
+    # bool is an int, and stays accepted wherever an index is: the chain
+    # 0 < m < 1 with 0 + m = True and m' = m
+    sums = [[None, True, None], [True, 2, None], [None, None, None]]
+    rep = validate_tables(("0", "m", "1"), sums, False, 2, {True: True})
+    assert rep.ok and rep.algebra.comp == (2, 1, 0)
+
+
 def test_from_tables_raises_with_report():
     labels, sums = table_of([("x", "x", "1")])
     with pytest.raises(InvalidAlgebraError) as err:
@@ -158,30 +200,30 @@ def test_other_fixtures_are_monotonous(name):
     assert res.exhaustive and res.holds
 
 
-@pytest.mark.parametrize(
-    "sums,text",
-    [
-        (
-            [[None, 0, None], [0, 2, None], [None, None, None]],
-            "order violated at (1): induced relation not reflexive",
-        ),
-        (
-            [[None, None, None, None], [None, None, 3, None],
-             [None, 3, 0, None], [None, None, None, None]],
-            "order violated at (0,2): induced relation not antisymmetric",
-        ),
-        (
-            [[None, None, 0, None], [None, 3, 2, None],
-             [0, 2, 3, None], [None, None, None, None]],
-            "order violated at (0,1,2): induced relation not transitive",
-        ),
-        (
-            [[None, 1, 1, None], [1, None, 3, None],
-             [1, 3, 2, None], [None, None, None, None]],
-            "order violated at (0,2): zero is not a bottom element",
-        ),
-    ],
-)
+ORDER_TABLES = [
+    (
+        [[None, 0, None], [0, 2, None], [None, None, None]],
+        "order violated at (1): induced relation not reflexive",
+    ),
+    (
+        [[None, None, None, None], [None, None, 3, None],
+         [None, 3, 0, None], [None, None, None, None]],
+        "order violated at (0,2): induced relation not antisymmetric",
+    ),
+    (
+        [[None, None, 0, None], [None, 3, 2, None],
+         [0, 2, 3, None], [None, None, None, None]],
+        "order violated at (0,1,2): induced relation not transitive",
+    ),
+    (
+        [[None, 1, 1, None], [1, None, 3, None],
+         [1, 3, 2, None], [None, None, None, None]],
+        "order violated at (0,2): zero is not a bottom element",
+    ),
+]
+
+
+@pytest.mark.parametrize("sums,text", ORDER_TABLES)
 def test_order_stage_reports_first_witness(sums, text):
     # each table passes E1, E4 and E3; the order stage stops it before E2
     labels = ("0", "a", "b", "1")[: len(sums) - 1] + ("1",)
@@ -198,3 +240,63 @@ def test_constructor_derives_complement_and_order_by_the_definitions(fixture_alg
         p = E.order
         assert (E.comp, p.up, p.down, p.bottom, p.top) == oracles.derived_fields(E), E.name
         assert oracles.poset_fields(p) == oracles.poset_fields(Poset(p.up, E.labels)), E.name
+
+
+def one_cell_mutations(E, rng, count):
+    """Copies of the sum table of E with one cell set to None or an element,
+    its mirror cell set likewise half of the time, and the declared
+    complements: none, the true ones, or the true ones with one changed."""
+    n = E.n
+    for _ in range(count):
+        x, y, v = rng.randrange(n), rng.randrange(n), rng.choice([None, *range(n)])
+        sums = [list(row) for row in E.sums]
+        sums[x][y] = v
+        if rng.randrange(2):
+            sums[y][x] = v
+        declared = [None, dict(enumerate(E.comp)), dict(enumerate(E.comp))][rng.randrange(3)]
+        if declared is not None and rng.randrange(2):
+            declared[rng.randrange(n)] = rng.randrange(n)
+        yield sums, declared
+
+
+def assert_validates_like_oracle(labels, sums, zero, one, declared=None, name="E"):
+    'Both validators on one table: the same violations, or the same algebra.'
+    got = validate_tables(labels, sums, zero, one, declared, name)
+    want = oracles.validate_tables(labels, sums, zero, one, declared, name)
+    assert got.violations == want.violations, (name, sums, declared)
+    assert (got.algebra is None) == (want.algebra is None), name
+    if want.ok:
+        assert oracles.algebra_fields(got.algebra) == oracles.algebra_fields(want.algebra), name
+    return want.violations
+
+
+def test_validator_matches_stage_by_stage_oracle():
+    # seeded one-cell mutations of every labeled algebra with n <= 7 and of
+    # the fixtures up to 16 elements, then the hand-made order tables
+    rng = random.Random(23)
+    labeled = [E for n in range(2, 8) for E in enumerate_effect_algebras(n).algebras]
+    names = ["E6", "E9", *(f"BOOL-{k}" for k in range(1, 5)), *(f"CHAIN-{k}" for k in range(2, 17))]
+    reached, compared, refused = set(), 0, 0
+    for E, count in [*((E, 4) for E in labeled), *((fixture(name), 60) for name in names)]:
+        for sums, declared in [(E.sums, None), *one_cell_mutations(E, rng, count)]:
+            violations = assert_validates_like_oracle(
+                E.labels, sums, E.zero, E.one, declared, E.name
+            )
+            reached.update(v.message for v in violations)
+            compared += 1
+            refused += bool(violations)
+    # the mutations reach every stage but zero-not-bottom; the hand-made
+    # order tables reach it
+    for sums, _ in ORDER_TABLES:
+        labels = ("0", "a", "b", "1")[: len(sums) - 1] + ("1",)
+        violations = assert_validates_like_oracle(labels, sums, 0, len(sums) - 1)
+        reached.update(v.message for v in violations)
+    assert compared == 1170 * 5 + 21 * 61 and 3000 < refused < compared
+    assert reached == {
+        "sum table is not symmetric", "sum with the top element defined",
+        "no orthosupplement", "duplicate complement candidates",
+        "declared complement disagrees with the table",
+        "induced relation not reflexive", "induced relation not antisymmetric",
+        "induced relation not transitive", "zero is not a bottom element",
+        "associativity fails",
+    }

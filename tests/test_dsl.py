@@ -92,6 +92,32 @@ def test_error_column_is_that_of_the_offending_token(text, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+HEAD = "elements 0 a b 1\nzero 0\none 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("zero 0\nsum a b = 1\n", "line 1, column 1: elements must be declared first"),
+        (HEAD + "sum q r = s\n", "line 4, column 5: unknown label 'q'"),
+        (HEAD + "sum a q = 1\n", "line 4, column 7: unknown label 'q'"),
+        (HEAD + "sum a b = q\n", "line 4, column 11: unknown label 'q'"),
+        (HEAD + "sum a b = 1\nsum b a = 1\n",
+         "line 5, column 5: duplicate sum for b+a (first given on line 4)"),
+        (HEAD + "sum a  b = 1 # c\nsum  b a = b\n",
+         "line 5, column 6: conflicting sum for b+a (first given on line 4)"),
+        (HEAD + "sum a a = 1\nsum a a = b\n",
+         "line 5, column 5: conflicting sum for a+a (first given on line 4)"),
+    ],
+)
+def test_sum_line_errors_in_full(text, message):
+    # a sum line whose labels are all declared skips the per-word check;
+    # any other line still gets it, and an unordered pair is one key
+    with pytest.raises(DslError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
+
 def test_complement_declarations_checked():
     good = E9_TEXT + "complement a = g\ncomplement d = d\n"
     assert spec_report(parse_spec(good)).ok
