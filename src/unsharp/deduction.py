@@ -157,25 +157,26 @@ def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
     picks are generated in lexicographic order of their member tuples."""
     pairs = _complement_pairs(E)
     partner = {x: xc for x, xc in pairs} | {xc: x for x, xc in pairs}
-    elems = sorted(partner)
+    elems = [*sorted(partner), E.n]  # E.n ends the list: no pair has a member there
     pairs_above = [sum(xc >= c for _, xc in pairs) for c in range(E.n + 1)]
-
-    def picks(start: int, need: int, blocked: int) -> Iterator[int]:
-        if not need:
-            yield 0
-            return
-        for i, c in enumerate(elems[start:], start + 1):
-            # the free pairs with a member at c or later; never grows with c
-            if pairs_above[c] - (blocked >> c).bit_count() < need:
-                return
-            if not blocked >> c & 1:
-                for rest in picks(i, need - 1, blocked | 1 << partner[c]):
-                    yield 1 << c | rest
 
     one_bit, full = 1 << E.one, (1 << E.n) - 1
     for size in range(len(pairs) + 1):
-        for bits in picks(0, size, 0):
-            yield one_bit | bits
+        # frames (next position in elems, picks needed, partners blocked, members),
+        # depth first: taking elems[i] is popped before passing it over
+        stack = [(0, size, 0, one_bit)]
+        while stack:
+            i, need, blocked, bits = stack.pop()
+            if not need:
+                yield bits
+                continue
+            c = elems[i]
+            # the free pairs with a member at c or later; never grows with c
+            if pairs_above[c] - (blocked >> c).bit_count() < need:
+                continue
+            stack.append((i + 1, need, blocked, bits))
+            if not blocked >> c & 1:
+                stack.append((i + 1, need - 1, blocked | 1 << partner[c], bits | 1 << c))
     if full != one_bit:
         yield full
 

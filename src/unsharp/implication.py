@@ -186,9 +186,7 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
     # U(a)' and L(U(a)) per element, read by the cone clauses for every pair
     up_comp = tuple(map(comp_bits, up))
     low_up = tuple(map(L, up))
-
-    def nested(a, b, low):
-        return set_sum(1 << comp[a], down[a] & low) == imp[a][comp[b]]
+    lows = [L(row[E.zero]) for row in imp]  # L(b -> 0) per element, read by nested_consequent
 
     def cone_antecedent(a, b):
         ua_comp, uc = up_comp[a], up2[comp[a]][comp[b]]
@@ -208,12 +206,14 @@ def set_implication_suite(E: EffectAlgebra) -> PropertyReport:
         _check("double_negation", n, 1, double_negation),
         _check(
             "nested_consequent", n, 3,
-            lambda a, b, c: nested(a, b, L(imp[b][c])),
+            lambda a, b, c: set_sum(1 << comp[a], down[a] & L(imp[b][c])) == imp[a][comp[b]],
             # the sides read c only through L(b -> c), and one value per b is
             # exact: 0 is in it, so passing there puts a' in each cell a -> d
-            # and every member above a', hence L(b -> c) = L(b') for every c
-            lambda: all(nested(a, b, v) for b, v in enumerate(L(row[E.zero]) for row in imp)
-                        for a in range(n)),
+            # and every member above a', hence L(b -> c) = L(b') for every c;
+            # row a reads b there only through (L(a) n L(b -> 0), a -> b')
+            lambda: all(
+                set_sum(1 << comp[a], low) == cell for a in range(n) for low, cell in
+                dict.fromkeys(zip(map(down[a].__and__, lows), map(imp[a].__getitem__, comp)))),
         ),
         _check(
             "cone_consequent", n, 2,

@@ -210,9 +210,12 @@ class Poset:
         return bool((self.up[x] >> y | self.up[y] >> x) & 1)
 
     # -- cones ---------------------------------------------------------
+    # L([p,q]) = L(p) and U([p,q]) = U(q) by transitivity: p and q lie in [p,q]
 
     def lower_bits(self, mask: int) -> int:
-        'L(A) for A given as a bitmask; L(empty) is the whole carrier.'
+        'L(A) for A given as a bitmask; L(empty) is the whole carrier, and L([p,q]) = L(p).'
+        if mask & (mask - 1) and (pq := self._intervals.get(mask)) is not None:
+            return self.down[pq[0]]
         bits, down = self.full_bits, self.down
         while mask:
             low = mask & -mask
@@ -221,7 +224,9 @@ class Poset:
         return bits
 
     def upper_bits(self, mask: int) -> int:
-        'U(A) for A given as a bitmask; U(empty) is the whole carrier.'
+        'U(A) for A given as a bitmask; U(empty) is the whole carrier, and U([p,q]) = U(q).'
+        if mask & (mask - 1) and (pq := self._intervals.get(mask)) is not None:
+            return self.up[pq[1]]
         bits, up = self.full_bits, self.up
         while mask:
             low = mask & -mask

@@ -12,11 +12,12 @@ candidates report exactly what they break.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .algebra import EffectAlgebra, InvalidAlgebraError, _image, first_asymmetric_pair
-from .algebra import first_nonassociative_triple, validate_tables
+from .algebra import first_nonassociative_triple
 from .implication import exchange_failures
 from .poset import Involution, Poset, Subset, _walk_u_classes, iter_bits
 from .poset import validate_involution
@@ -25,7 +26,8 @@ from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, 
 
 @dataclass
 class UnsharpResiduatedPoset:
-    """Product and implication tables over a bounded involutive poset."""
+    """Product and implication tables over a bounded involutive poset; each row of
+    `imps` is a sequence of the `Subset`s x -> y, which `from_effect_algebra` keeps as masks."""
 
     poset: Poset
     inv: tuple[int, ...]
@@ -55,6 +57,35 @@ class UnsharpResiduatedPoset:
         return None if bits is None else Subset(bits, self.n)
 
 
+class _CellRow(Sequence):
+    'A row of implication cells kept as masks; it equals, and prints as, its tuple of Subsets.'
+
+    __slots__ = ("masks", "n")
+
+    def __init__(self, masks: tuple[int, ...], n: int):
+        self.masks, self.n = masks, n
+
+    def __getitem__(self, y):
+        return tuple(self)[y] if isinstance(y, slice) else Subset._wrap(self.masks[y], self.n)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _cell_masks(c: "UnsharpResiduatedPoset") -> list:
+    'The cells of `c` as rows of masks, read off any row that is not a `_CellRow`.'
+    return [row.masks if type(row) is _CellRow else [cell.bits for cell in row] for row in c.imps]
+
+
 def _odot_bits(products, mask: int, y: int) -> Optional[int]:
     'A (.) y over a bitmask; None when any product is undefined.'
     bits = 0
@@ -69,12 +100,12 @@ def _odot_bits(products, mask: int, y: int) -> Optional[int]:
 def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResiduatedPoset:
     """Derive product and implication tables from an effect algebra.
 
-    x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).  With
-    `validate`, tables failing C1-C4 raise InvalidAlgebraError carrying
-    the report.
+    x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).  The product
+    table is the algebra's own, and each row of cells keeps the algebra's
+    row of masks.  With `validate`, tables failing C1-C4 raise
+    InvalidAlgebraError carrying the report.
     """
-    n = E.n
-    imps = tuple(tuple(Subset._wrap(m, n) for m in row) for row in E.imp_bits)
+    imps = tuple(_CellRow(row, E.n) for row in E.imp_bits)
     c = UnsharpResiduatedPoset(E.order, E.comp, E.products, imps, name=E.name)
     c._source = (imps, E)  # C3 reads U(y -> z) off E while c keeps these cells
     if validate:
@@ -113,7 +144,7 @@ def _first_adjointness_failure(c: UnsharpResiduatedPoset) -> Optional[tuple[int,
     'The first C3 triple, read from the tables `c` carries, which may be mutated.'
     up_imp, odot = _source_tables(c)
     if up_imp is None:
-        up_imp = [[c.poset.upper_bits(m.bits) for m in row] for row in c.imps]
+        up_imp = [list(map(c.poset.upper_bits, row)) for row in _cell_masks(c)]
     return next(adjointness_failures(c.poset, c.inv, c.products, up_imp, odot), None)
 
 
@@ -151,12 +182,13 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
         None not in map(prod[x].__getitem__, iter_bits(up[inv[x]]))
         and prod[x].count(None) == n - up[inv[x]].bit_count() for x in range(n)
     )), "strictness: product defined iff x' <= y")
-    add("C2", first_asymmetric_pair(prod), "product not commutative")
+    cols = tuple(zip(*prod))
+    add("C2", None if cols == prod else first_asymmetric_pair(prod), "product not commutative")
     add("C2", first(1, lambda x: prod[x][p.top] == x == prod[p.top][x]), "top is not a unit")
     add("C2", first_nonassociative_triple(prod), "product not associative")
     # a column z defined at every x >= z' is monotone iff it is along the covers x < y
     # above z', by transitivity; the scan only names the witness, walking x >= z', y >= x
-    covers, cols = p._covers, list(zip(*prod))
+    covers = p._covers
 
     def monotone_on_covers(z):
         col, above = cols[z], up[inv[z]]
@@ -179,16 +211,15 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     add("C3", _first_adjointness_failure(c), "unsharp adjointness fails")
 
     # C4: x -> 0 = {x'}
-    add("C4", first(1, lambda x: c.imps[x][p.bottom].bits == 1 << inv[x]),
+    imps = _cell_masks(c)
+    add("C4", first(1, lambda x: imps[x][p.bottom] == 1 << inv[x]),
         "implication to bottom is not the involute singleton")
 
     # C5: divisibility x (.) (x -> y) = L(x,y), once per distinct pair in a row;
     # every product of the algebra's own is defined, as x -> y lies in U(x')
     odot = _source_tables(c)[1] or (lambda x, imp: _odot_bits(prod, imp, x))
     divisible = all(
-        odot(x, imp) == low
-        for x in range(n)
-        for imp, low in {(cell.bits, m) for cell, m in zip(c.imps[x], p.pair_lower[x])}
+        odot(x, imp) == low for x in range(n) for imp, low in set(zip(imps[x], p.pair_lower[x]))
     )
 
     if violations:
@@ -215,35 +246,25 @@ def check_dual_adjointness(c: UnsharpResiduatedPoset) -> PropertyReport:
 def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
     """Recover the effect algebra via x + y = (x' (.) y')' for x <= y'.
 
+    Row x is read off the product row of x' as a whole; a cell with x <= y'
+    and no product is a strictness gap, raised at its first y.
     The construction always validates when `c` came from a valid algebra;
     a failure therefore indicates an invalid input and is raised with the
     offending report attached.
     """
-    p = c.poset
-    n = p.n
-    inv = c.inv
-    sums: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if p.leq(x, inv[y]):
-                t = c.products[inv[x]][inv[y]]
-                if t is None:
-                    raise InvalidAlgebraError(
-                        ValidationReport(
-                            [Violation("C2", (inv[x], inv[y]), "strictness gap")]
-                        )
-                    )
-                sums[x][y] = inv[t]
-    report = validate_tables(p.labels, sums, p.bottom, p.top, name=c.name)
-    if not report.ok:
-        raise InvalidAlgebraError(report)
-    E = report.algebra
+    p, inv = c.poset, c.inv
+    undefined, sums = object(), []
+    for x, ux in enumerate(p.up):
+        prow = c.products[inv[x]]
+        row = [prow[v] if ux >> v & 1 else undefined for v in inv]
+        if None in row:
+            gap = Violation("C2", (inv[x], inv[row.index(None)]), "strictness gap")
+            raise InvalidAlgebraError(ValidationReport([gap]))
+        sums.append(tuple(None if t is undefined else inv[t] for t in row))
+    E = EffectAlgebra.from_tables(p.labels, sums, p.bottom, p.top, name=c.name)
     if E.order.up != p.up:
-        raise InvalidAlgebraError(
-            ValidationReport(
-                [Violation("order", (), "derived order differs from the poset")]
-            )
-        )
+        wrong = Violation("order", (), "derived order differs from the poset")
+        raise InvalidAlgebraError(ValidationReport([wrong]))
     return E
 
 
@@ -257,14 +278,11 @@ class RoundtripResult:
 
 
 def roundtrip_check(E: EffectAlgebra) -> RoundtripResult:
-    'Algebra -> residuated tables -> algebra; compare sum tables entrywise.'
+    'Algebra -> residuated tables -> algebra; compare sum tables, entrywise on a mismatch.'
     back = to_effect_algebra(from_effect_algebra(E, validate=False))
-    diffs = [
-        (x, y, E.sums[x][y], back.sums[x][y])
-        for x in range(E.n)
-        for y in range(E.n)
-        if E.sums[x][y] != back.sums[x][y]
-    ]
+    n, sums = E.n, back.sums
+    diffs = [] if E.sums == sums else [(x, y, E.sums[x][y], sums[x][y]) for x in range(n)
+                                       for y in range(n) if E.sums[x][y] != sums[x][y]]
     if E.labels != back.labels or E.zero != back.zero or E.one != back.one:
         diffs.append(("labels/bounds", E.labels, back.labels, (E.zero, E.one)))
     return RoundtripResult(not diffs, diffs)

@@ -14,10 +14,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import replace
-from typing import Union
+from typing import Optional, Union
 
 from unsharp import (
     EffectAlgebra,
+    InvalidAlgebraError,
     Involution,
     MonotonicityResult,
     Poset,
@@ -77,12 +78,14 @@ def _subset(E: EffectAlgebra, *elements: int) -> Subset:
 
 @functools.cache
 def _lower(p, a: Subset) -> Subset:
-    return p.lower_cone(a)
+    'L(A) by the definition: every v below every member of A, that is, A inside U(v).'
+    return Subset(sum(1 << v for v in range(p.n) if not a.bits & ~p.up[v]), p.n)
 
 
 @functools.cache
 def _upper(p, a: Subset) -> Subset:
-    return p.upper_cone(a)
+    'U(A) by the definition: every v above every member of A, that is, A inside L(v).'
+    return Subset(sum(1 << v for v in range(p.n) if not a.bits & ~p.down[v]), p.n)
 
 
 @functools.cache
@@ -382,6 +385,37 @@ def from_effect_algebra(E: EffectAlgebra) -> UnsharpResiduatedPoset:
     )
     imps = tuple(tuple(implies(E, x, y) for y in range(n)) for x in range(n))
     return UnsharpResiduatedPoset(E.order, E.comp, products, imps, name=E.name)
+
+
+def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
+    """Recover the effect algebra via x + y = (x' (.) y')' for x <= y', cell
+    by cell, raising the first strictness gap met in row-major order."""
+    p = c.poset
+    n = p.n
+    inv = c.inv
+    sums: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if p.leq(x, inv[y]):
+                t = c.products[inv[x]][inv[y]]
+                if t is None:
+                    raise InvalidAlgebraError(
+                        ValidationReport(
+                            [Violation("C2", (inv[x], inv[y]), "strictness gap")]
+                        )
+                    )
+                sums[x][y] = inv[t]
+    report = validate_tables(p.labels, sums, p.bottom, p.top, name=c.name)
+    if not report.ok:
+        raise InvalidAlgebraError(report)
+    E = report.algebra
+    if E.order.up != p.up:
+        raise InvalidAlgebraError(
+            ValidationReport(
+                [Violation("order", (), "derived order differs from the poset")]
+            )
+        )
+    return E
 
 
 def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:

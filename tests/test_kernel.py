@@ -12,6 +12,7 @@ import pytest
 from unsharp import (
     BUNDLED,
     EffectAlgebra,
+    InvalidAlgebraError,
     Subset,
     adjointness_exchange_equivalence,
     characterization_agreement,
@@ -33,9 +34,11 @@ from unsharp import (
     is_deductive_system,
     is_monotonous,
     set_implication_suite,
+    to_effect_algebra,
     validate_surp,
 )
 
+from unsharp import algebra
 from unsharp.implication import odot_image
 from unsharp.laws import _cone_adjointness_failures
 from unsharp.reports import _check
@@ -321,6 +324,42 @@ def test_mutated_tables_report_like_oracle():
     }
 
 
+def recovered(to_algebra, c):
+    'The fields of the algebra `to_algebra` recovers from `c`, or the violations it raises.'
+    try:
+        return oracles.algebra_fields(to_algebra(c))
+    except InvalidAlgebraError as exc:
+        return exc.report.violations
+
+
+def test_to_effect_algebra_matches_the_cell_loop(e6):
+    # the row-at-a-time recovery against the cell-by-cell loop: the same
+    # algebra or the same violations, the first strictness gap included, on
+    # mutated tables and on involutions that are not antitone, not involutive
+    # or not permutations, where {y : x <= y'} is not L(x')
+    rng = random.Random(41)
+    kinds = set()
+    cands = [bad for name in ("E9", "E6", "BOOL-3", "CHAIN-7")
+             for bad in mutations(from_effect_algebra(fixture(name), validate=False), rng, 150)]
+    c = from_effect_algebra(e6, validate=False)
+    n, a, a_comp, b, b_comp = e6.n, *(e6.labels.index(s) for s in ("a", "a'", "b", "b'"))
+    swapped = list(c.inv)
+    swapped[a], swapped[b_comp], swapped[b], swapped[a_comp] = b_comp, a, a_comp, b
+    cycled = list(c.inv)
+    cycled[a], cycled[b], cycled[a_comp] = b, a_comp, a
+    for inv in (swapped, range(n), cycled, [e6.one] * n, [*c.inv[1:], c.inv[0]]):
+        cands.append(replace(c, inv=tuple(inv)))
+    for cand in cands:
+        want = recovered(oracles.to_effect_algebra, cand)
+        assert recovered(to_effect_algebra, cand) == want, cand.name
+        kinds.add(want[0].message if isinstance(want, list) else "recovered")
+    # recovered algebras, strictness gaps, and failures at E1, E4, E3, the order axioms and E2
+    assert kinds == {"recovered", "strictness gap", "sum table is not symmetric",
+                     "sum with the top element defined", "no orthosupplement",
+                     "duplicate complement candidates", "induced relation not reflexive",
+                     "induced relation not transitive", "associativity fails"}
+
+
 def test_c3_reads_the_cells_after_replace_or_assignment(e9):
     # on the tables `from_effect_algebra` builds, C3 reads U(y -> z) off the
     # algebra; a copy made by `replace`, or an assignment to `imps`, must be
@@ -409,10 +448,20 @@ def test_monotonicity_scan_takes_z_before_x(e6):
     ]
 
 
-def test_mutated_sum_tables_report_like_oracle():
+def test_mutated_sum_tables_report_like_oracle(monkeypatch):
     # one cell of the sum table changed, each row keeping its 1 so that
     # x' is still read off; check_sum_laws reports on every such table,
-    # x -> x' a permutation or not, undefined sums included
+    # x -> x' a permutation or not, undefined sums included.  The
+    # definedness clause takes its row-by-row test where ' is an antitone
+    # involution, and the scan where it is not or where that test fails
+    paths = set()
+
+    def spy(name, n, arity, holds, quick=None, key=None):
+        if name == "sum_defined_iff_below_complement":
+            paths.add("scan" if quick is None else "quick" if quick() else "quick, then scan")
+        return _check(name, n, arity, holds, quick, key)
+
+    monkeypatch.setattr(algebra, "_check", spy)
     rng = random.Random(3)
     compared, failing = 0, set()
     for name in ("E9", "E6", "BOOL-3", "CHAIN-7", "BOOL-4"):
@@ -433,6 +482,7 @@ def test_mutated_sum_tables_report_like_oracle():
         "sum_monotone", "sum_defined_iff_below_complement", "difference_recovery",
         "zero_neutral", "complement_antitone",
     }
+    assert paths == {"quick", "quick, then scan", "scan"}
 
 
 SET_KINDS = ("empty", "principal", "other down-set", "one maximal, not a down-set",
@@ -595,6 +645,26 @@ def test_interval_images_match_the_walk(labeled, fixtures):
                 else:
                     kinds.add(("other", any(isinstance(w, str) for w in want)))
     assert kinds == {"interval", "far sum", "far product", ("other", False), ("other", True)}
+
+
+def test_cones_match_oracle(labeled, fixtures):
+    # L(A) and U(A) against the definition: on every interval [p,q], where
+    # two or more members give L(p) and U(q), and on seeded masks that are
+    # empty, singletons or not intervals, which are walked
+    rng = random.Random(37)
+    kinds = set()
+    for E in [*labeled, *fixtures]:
+        n, p = E.n, E.order
+        seeded = [0, *(1 << rng.randrange(n) for _ in range(2)),
+                  *(rng.getrandbits(n) for _ in range(6))]
+        for mask in [*p._intervals, *seeded]:
+            a = Subset(mask, n)
+            got = p.lower_bits(mask), p.upper_bits(mask)
+            assert got == (oracles._lower(p, a).bits, oracles._upper(p, a).bits), (E.name, mask)
+            kinds.add("interval" if mask in p._intervals and len(a) > 1
+                      else "other" if len(a) > 1 else len(a))
+        oracles.forget()
+    assert kinds == {"interval", "other", 0, 1}
 
 
 def test_cone_pair_matches_oracle(labeled, fixtures):

@@ -5,9 +5,11 @@ import pytest
 from unsharp import (
     EffectAlgebra,
     InvalidAlgebraError,
+    Subset,
     adjointness_exchange_equivalence,
     check_dual_adjointness,
     from_effect_algebra,
+    implies,
     roundtrip_check,
     surp_roundtrip_check,
     to_effect_algebra,
@@ -42,6 +44,32 @@ def test_roundtrip_both_ways(small_algebras, fixture_algebras):
         c = from_effect_algebra(E)
         back = surp_roundtrip_check(c)
         assert back.equal, (E.name, back.diffs[:3])
+
+
+def test_implication_rows_act_as_tuples_of_subsets(e9):
+    # the rows `from_effect_algebra` makes keep masks; read, they are the
+    # tuples of Subsets the cells stand for
+    c = from_effect_algebra(e9, validate=False)
+    n = e9.n
+    want = tuple(tuple(implies(e9, x, y) for y in range(n)) for x in range(n))
+    assert type(c.imps) is tuple and len(c.imps) == n
+    for row, cells in zip(c.imps, want):
+        assert len(row) == n
+        assert [row[y] for y in range(-n, n)] == [cells[y] for y in range(-n, n)]
+        assert row[2:5] == cells[2:5] and row[::-1] == cells[::-1]
+        with pytest.raises(IndexError):
+            row[n]
+        assert list(row) == list(cells) and tuple(row) == cells
+        assert row == cells and cells == row and not row != cells and not cells != row
+        assert repr(row) == repr(cells) and hash(row) == hash(cells)
+        other = cells[:-1] + (Subset(cells[-1].bits ^ 1, n),)
+        assert row != other and other != row
+    assert c.imps == want and want == c.imps
+    assert repr(c) == repr(replace(c, imps=want))
+    assert [list(row) for row in c.imps] == [list(cells) for cells in want]
+    copy = replace(c, imps=c.imps)
+    assert copy == c and copy.imps is c.imps
+    assert validate_surp(copy) == validate_surp(replace(c, imps=want))
 
 
 def test_to_effect_algebra_spot_values(e9):
