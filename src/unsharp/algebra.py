@@ -32,16 +32,17 @@ class EffectAlgebra:
     The constructor is the only way an instance is made, and it checks
     nothing: `validate_tables` (and so :meth:`from_tables`) calls it once E3
     holds, decides the order stages on the instance and returns it only if
-    the table passes; the enumerator and `relabel` call it on isomorphic
-    images of validated tables.  It takes the labels as a tuple and the sums
-    as a tuple of rows, None where undefined, and reads x' (the u with
-    x + u = 1) and the order (x <= y iff x + z = y for some z) off the rows
-    in one pass.  Instances are immutable afterwards, so the implication and
-    product tables are built on first use and kept.  The `*_bits` helpers
-    work on subsets given as bitmasks and assume the operation is defined,
-    which holds wherever the law suites call them.  In every effect algebra
-    the image of an interval under ', x + and x (.) is an interval, which
-    those helpers read off two cones; any other set is walked member by member.
+    the table passes; the enumerator calls it on tables valid by
+    construction and `relabel` on isomorphic images of valid tables.  It
+    takes the labels as a tuple and the sums as a tuple of rows, None where
+    undefined, and reads x' (the u with x + u = 1) and the order (x <= y iff
+    x + z = y for some z) off the rows in one pass.  Instances are immutable
+    afterwards, so the implication and product tables are built on first
+    use and kept.  The `*_bits` helpers work on subsets given as bitmasks
+    and assume the operation is defined, which holds wherever the law
+    suites call them.  In every effect algebra the image of an interval
+    under ', x + and x (.) is an interval, which those helpers read off two
+    cones; any other set is walked member by member.
     """
 
     __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name", "__dict__")

@@ -208,7 +208,7 @@ def cmd_enumerate(args) -> int:
         result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso)
         labeled, iso = result.labeled_count, result.iso_count
     else:  # the count line alone needs no labeled algebra
-        labeled, iso, _, _ = _count_free(args.n)
+        labeled, iso, _ = _count_free(args.n)
     print(f"n={args.n}: {labeled} labeled, {iso} up to isomorphism")
     if emit:
         for E in result.algebras:

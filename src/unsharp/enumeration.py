@@ -8,11 +8,12 @@ upper-triangle cells one by one (mirroring symmetrically).  No sum with
 the top element is defined and no free cell takes 0 or 1.  A value
 is pruned when it breaks cancellativity (a + b = a + c forces b = c, so
 no value repeats in a row; against the preset column x + 0 = x this also
-rules out x + y in {x, y}) or associativity over decided triples.
-Associativity is checked incrementally: after a cell is assigned only the
-triples that read it are evaluated, since every other decided triple
-already passed at an earlier node, so each node costs O(n^2) instead of
-O(n^3).
+rules out x + y in {x, y}) or associativity over the triples that read
+the cell just filled; every other decided triple passed at an earlier
+node, so each node costs O(n^2) instead of O(n^3).  So every completed
+table is an effect algebra and nothing validates it: E1 by mirroring, E2
+by the prune, E3 as x + x' = 1 is preset and no free cell takes 1, and E4
+as no sum with 1 is defined but 0 + 1.
 
 Every other labeled table is reached by relabeling.  For each involution
 s of type j one permutation tau with tau s_j tau^-1 = s is fixed (pairs go
@@ -20,21 +21,20 @@ to pairs in order, fixed points to fixed points in order); tau carries a
 table with complement s_j to one with complement s, and tau^-1 carries it
 back.  So (tau, T) -> tau.T is a bijection from the pairs (involution of
 type j, base table of type j) onto the labeled tables of type j, and no
-table is found twice.  A relabeling is an isomorphism, so each base table
-is validated, and its canonical form found, once for its whole orbit.
-The counts need nothing more: a valid base table of type j stands for
-|relabelings of type j| labeled tables, and each distinct form is a
-class.  Only a listing relabels, each tau once as a getter over the cells
-and a lookup of the values; the labeled tables are sorted into the order
-of a cell-by-cell search, and each listed algebra comes from the
-EffectAlgebra constructor, which reads it off its rows.  The result
-counts search nodes and tables in refused orbits.
+table is found twice.  A relabeling is an isomorphism, so a base table of
+type j stands for |relabelings of type j| labeled tables, and its
+canonical form for their class.  Only a listing relabels, each tau once
+as a getter over the cells and a lookup of the values; the labeled tables
+are sorted into the order of a cell-by-cell search, and each listed
+algebra comes from the EffectAlgebra constructor, which reads it off its
+rows.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn
 and the definedness pattern is forced, which keeps carriers like n = 9
 tractable.  Both modes run one search routine, which differs only in the
-values each cell may take.
+values each cell may take, and one count routine, where the restricted
+tables form one group with the identity as its only relabeling.
 
 `canonical_form`, `find_isomorphism` and `is_isomorphic` all rest on one
 canonical labeling, found by an individualization-refinement search.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .algebra import EffectAlgebra, validate_tables
+from .algebra import EffectAlgebra
 from .poset import Poset, iter_bits
 
 UNKNOWN = -2
@@ -99,14 +99,10 @@ def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
 
 
 def _search(t, cells, choices, idx, n, out) -> int:
-    """Fill cells[idx:] depth first, trying the values choices[i] at cells[i].
-
-    The complement cells are preset, so every row already holds its 1.  A
-    value is pruned by cancellativity or associativity; against the preset
-    column x + 0 = x, cancellativity already refuses x + y in {x, y}.
-    Completed tables are appended to out.  Returns the number of search
-    nodes below this one: partial tables that passed every prune.
-    """
+    """Fill cells[idx:] depth first, trying the values choices[i] at cells[i]
+    and pruning by cancellativity and associativity.  Completed tables are
+    appended to out.  Returns the number of search nodes below this one:
+    partial tables that passed every prune."""
     if idx == len(cells):
         out.append(tuple(tuple(None if v == UNDEF else v for v in row) for row in t))
         return 0
@@ -208,23 +204,22 @@ def _free_tables(types: list) -> list:
     return tables
 
 
-def _forms(labels, base: list, order: Optional[Poset] = None) -> list:
-    """Per base table: the canonical form of its orbit, or None where the
-    validator (or the order filter) refuses it; one validation serves the orbit."""
-    found = (validate_tables(labels, tab, 0, len(tab) - 1).algebra for tab in base)
-    return [canonical_form(E) if E is not None and (order is None or E.order.up == order.up)
-            else None for E in found]
+def _forms(labels, base: list) -> list:
+    'The canonical form of each base table, which serves its whole orbit.'
+    return [canonical_form(EffectAlgebra(labels, tab, 0, len(tab) - 1)) for tab in base]
 
 
-def _count_free(n: int) -> tuple[int, int, int, int]:
-    """(labeled, iso, nodes, rejected) as `enumerate_effect_algebras(n)` counts
-    them: a base table stands for |relabelings of its type| labeled tables,
-    so nothing is relabeled, sorted or built."""
-    types = _free_types(n, None)
-    labeled = sum(len(taus) * (len(forms) - forms.count(None)) for taus, _, forms, _ in types)
-    rejected = sum(len(taus) * forms.count(None) for taus, _, forms, _ in types)
-    classes = {form for _, _, forms, _ in types for form in forms} - {None}
-    return labeled, len(classes), sum(t[3] for t in types), rejected
+def _counts(groups: list) -> tuple[int, int, int]:
+    """(labeled, iso, nodes) over groups (relabelings, base tables, forms, nodes):
+    a base table stands for one labeled table per relabeling of its group."""
+    labeled = sum(len(taus) * len(forms) for taus, _, forms, _ in groups)
+    classes = {form for _, _, forms, _ in groups for form in forms}
+    return labeled, len(classes), sum(g[3] for g in groups)
+
+
+def _count_free(n: int) -> tuple[int, int, int]:
+    'The counts of `enumerate_effect_algebras(n)`, with nothing relabeled, sorted or built.'
+    return _counts(_free_types(n, None))
 
 
 @dataclass
@@ -235,7 +230,6 @@ class EnumerationResult:
     iso_count: int
     up_to_iso: bool
     nodes: int  # search nodes visited, over every complement type or involution
-    rejected: int  # labeled tables in the orbits the validator or the order filter refused
 
 
 def enumerate_effect_algebras(
@@ -251,37 +245,30 @@ def enumerate_effect_algebras(
     always computed).  With `induced_order` only tables inducing exactly
     that order are produced.  `threads`, a library-only keyword (the CLI
     runs in one process), splits the free search by complement type.
+    A table the search completes is valid by construction, and one of the
+    restricted search induces exactly the given order: see `_restricted_tables`.
     """
-    if induced_order is not None:
+    if induced_order is None:
+        if not 2 <= n <= MAX_FREE:
+            raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
+        groups, labels = _free_types(n, threads), _default_labels(n)
+        tables = _free_tables(groups)
+    else:
         if induced_order.n != n:
             raise ValueError("order carrier differs from n")
         if not 2 <= n <= MAX_RESTRICTED:
             raise ValueError(f"restricted search supports 2..{MAX_RESTRICTED} elements")
         found, nodes = _restricted_tables(induced_order)
         labels = induced_order.labels
-        forms = [_forms(labels, found, induced_order)]
+        groups = [([tuple(range(n))], found, _forms(labels, found), nodes)]
         tables = [(tab, (0, i)) for i, tab in enumerate(found)]
-    else:
-        if not 2 <= n <= MAX_FREE:
-            raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
-        types = _free_types(n, threads)
-        labels, nodes = _default_labels(n), sum(t[3] for t in types)
-        forms = [t[2] for t in types]
-        tables = _free_tables(types)
-
-    algebras, classes, labeled = [], set(), 0
-    for tab, (j, b) in tables:
-        form = forms[j][b]
-        if form is None:
-            continue
-        # with up_to_iso a class keeps its first labeled member
-        if not (up_to_iso and form in classes):
-            algebras.append(EffectAlgebra(labels, tab, 0, n - 1, f"EA{n}-{labeled}"))
-        classes.add(form)
-        labeled += 1
-    return EnumerationResult(
-        n, algebras, labeled, len(classes), up_to_iso, nodes, len(tables) - labeled
-    )
+    labeled, iso, nodes = _counts(groups)
+    # the listing: with up_to_iso each class keeps its first labeled member
+    firsts: dict = {}
+    for i, (tab, (j, b)) in enumerate(tables):
+        firsts.setdefault(groups[j][2][b] if up_to_iso else i, (i, tab))
+    algebras = [EffectAlgebra(labels, tab, 0, n - 1, f"EA{n}-{i}") for i, tab in firsts.values()]
+    return EnumerationResult(n, algebras, labeled, iso, up_to_iso, nodes)
 
 
 # -- restricted search over a fixed order ----------------------------------
@@ -332,7 +319,16 @@ def _antitone_involutions(p: Poset) -> list[tuple[int, ...]]:
 
 
 def _restricted_tables(p: Poset) -> tuple[list, int]:
-    'Completed tables whose complements and definedness fit p, and the node count.'
+    """Completed tables whose complements and definedness fit p, and the node count.
+
+    Each is valid by construction (see the module docstring) and induces
+    exactly p.  In an effect algebra a <= b iff a + b' is defined (Foulis
+    and Bennett 1994), and b' = inv(b) here, so it suffices that x + y is
+    defined iff x <= inv(y) in p.  The presets at the bounds agree, as 0 is
+    p's bottom and 1 its top; an interior cell is preset undefined unless
+    x <= inv(y), and otherwise it is preset to 1 or free, and a free cell
+    never takes undefined.
+    """
     n = p.n
     if p.bottom != 0 or p.top != n - 1:
         raise ValueError("restricted search expects bottom 0 and top n-1")

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,8 +27,8 @@ from unsharp.enumeration import (
     _free_tables,
     _free_types,
     _relabelings,
+    _type_tables,
 )
-from unsharp.reports import Violation
 
 import oracles
 from conftest import idx
@@ -79,7 +78,7 @@ def classes(n):
 
 def test_pinned_counts_at_eight():
     res = classes(8)
-    assert (res.labeled_count, res.iso_count, res.rejected) == (15136, 40, 0)
+    assert (res.labeled_count, res.iso_count) == (15136, 40)
     assert len(res.algebras) == 40 and res.nodes == FREE_NODES[8]
 
 
@@ -110,7 +109,7 @@ def test_count_path_equals_the_listing(n):
     # the count path sums the orbits of the base tables; the listing path
     # relabels, sorts and builds them
     res = classes(n)
-    assert _count_free(n) == (res.labeled_count, res.iso_count, res.nodes, res.rejected)
+    assert _count_free(n) == (res.labeled_count, res.iso_count, res.nodes)
 
 
 def test_orbit_identity_small():
@@ -384,6 +383,8 @@ def _restricted_orders():
 # a change here changes the search's work
 FREE_NODES = {2: 0, 3: 0, 4: 6, 5: 20, 6: 207, 7: 663, 8: 7738}
 RESTRICTED_NODES = {"E9": 22, "CHAIN-10": 339}
+# base tables over the complement types: one per orbit of relabelings
+BASE_TABLES = {2: 1, 3: 1, 4: 4, 5: 6, 6: 41, 7: 71, 8: 800, 9: 1588}
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -415,7 +416,7 @@ def test_threads_two_equals_serial(n):
     par = enumerate_effect_algebras(n, threads=2)
     assert [(E.name, E.sums) for E in par.algebras] == [(E.name, E.sums) for E in seq.algebras]
     assert (par.labeled_count, par.iso_count) == (seq.labeled_count, seq.iso_count)
-    assert (par.nodes, par.rejected) == (seq.nodes, seq.rejected)
+    assert par.nodes == seq.nodes
     assert seq.nodes > 0
 
 
@@ -457,13 +458,13 @@ def test_threads_clamped(monkeypatch, threads, cpus, pool):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_transported_algebras_match_full_validation(n):
-    # the enumerator validates one table per orbit and reads the rest off
-    # their rows; validating every labeled table must build the same algebras
-    want, rejected = oracles.validate_each_table(
+    # the enumerator validates no table and reads each off its rows;
+    # validating every labeled table must build the same algebras
+    want, refused = oracles.validate_each_table(
         _default_labels(n), [tab for tab, _ in _free_tables(_free_types(n, None))]
     )
     res = enumerate_effect_algebras(n)
-    assert res.rejected == rejected == 0
+    assert refused == 0
     assert list(map(oracles.algebra_fields, res.algebras)) == list(
         map(oracles.algebra_fields, want)
     )
@@ -487,52 +488,49 @@ def complement_pairs(tab) -> int:
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_one_validation_per_base_table(monkeypatch, n):
+    # nothing is validated; the one thing done per base table rather than
+    # per labeled table is its canonical form
     import unsharp.enumeration as enumeration
 
     calls = []
-    real = enumeration.validate_tables
-    monkeypatch.setattr(
-        enumeration, "validate_tables", lambda *a, **k: calls.append(a) or real(*a, **k)
-    )
+    real = enumeration.canonical_form
+    monkeypatch.setattr(enumeration, "canonical_form", lambda E: calls.append(E) or real(E))
     types = [complement_pairs(E.sums) for E in enumerate_effect_algebras(n).algebras]
     # each base table of type j stands for |relabelings of type j| labeled tables
     bases = sum(types.count(j) // len(_relabelings(n, j)) for j in set(types))
-    assert len(calls) == bases == {2: 1, 3: 1, 4: 4, 5: 6, 6: 41, 7: 71}[n]
+    assert len(calls) == bases == BASE_TABLES[n]
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_free_search_rejects_no_completed_table(n):
-    assert enumerate_effect_algebras(n).rejected == 0
+    # the search is its own validator: every base table of every complement
+    # type passes the oracle's validator
+    base = [tab for j in range((n - 2) // 2 + 1) for tab in _type_tables((n, j))[1]]
+    assert oracles.validate_each_table(_default_labels(n), base)[1] == 0
+    assert len(base) == BASE_TABLES[n]
 
 
-def test_rejected_counts_what_the_validator_refuses(monkeypatch):
-    import unsharp.enumeration as enumeration
-
-    real = enumeration.validate_tables
-    refused = []
-
-    def refuse_one(*args, **kwargs):
-        # the first table validated whose orbit has more than one member
-        report = real(*args, **kwargs)
-        if not refused and len(_relabelings(5, complement_pairs(args[1]))) > 1:
-            refused.append(args[1])
-        if args[1] in refused:
-            return replace(report, violations=[Violation("planted", ())], algebra=None)
-        return report
-
-    monkeypatch.setattr(enumeration, "validate_tables", refuse_one)
-    res = enumerate_effect_algebras(5)
-    counted = _count_free(5)
-    # one table stands for its base table's orbit, so the whole orbit goes,
-    # from the listing and from the counts alike
-    (refused,) = refused
-    orbit = len(_relabelings(5, complement_pairs(refused)))
-    assert orbit > 1
-    assert (res.labeled_count, res.rejected) == (16 - orbit, orbit)
-    assert counted == (res.labeled_count, res.iso_count, res.nodes, res.rejected)
-    assert [E.name for E in res.algebras] == [f"EA5-{i}" for i in range(16 - orbit)]
-    monkeypatch.undo()
-    kept = {E.sums for E in res.algebras}
-    gone = [E for E in enumerate_effect_algebras(5).algebras if E.sums not in kept]
-    assert len(gone) == orbit and refused in [E.sums for E in gone]
-    assert all(is_isomorphic(E, gone[0]) for E in gone)
+def test_restricted_search_agrees_with_free_listing(e9):
+    # no order filter runs: for every order among the free listing's
+    # algebras with n <= 7 (892 orders), the restricted search finds exactly
+    # the free tables inducing it, and each is valid and induces it; on the
+    # orders of E9 and CHAIN-10 it finds valid tables inducing them
+    orders = 0
+    for n, total in zip(range(2, 8), (1, 1, 4, 16, 142, 1006)):
+        by_order: dict = {}
+        for E in enumerate_effect_algebras(n).algebras:
+            by_order.setdefault(E.order.up, (E.order, set()))[1].add(E.sums)
+        counted = 0
+        for order, sums in by_order.values():
+            res = enumerate_effect_algebras(n, induced_order=order)
+            tables = [E.sums for E in res.algebras]
+            assert res.labeled_count == len(tables) == len(sums), (n, order.up)
+            assert set(tables) == sums, (n, order.up)
+            assert oracles.validate_each_table(order.labels, tables, order)[1] == 0
+            counted += res.labeled_count
+        assert counted == total, n
+        orders += len(by_order)
+    assert orders == 1 + 1 + 3 + 13 + 103 + 771
+    for order in (e9.order, fixture("CHAIN-10").order):
+        tables = [E.sums for E in enumerate_effect_algebras(order.n, induced_order=order).algebras]
+        assert tables and oracles.validate_each_table(order.labels, tables, order)[1] == 0
