@@ -28,7 +28,7 @@ _HOME = {
          " identity_contraposition_equivalence"),
         ("poset", "Involution Poset Subset validate_involution"),
         ("residuation", "UnsharpResiduatedPoset adjointness_exchange_equivalence"
-         " check_dual_adjointness from_effect_algebra roundtrip_check"
+         " from_effect_algebra roundtrip_check"
          " surp_roundtrip_check to_effect_algebra validate_surp"),
     )
     for name in names.split()

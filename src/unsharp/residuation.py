@@ -12,7 +12,6 @@ candidates report exactly what they break.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -27,12 +26,12 @@ from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, 
 @dataclass
 class UnsharpResiduatedPoset:
     """Product and implication tables over a bounded involutive poset; each row of
-    `imps` is a sequence of the `Subset`s x -> y, which `from_effect_algebra` keeps as masks."""
+    `imps` holds the cells x -> y as int masks over the carrier."""
 
     poset: Poset
     inv: tuple[int, ...]
     products: tuple[tuple[Optional[int], ...], ...]
-    imps: tuple[tuple[Subset, ...], ...]
+    imps: tuple[tuple[int, ...], ...]
     name: str = "C"
     validated: bool = False
     divisible: Optional[bool] = None
@@ -49,41 +48,7 @@ class UnsharpResiduatedPoset:
         return self.products[x][y]
 
     def imp(self, x: int, y: int) -> Subset:
-        return self.imps[x][y]
-
-    def odot_image(self, a: Subset, y: int) -> Optional[Subset]:
-        'A (.) y elementwise; None when any product is undefined.'
-        bits = _odot_bits(self.products, a.bits, y)
-        return None if bits is None else Subset(bits, self.n)
-
-
-class _CellRow(Sequence):
-    'A row of implication cells kept as masks; it equals, and prints as, its tuple of Subsets.'
-
-    __slots__ = ("masks", "n")
-
-    def __init__(self, masks: tuple[int, ...], n: int):
-        self.masks, self.n = masks, n
-
-    def __getitem__(self, y):
-        return tuple(self)[y] if isinstance(y, slice) else Subset._wrap(self.masks[y], self.n)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-def _cell_masks(c: "UnsharpResiduatedPoset") -> list:
-    'The cells of `c` as rows of masks, read off any row that is not a `_CellRow`.'
-    return [row.masks if type(row) is _CellRow else [cell.bits for cell in row] for row in c.imps]
+        return Subset(self.imps[x][y], self.n)
 
 
 def _odot_bits(products, mask: int, y: int) -> Optional[int]:
@@ -101,13 +66,10 @@ def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResid
     """Derive product and implication tables from an effect algebra.
 
     x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).  The product
-    table is the algebra's own, and each row of cells keeps the algebra's
-    row of masks.  With `validate`, tables failing C1-C4 raise
-    InvalidAlgebraError carrying the report.
+    table and the cell masks are the algebra's own.  With `validate`, tables
+    failing C1-C4 raise InvalidAlgebraError carrying the report.
     """
-    imps = tuple(_CellRow(row, E.n) for row in E.imp_bits)
-    c = UnsharpResiduatedPoset(E.order, E.comp, E.products, imps, name=E.name)
-    c._source = (imps, E)  # C3 reads U(y -> z) off E while c keeps these cells
+    c = UnsharpResiduatedPoset(E.order, E.comp, E.products, E.imp_bits, name=E.name)
     if validate:
         report = validate_surp(c)
         if not report.ok:
@@ -120,8 +82,7 @@ def adjointness_failures(p: Poset, inv, products, up_imp, odot=None) -> Iterator
     """Triples breaking unsharp adjointness (C3), in lexicographic order:
     U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z),
     with U(y -> z) read from the table `up_imp`.  U(x,y') (.) y is read off
-    `products`, or given `odot`, an algebra's own `odot_bits`, as
-    y (.) U(x,y'), every product of which is defined: U(x,y') lies in U(y')."""
+    `products`, or given `odot`, as odot(y, U(x,y')): U(x,y') lies in U(y')."""
 
     def sides(y, umask, uls, uis):
         image = _odot_bits(products, umask, y) if odot is None else odot(y, umask)
@@ -131,35 +92,36 @@ def adjointness_failures(p: Poset, inv, products, up_imp, odot=None) -> Iterator
     return _walk_u_classes(p, inv, up_imp, sides)
 
 
-def _source_tables(c: UnsharpResiduatedPoset):
-    """U(y -> z) of the algebra `from_effect_algebra` built `c` from while `c` has its cells
-    and order, and its `odot_bits` while also its products and involution; else None."""
-    imps, E = getattr(c, "_source", (None, None))
-    if imps is not c.imps or E.order is not c.poset:
-        return None, None
-    return E.up_imp_bits, E.odot_bits if E.products is c.products and E.comp is c.inv else None
-
-
-def _first_adjointness_failure(c: UnsharpResiduatedPoset) -> Optional[tuple[int, int, int]]:
-    'The first C3 triple, read from the tables `c` carries, which may be mutated.'
-    up_imp, odot = _source_tables(c)
-    if up_imp is None:
-        up_imp = [list(map(c.poset.upper_bits, row)) for row in _cell_masks(c)]
-    return next(adjointness_failures(c.poset, c.inv, c.products, up_imp, odot), None)
-
-
 def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     """Check (C1)-(C4) and set the divisibility flag per (C5).
 
-    A failed involution (C1) stops the run; the remaining conditions are
-    each checked independently with one witness apiece, since a single
-    mutation can break several at once.
+    Every cell of `c.imps` must be an int mask over the carrier, n rows of n;
+    anything else raises ValueError.  A failed involution (C1) stops the run;
+    the remaining conditions are each checked independently with one witness
+    apiece, since a single mutation can break several at once.
+
+    C3 and C5 take images y (.) A of sets A inside U(y').  Once C2 passes,
+    y (.) is an order isomorphism of U(y') onto L(y): it is monotone, with
+    y (.) a <= y (.) 1 = y; recovery, at x = t <= y and at x = a' for a >= y',
+    makes t -> (y (.) t')' its inverse on both sides, and that inverse is
+    monotone as ' is antitone.  So y (.) [p,q] = [y (.) p, y (.) q], read off
+    two cones.  Before C2 passes, and on a cell outside U(y'), which is not
+    divisible, the members are walked.  U(y -> z) is built from the cells.
     """
     p = c.poset
     n, up = p.n, p.up
     inv = c.inv
     prod = c.products
+    imps = c.imps
     violations: list[Violation] = []
+
+    if len(imps) != n or any(len(row) != n for row in imps):
+        raise ValueError("implication table is not n x n")
+    for x, row in enumerate(imps):
+        for y, m in enumerate(row):
+            if not (isinstance(m, int) and 0 <= m <= p.full_bits):
+                raise ValueError(
+                    f"implication cell ({x}, {y}) is not a mask over the carrier: {m!r}")
 
     inv_report = validate_involution(p, Involution(tuple(inv)))
     if not inv_report.ok:
@@ -207,40 +169,29 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
                     if (v := prod[y][inv[x]]) is None or prod[y][inv[v]] != x), None),
         "recovery x = y (.) (y (.) x')' fails")
 
+    c2_passed = not violations
+
+    def odot(y, mask):
+        if c2_passed and not mask & ~up[inv[y]]:
+            return _image(prod[y], mask, p)
+        return _odot_bits(prod, mask, y)
+
     # C3: unsharp adjointness, quantified over all triples
-    add("C3", _first_adjointness_failure(c), "unsharp adjointness fails")
+    up_imp = [list(map(p.upper_bits, row)) for row in imps]
+    add("C3", next(adjointness_failures(p, inv, prod, up_imp, odot), None),
+        "unsharp adjointness fails")
 
     # C4: x -> 0 = {x'}
-    imps = _cell_masks(c)
     add("C4", first(1, lambda x: imps[x][p.bottom] == 1 << inv[x]),
         "implication to bottom is not the involute singleton")
+    if violations:
+        return ValidationReport(violations, None)
 
-    # C5: divisibility x (.) (x -> y) = L(x,y), once per distinct pair in a row;
-    # every product of the algebra's own is defined, as x -> y lies in U(x')
-    odot = _source_tables(c)[1] or (lambda x, imp: _odot_bits(prod, imp, x))
+    # C5: divisibility x (.) (x -> y) = L(x,y), once per distinct pair in a row
     divisible = all(
         odot(x, imp) == low for x in range(n) for imp, low in set(zip(imps[x], p.pair_lower[x]))
     )
-
-    if violations:
-        return ValidationReport(violations, None)
-    out = replace(c, validated=True, divisible=divisible)
-    return ValidationReport([], out)
-
-
-def check_dual_adjointness(c: UnsharpResiduatedPoset) -> PropertyReport:
-    """The cone-order form of adjointness: for every triple,
-    U(x,y') (.) y >= L(y,z) iff U(x,y') >= (y -> z).
-
-    Unfolding A <= B as "B inside U(A)" turns each cone-order side into
-    the corresponding subset-inclusion side of C3's primary condition, so
-    the cone form fails exactly where C3 does, at the same first triple.
-    """
-    adj_wit = _first_adjointness_failure(c)
-    return PropertyReport(
-        "dual-adjointness",
-        [ClauseResult("cone_order_adjointness", adj_wit is None, adj_wit)],
-    )
+    return ValidationReport([], replace(c, validated=True, divisible=divisible))
 
 
 def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
@@ -289,10 +240,13 @@ def roundtrip_check(E: EffectAlgebra) -> RoundtripResult:
 
 
 def surp_roundtrip_check(c: UnsharpResiduatedPoset) -> RoundtripResult:
-    """Empirical check of the reverse round trip: tables -> algebra -> tables.
+    """The reverse round trip: tables -> algebra -> tables.
 
-    Not asserted as an invariant anywhere; callers decide what a mismatch
-    means for their candidate.
+    On tables passing C1-C4, `equal` holds iff C5 (divisibility) does.  The
+    products come back whole, and C5 asks y (.) (y -> z) = L(y,z) with every
+    product defined, so y -> z lies in U(y').  There y (.) is one-to-one (see
+    `validate_surp`), so only one cell passes C5, and the rebuilt cell
+    y' + L(y,z) does.
     """
     back = from_effect_algebra(to_effect_algebra(c), validate=False)
     diffs = []
@@ -301,7 +255,7 @@ def surp_roundtrip_check(c: UnsharpResiduatedPoset) -> RoundtripResult:
             if c.products[x][y] != back.products[x][y]:
                 diffs.append(("product", x, y, c.products[x][y], back.products[x][y]))
             if c.imps[x][y] != back.imps[x][y]:
-                diffs.append(("imp", x, y, c.imps[x][y], back.imps[x][y]))
+                diffs.append(("imp", x, y, c.imp(x, y), back.imp(x, y)))
     if c.poset.up != back.poset.up:
         diffs.append(("order", c.poset.up, back.poset.up))
     return RoundtripResult(not diffs, diffs)

@@ -383,7 +383,7 @@ def from_effect_algebra(E: EffectAlgebra) -> UnsharpResiduatedPoset:
     products = tuple(
         tuple(E.odot(x, y) for y in range(n)) for x in range(n)
     )
-    imps = tuple(tuple(implies(E, x, y) for y in range(n)) for x in range(n))
+    imps = tuple(tuple(implies(E, x, y).bits for y in range(n)) for x in range(n))
     return UnsharpResiduatedPoset(E.order, E.comp, products, imps, name=E.name)
 
 
@@ -532,7 +532,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
                 lyz = p.down[y] & p.down[z]
                 ul = _upper(p, Subset(lyz, n)).bits
                 lhs = image is not None and not (image.bits & ~ul)
-                target = _upper(p, c.imps[y][z]).bits
+                target = _upper(p, Subset(c.imps[y][z], n)).bits
                 rhs = not (umask & ~target)
                 if lhs != rhs:
                     wit = (x, y, z)
@@ -549,7 +549,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
         (
             (x,)
             for x in range(n)
-            if c.imps[x][p.bottom] != Subset.single(n, inv[x])
+            if Subset(c.imps[x][p.bottom], n) != Subset.single(n, inv[x])
         ),
         None,
     )
@@ -560,7 +560,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     divisible = True
     for x in range(n):
         for y in range(n):
-            image = _odot_image(c, c.imps[x][y], x)
+            image = _odot_image(c, Subset(c.imps[x][y], n), x)
             if image is None or image.bits != p.down[x] & p.down[y]:
                 divisible = False
                 break
@@ -591,9 +591,9 @@ def check_dual_adjointness(c: UnsharpResiduatedPoset) -> PropertyReport:
             for z in range(n):
                 lyz = Subset(p.down[y] & p.down[z], n)
                 incl_lhs = image is not None and image.issubset(_upper(p, lyz))
-                incl_rhs = ux.issubset(_upper(p, c.imps[y][z]))
+                incl_rhs = ux.issubset(_upper(p, Subset(c.imps[y][z], n)))
                 cone_lhs = image is not None and p.set_leq(lyz, image)
-                cone_rhs = p.set_leq(c.imps[y][z], ux)
+                cone_rhs = p.set_leq(Subset(c.imps[y][z], n), ux)
                 if cone_lhs != cone_rhs and adj_wit is None:
                     adj_wit = (x, y, z)
                 if (incl_lhs != cone_lhs or incl_rhs != cone_rhs) and match_wit is None:
@@ -629,13 +629,13 @@ def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
             for cc in range(n):
                 lbc = Subset(p.down[b] & p.down[cc], n)
                 adj_lhs = image is not None and image.issubset(_upper(p, lbc))
-                adj_rhs = u_ab.issubset(_upper(p, c.imps[b][cc]))
+                adj_rhs = u_ab.issubset(_upper(p, Subset(c.imps[b][cc], n)))
                 adj = adj_lhs == adj_rhs
                 ex_lhs = p.set_leq(
-                    c.imps[a][b], _upper(p, _subset(E, comp[a], comp[cc]))
+                    Subset(c.imps[a][b], n), _upper(p, _subset(E, comp[a], comp[cc]))
                 )
                 ex_rhs = p.set_leq(
-                    c.imps[a][cc], _upper(p, _subset(E, comp[a], comp[b]))
+                    Subset(c.imps[a][cc], n), _upper(p, _subset(E, comp[a], comp[b]))
                 )
                 exch = ex_lhs == ex_rhs
                 if not adj and adj_wit is None:

@@ -215,7 +215,7 @@ def test_criterion_09_mutation_sensitivity():
         E = fixture("E9")
         c = from_effect_algebra(E)
         imps = [list(row) for row in c.imps]
-        imps[1][0] = E.subset(7, 8)  # a -> 0 corrupted to {g,1}
+        imps[1][0] = E.subset(7, 8).bits  # a -> 0 corrupted to {g,1}
         broken = replace(c, imps=tuple(tuple(r) for r in imps), validated=False)
         rep = validate_surp(broken)
         v = rep.first("C4")
