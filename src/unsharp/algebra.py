@@ -49,13 +49,15 @@ class EffectAlgebra:
 
     def __init__(self, labels, sums, zero, one, name="E"):
         n = len(sums)
-        up, down = [0] * n, [0] * n
+        up, down = [], [0] * n
         for x, row in enumerate(sums):
+            bit, mask = 1 << x, 0
             for v in row:
                 if v is not None:
-                    up[x] |= 1 << v
-                    down[v] |= 1 << x
-        self.n, self.sums, self.comp = n, sums, tuple(row.index(one) for row in sums)
+                    mask |= 1 << v
+                    down[v] |= bit
+            up.append(mask)
+        self.n, self.sums, self.comp = n, sums, tuple([row.index(one) for row in sums])
         self.zero, self.one, self.labels, self.name = zero, one, labels, name
         self.order = Poset._unchecked(tuple(up), tuple(down), zero, one, labels)
 

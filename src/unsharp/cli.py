@@ -199,11 +199,13 @@ def cmd_laws(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .enumeration import MAX_FREE, _count_free, enumerate_effect_algebras
-    if not 2 <= args.n <= MAX_FREE:  # before --emit creates its directory
-        raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
+    from .enumeration import MAX_LISTED, MAX_SEARCH, _count_free, enumerate_effect_algebras
+    if not 2 <= args.n <= MAX_SEARCH:  # before --emit creates its directory
+        raise ValueError(f"unrestricted search supports 2..{MAX_SEARCH} elements")
     emit = args.emit and not args.count_only
     if emit:  # an unusable path fails before the search, not after it
+        if args.n > MAX_LISTED:
+            raise ValueError(f"--emit lists 2..{MAX_LISTED} elements")
         os.makedirs(args.emit, exist_ok=True)
         result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso)
         labeled, iso = result.labeled_count, result.iso_count

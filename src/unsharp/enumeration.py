@@ -10,10 +10,15 @@ is pruned when it breaks cancellativity (a + b = a + c forces b = c, so
 no value repeats in a row; against the preset column x + 0 = x this also
 rules out x + y in {x, y}) or associativity over the triples that read
 the cell just filled; every other decided triple passed at an earlier
-node, so each node costs O(n^2) instead of O(n^3).  So every completed
-table is an effect algebra and nothing validates it: E1 by mirroring, E2
-by the prune, E3 as x + x' = 1 is preset and no free cell takes 1, and E4
-as no sum with 1 is defined but 0 + 1.
+node, so each node costs O(n^2) instead of O(n^3).  Beside the table the
+search keeps its inverse rows, w[x][v] the a with x + a = v (one at most,
+by cancellativity), set when a cell takes a value and cleared when it
+gives it back: the cancellativity prune is two lookups, and the
+associativity prune reads the a with a + b = x off w instead of scanning
+row b.  So every completed table is an effect algebra and nothing
+validates it: E1 by mirroring, E2 by the prune, E3 as x + x' = 1 is
+preset and no free cell takes 1, and E4 as no sum with 1 is defined but
+0 + 1.
 
 Every other labeled table is reached by relabeling.  For each involution
 s of type j one permutation tau with tau s_j tau^-1 = s is fixed (pairs go
@@ -34,7 +39,9 @@ given poset; there every order-reversing involution is preset in turn
 and the definedness pattern is forced, which keeps carriers like n = 9
 tractable.  Both modes run one search routine, which differs only in the
 values each cell may take, and one count routine, where the restricted
-tables form one group with the identity as its only relabeling.
+tables form one group with the identity as its only relabeling, and both
+list their tables in one order.  The search and the counts reach n = 10;
+the free listing stops at n = 8, where it holds 15,136 algebras.
 
 `canonical_form`, `find_isomorphism` and `is_isomorphic` all rest on one
 canonical labeling, found by an individualization-refinement search.
@@ -54,24 +61,23 @@ from .poset import Poset, iter_bits
 UNKNOWN = -2
 UNDEF = -1
 
-MAX_FREE = 8
-MAX_RESTRICTED = 10
+MAX_SEARCH = 10  # both modes, and the free mode's counts
+MAX_LISTED = 8  # the free listing, whose names at n >= 9 are not decided
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n - 1)) + ("1",)
 
 
-def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
+def _assoc_cell_ok(t, w, n: int, x: int, y: int) -> bool:
     """Associativity over the decided triples that read cell (x, y) or (y, x).
 
     The cell can sit in the a+b slot, the b+c slot, the outer (a+b)+c slot
     (a+b equal to x or y) or the outer a+(b+c) slot.  Any other decided
     triple reads only cells that were already decided, and checked, at an
     earlier node.  The table is symmetric, so (a, b, c) fails exactly when
-    (c, b, a) does, and the a+b and (a+b)+c slots cover all four.  Rows
-    are injective on values (cancellativity), so a row holds x or y at
-    most once.
+    (c, b, a) does, and the a+b and (a+b)+c slots cover all four.  The
+    (a+b)+c slot reads a off the inverse rows w: the a with b + a = p.
     """
     for p, q in ((x, y),) if x == y else ((x, y), (y, x)):
         row_p, row_q = t[p], t[q]
@@ -86,41 +92,48 @@ def _assoc_cell_ok(t, n: int, x: int, y: int) -> bool:
             if left != right and left != UNKNOWN and right != UNKNOWN:
                 return False
         for b in range(1, n):  # (a+b)+q = a+(b+q) with a+b = p
-            row_b = t[b]
-            if b == p or p not in row_b:
+            a = w[b][p]
+            if a <= 0:  # no such a, or a = 0 and b = p
                 continue
-            s_bq = row_b[q]
+            s_bq = t[b][q]
             if s_bq == UNKNOWN:
                 continue
-            right = UNDEF if s_bq == UNDEF else t[row_b.index(p)][s_bq]
+            right = UNDEF if s_bq == UNDEF else t[a][s_bq]
             if right != s and right != UNKNOWN:
                 return False
     return True
 
 
-def _search(t, cells, choices, idx, n, out) -> int:
+def _search(t, w, cells, choices, idx, n, out) -> int:
     """Fill cells[idx:] depth first, trying the values choices[i] at cells[i]
-    and pruning by cancellativity and associativity.  Completed tables are
+    and pruning by cancellativity and associativity.  w holds the inverse
+    rows of t, w[x][v] the a with x + a = v or -1 while there is none; a
+    value sets them and backtracking clears them.  Completed tables are
     appended to out.  Returns the number of search nodes below this one:
     partial tables that passed every prune."""
     if idx == len(cells):
         out.append(tuple(tuple(None if v == UNDEF else v for v in row) for row in t))
         return 0
     x, y = cells[idx]
-    row_x, row_y = t[x], t[y]
+    row_x, row_y, w_x, w_y = t[x], t[y], w[x], w[y]
     nodes = 0
     for v in choices[idx]:
-        if v != UNDEF and (v in row_x or v in row_y):
-            continue  # cancellativity
+        if v != UNDEF:
+            if w_x[v] >= 0 or w_y[v] >= 0:
+                continue  # cancellativity
+            w_x[v], w_y[v] = y, x
         row_x[y] = row_y[x] = v
-        if _assoc_cell_ok(t, n, x, y):
-            nodes += 1 + _search(t, cells, choices, idx + 1, n, out)
+        if _assoc_cell_ok(t, w, n, x, y):
+            nodes += 1 + _search(t, w, cells, choices, idx + 1, n, out)
         row_x[y] = row_y[x] = UNKNOWN
+        if v != UNDEF:
+            w_x[v] = w_y[v] = -1
     return nodes
 
 
-def _complement_state(n: int, inv) -> list:
-    'The table with x + 0 = x, no other sum with 1, and x + inv[x] = 1 preset.'
+def _complement_state(n: int, inv) -> tuple[list, list]:
+    """The table with x + 0 = x, no other sum with 1, and x + inv[x] = 1
+    preset, and its inverse rows (see `_search`)."""
     t = [[UNKNOWN] * n for _ in range(n)]
     one = n - 1
     for x in range(n):
@@ -129,7 +142,7 @@ def _complement_state(n: int, inv) -> list:
         t[one][x] = t[x][one] = UNDEF
     for x in range(1, n - 1):
         t[x][inv[x]] = t[inv[x]][x] = one
-    return t
+    return t, [[row.index(v) if v in row else -1 for v in range(n)] for row in t]
 
 
 def _relabelings(n: int, j: int) -> list[tuple[int, ...]]:
@@ -169,10 +182,10 @@ def _type_tables(args) -> tuple:
     inv = list(range(n))
     for a in range(1, 2 * j, 2):
         inv[a], inv[a + 1] = a + 1, a
-    t = _complement_state(n, inv)
+    t, w = _complement_state(n, inv)
     cells = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1) if t[x][y] == UNKNOWN]
     base: list = []
-    nodes = _search(t, cells, [(UNDEF, *range(1, n - 1))] * len(cells), 0, n, base)
+    nodes = _search(t, w, cells, [(UNDEF, *range(1, n - 1))] * len(cells), 0, n, base)
     return _relabelings(n, j), base, _forms(_default_labels(n), base), nodes
 
 
@@ -197,11 +210,17 @@ def _free_tables(types: list) -> list:
         cells = [tuple(itertools.chain.from_iterable(tab)) for tab in base]
         for move in map(_mover, taus):
             tables += [(move(c), (j, b)) for b, c in enumerate(cells)]
-    # symmetric tables first differ, row by row, in the upper triangle (the
-    # mirror of a lower cell is in an earlier row), so the key reads only that
-    # part of the interior; interior sums are never 0, so 0 stands for undefined
-    tables.sort(key=lambda e: [v or 0 for i, row in enumerate(e[0][1:-1], 1) for v in row[i:-1]])
+    tables.sort(key=lambda e: _listing_key(e[0]))
     return tables
+
+
+def _listing_key(tab) -> list:
+    """Sorts tables into the order of one search over all cells with values
+    (undefined, 1..n-1), the listing order of both modes.  Symmetric tables
+    first differ, row by row, in the upper triangle (the mirror of a lower
+    cell is in an earlier row), so the key reads only that part of the
+    interior; interior sums are never 0, so 0 stands for undefined."""
+    return [v or 0 for i, row in enumerate(tab[1:-1], 1) for v in row[i:-1]]
 
 
 def _forms(labels, base: list) -> list:
@@ -247,17 +266,19 @@ def enumerate_effect_algebras(
     runs in one process), splits the free search by complement type.
     A table the search completes is valid by construction, and one of the
     restricted search induces exactly the given order: see `_restricted_tables`.
+    The free mode lists n up to 8 and the restricted mode up to 10; the
+    free mode's counts alone reach 10 (`unsharp enumerate`).
     """
     if induced_order is None:
-        if not 2 <= n <= MAX_FREE:
-            raise ValueError(f"unrestricted search supports 2..{MAX_FREE} elements")
+        if not 2 <= n <= MAX_LISTED:
+            raise ValueError(f"unrestricted listing supports 2..{MAX_LISTED} elements")
         groups, labels = _free_types(n, threads), _default_labels(n)
         tables = _free_tables(groups)
     else:
         if induced_order.n != n:
             raise ValueError("order carrier differs from n")
-        if not 2 <= n <= MAX_RESTRICTED:
-            raise ValueError(f"restricted search supports 2..{MAX_RESTRICTED} elements")
+        if not 2 <= n <= MAX_SEARCH:
+            raise ValueError(f"restricted search supports 2..{MAX_SEARCH} elements")
         found, nodes = _restricted_tables(induced_order)
         labels = induced_order.labels
         groups = [([tuple(range(n))], found, _forms(labels, found), nodes)]
@@ -319,7 +340,8 @@ def _antitone_involutions(p: Poset) -> list[tuple[int, ...]]:
 
 
 def _restricted_tables(p: Poset) -> tuple[list, int]:
-    """Completed tables whose complements and definedness fit p, and the node count.
+    """Completed tables whose complements and definedness fit p, in the free
+    listing's order, and the node count.
 
     Each is valid by construction (see the module docstring) and induces
     exactly p.  In an effect algebra a <= b iff a + b' is defined (Foulis
@@ -336,18 +358,18 @@ def _restricted_tables(p: Poset) -> tuple[list, int]:
     tables: list = []
     nodes = 0
     for inv in _antitone_involutions(p):
-        t = _complement_state(n, inv)
+        t, w = _complement_state(n, inv)  # undefined cells leave w as it is
         # x + y is defined exactly when x <= y'; those cells get a value
         free, preset = [], []
         for x, y in itertools.combinations_with_replacement(range(1, n - 1), 2):
             if t[x][y] == UNKNOWN and not p.leq(x, inv[y]):
                 t[x][y] = t[y][x] = UNDEF
             (free if t[x][y] == UNKNOWN else preset).append((x, y))
-        if not all(_assoc_cell_ok(t, n, x, y) for x, y in preset):
+        if not all(_assoc_cell_ok(t, w, n, x, y) for x, y in preset):
             continue
         choices = [tuple(iter_bits(p.up[x] & p.up[y] & values)) for x, y in free]
-        nodes += _search(t, free, choices, 0, n, tables)
-    return tables, nodes
+        nodes += _search(t, w, free, choices, 0, n, tables)
+    return sorted(tables, key=_listing_key), nodes
 
 
 # -- isomorphism ------------------------------------------------------------

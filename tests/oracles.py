@@ -1154,9 +1154,11 @@ def _restricted_search(t, free, idx, p: Poset, out):
 
 
 def restricted_algebras(p: Poset) -> list[EffectAlgebra]:
-    """Labeled algebras inducing exactly the order p, named as the package
-    names them: complements from each antitone involution, definedness
-    forced by x + y defined iff x <= y', the rest searched cell by cell."""
+    """Labeled algebras inducing exactly the order p, listed and named as the
+    package lists and names them: complements from each antitone involution,
+    definedness forced by x + y defined iff x <= y', the rest searched cell
+    by cell, and the tables sorted row by row with undefined first, the
+    order of the free listing."""
     n = p.n
     one = n - 1
     tables: list = []
@@ -1174,6 +1176,7 @@ def restricted_algebras(p: Poset) -> list[EffectAlgebra]:
                 else:
                     t[x][y] = t[y][x] = UNDEF
         _restricted_search(t, free, 0, p, tables)
+    tables.sort(key=lambda tab: [[-1 if v is None else v for v in row] for row in tab])
     return validate_each_table(p.labels, tables, p)[0]
 
 

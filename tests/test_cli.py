@@ -55,11 +55,36 @@ def test_enumerate_emit_onto_a_file(tmp_path, capsys):
 
 
 def test_enumerate_out_of_range_creates_no_emit_directory(tmp_path, capsys):
+    # the listing stops at 8 and the search at 10
     target = tmp_path / "out"
-    code, out, err = run(capsys, "enumerate", "9", "--emit", str(target))
-    assert code == 2 and out == ""
-    assert err == "unrestricted search supports 2..8 elements\n"
-    assert not target.exists()
+    for n, message in [("9", "--emit lists 2..8 elements"), ("10", "--emit lists 2..8 elements"),
+                       ("11", "unrestricted search supports 2..10 elements"),
+                       ("1", "unrestricted search supports 2..10 elements")]:
+        for flags in (["--emit", str(target)], ["--up-to-iso", "--emit", str(target)]):
+            code, out, err = run(capsys, "enumerate", n, *flags)
+            assert code == 2 and out == ""
+            assert err == message + "\n"
+            assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--count-only"], ["--up-to-iso"], ["--up-to-iso", "--count-only"],
+              ["--count-only", "--emit"]],
+)
+def test_enumerate_count_modes_reach_ten(tmp_path, capsys, monkeypatch, flags):
+    # the count modes take N up to 10 and refuse 11; the search itself is
+    # pinned in test_enumeration.py and at n = 10 in a CI step
+    import unsharp.enumeration as enumeration
+
+    asked = []
+    monkeypatch.setattr(enumeration, "_count_free", lambda n: asked.append(n) or (n, 1, 0))
+    target = tmp_path / "out"
+    argv = [a for f in flags for a in ((f, str(target)) if f == "--emit" else (f,))]
+    code, out, err = run(capsys, "enumerate", "10", *argv)
+    assert (code, out, err) == (0, "n=10: 10 labeled, 1 up to isomorphism\n", "")
+    code, out, err = run(capsys, "enumerate", "11", *argv)
+    assert (code, out, err) == (2, "", "unrestricted search supports 2..10 elements\n")
+    assert asked == [10] and not target.exists()
 
 
 def test_unknown_fixture(capsys):

@@ -19,6 +19,7 @@ from unsharp import (
     validate_tables,
 )
 from unsharp.cli import SUITES, run_suite
+import unsharp.enumeration as enumeration
 from unsharp.enumeration import (
     _antitone_involutions,
     _canonical_labeling,
@@ -27,6 +28,7 @@ from unsharp.enumeration import (
     _free_tables,
     _free_types,
     _relabelings,
+    _restricted_tables,
     _type_tables,
 )
 
@@ -381,7 +383,7 @@ def _restricted_orders():
 
 # search nodes that pass every prune, summed over the complement types:
 # a change here changes the search's work
-FREE_NODES = {2: 0, 3: 0, 4: 6, 5: 20, 6: 207, 7: 663, 8: 7738}
+FREE_NODES = {2: 0, 3: 0, 4: 6, 5: 20, 6: 207, 7: 663, 8: 7738, 9: 30244}
 RESTRICTED_NODES = {"E9": 22, "CHAIN-10": 339}
 # base tables over the complement types: one per orbit of relabelings
 BASE_TABLES = {2: 1, 3: 1, 4: 4, 5: 6, 6: 41, 7: 71, 8: 800, 9: 1588}
@@ -392,6 +394,52 @@ def test_free_search_matches_oracle(n):
     types = _free_types(n, None)
     assert [tab for tab, _ in _free_tables(types)] == oracles.free_tables(n)
     assert sum(nodes for *_, nodes in types) == FREE_NODES[n]
+
+
+def test_count_free_at_nine():
+    # the count path alone reaches n = 9; n = 10 (3,719,836 labeled, 172
+    # classes, 449,132 nodes) runs as a CI step under a timeout
+    assert _count_free(9) == (165544, 60, FREE_NODES[9])
+
+
+def test_search_keeps_inverse_rows(monkeypatch):
+    # at each completed table w is exactly the inverse of t (w[x][v] the a
+    # with x + a = v, -1 where there is none), and a search leaves t and w
+    # at their presets; every complement type with n <= 7 and the
+    # restricted presets of E9 and CHAIN-10
+    real = enumeration._search
+    checked = []
+
+    class Checked(list):
+        def __init__(self, t, w):
+            super().__init__()
+            self.t, self.w = t, w
+
+        def append(self, tab):
+            n = len(self.t)
+            assert self.w == [[row.index(v) if v in row else -1 for v in range(n)]
+                              for row in self.t]
+            super().append(tab)
+
+    def search(t, w, cells, choices, idx, n, out):
+        if idx:
+            return real(t, w, cells, choices, idx, n, out)
+        preset = [row[:] for row in t], [row[:] for row in w]
+        found = Checked(t, w)
+        nodes = real(t, w, cells, choices, idx, n, found)
+        assert (t, w) == preset
+        checked.append(len(found))
+        out.extend(found)
+        return nodes
+
+    monkeypatch.setattr(enumeration, "_search", search)
+    for n in range(2, 8):
+        types = [_type_tables((n, j)) for j in range((n - 2) // 2 + 1)]
+        assert sum(nodes for *_, nodes in types) == FREE_NODES[n]
+    for name, nodes in RESTRICTED_NODES.items():
+        assert _restricted_tables(fixture(name).order)[1] == nodes
+    # every base table with n <= 7, E9's two tables and CHAIN-10's one
+    assert sum(checked) == sum(BASE_TABLES[n] for n in range(2, 8)) + 3
 
 
 def test_restricted_search_and_involutions_match_oracle():
@@ -513,19 +561,20 @@ def test_free_search_rejects_no_completed_table(n):
 def test_restricted_search_agrees_with_free_listing(e9):
     # no order filter runs: for every order among the free listing's
     # algebras with n <= 7 (892 orders), the restricted search finds exactly
-    # the free tables inducing it, and each is valid and induces it; on the
-    # orders of E9 and CHAIN-10 it finds valid tables inducing them
+    # the free tables inducing it, in the free listing's order, and each is
+    # valid and induces it; on the orders of E9 and CHAIN-10 it finds valid
+    # tables inducing them
     orders = 0
     for n, total in zip(range(2, 8), (1, 1, 4, 16, 142, 1006)):
         by_order: dict = {}
         for E in enumerate_effect_algebras(n).algebras:
-            by_order.setdefault(E.order.up, (E.order, set()))[1].add(E.sums)
+            by_order.setdefault(E.order.up, (E.order, []))[1].append(E.sums)
         counted = 0
         for order, sums in by_order.values():
             res = enumerate_effect_algebras(n, induced_order=order)
             tables = [E.sums for E in res.algebras]
-            assert res.labeled_count == len(tables) == len(sums), (n, order.up)
-            assert set(tables) == sums, (n, order.up)
+            assert res.labeled_count == len(tables), (n, order.up)
+            assert tables == sums, (n, order.up)
             assert oracles.validate_each_table(order.labels, tables, order)[1] == 0
             counted += res.labeled_count
         assert counted == total, n
