@@ -36,12 +36,12 @@ rows.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn
-and the definedness pattern is forced, which keeps carriers like n = 9
-tractable.  Both modes run one search routine, which differs only in the
-values each cell may take, and one count routine, where the restricted
-tables form one group with the identity as its only relabeling, and both
-list their tables in one order.  The search and the counts reach n = 10;
-the free listing stops at n = 8, where it holds 15,136 algebras.
+and the definedness pattern is forced, presets that no triple can break
+and that keep n = 9 tractable.  Both modes run one search routine, which
+differs only in the values each cell may take, and one count routine,
+where the restricted tables form one group with the identity as its only
+relabeling, and both list their tables in one order.  The search and the
+counts reach n = 10; the free listing stops at n = 8 (15,136 algebras).
 
 `canonical_form`, `find_isomorphism` and `is_isomorphic` all rest on one
 canonical labeling, found by an individualization-refinement search.
@@ -50,7 +50,6 @@ canonical labeling, found by an individualization-refinement search.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -175,10 +174,9 @@ def _mover(tau):
     return lambda cells: tuple(zip(*[map(value, pick(cells))] * n))
 
 
-def _type_tables(args) -> tuple:
+def _type_tables(n: int, j: int) -> tuple:
     """Complement type j: its relabelings, its base tables (complement
     (1 2)(3 4)...(2j-1 2j)), their forms and the number of search nodes."""
-    n, j = args
     inv = list(range(n))
     for a in range(1, 2 * j, 2):
         inv[a], inv[a + 1] = a + 1, a
@@ -189,17 +187,9 @@ def _type_tables(args) -> tuple:
     return _relabelings(n, j), base, _forms(_default_labels(n), base), nodes
 
 
-def _free_types(n: int, threads: Optional[int]) -> list:
+def _free_types(n: int) -> list:
     'What `_type_tables` finds for each complement type.'
-    args = [(n, j) for j in range((n - 2) // 2 + 1)]
-    # at most one worker per CPU and per complement type
-    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(args)))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(_type_tables, args)
-    return [_type_tables(a) for a in args]
+    return [_type_tables(n, j) for j in range((n - 2) // 2 + 1)]
 
 
 def _free_tables(types: list) -> list:
@@ -238,7 +228,7 @@ def _counts(groups: list) -> tuple[int, int, int]:
 
 def _count_free(n: int) -> tuple[int, int, int]:
     'The counts of `enumerate_effect_algebras(n)`, with nothing relabeled, sorted or built.'
-    return _counts(_free_types(n, None))
+    return _counts(_free_types(n))
 
 
 @dataclass
@@ -262,17 +252,17 @@ def enumerate_effect_algebras(
     With `up_to_iso` the algebra list keeps one representative per
     isomorphism class, the first labeled member (counts for both modes are
     always computed).  With `induced_order` only tables inducing exactly
-    that order are produced.  `threads`, a library-only keyword (the CLI
-    runs in one process), splits the free search by complement type.
-    A table the search completes is valid by construction, and one of the
-    restricted search induces exactly the given order: see `_restricted_tables`.
-    The free mode lists n up to 8 and the restricted mode up to 10; the
-    free mode's counts alone reach 10 (`unsharp enumerate`).
+    that order are produced.  `threads` is accepted and ignored, like the
+    CLI's `THREADS`: the search runs in one process.  A table the search
+    completes is valid by construction, and one of the restricted search
+    induces exactly the given order: see `_restricted_tables`.  The free
+    mode lists n up to 8 and the restricted mode up to 10; the free mode's
+    counts alone reach 10 (`unsharp enumerate`).
     """
     if induced_order is None:
         if not 2 <= n <= MAX_LISTED:
             raise ValueError(f"unrestricted listing supports 2..{MAX_LISTED} elements")
-        groups, labels = _free_types(n, threads), _default_labels(n)
+        groups, labels = _free_types(n), _default_labels(n)
         tables = _free_tables(groups)
     else:
         if induced_order.n != n:
@@ -349,7 +339,10 @@ def _restricted_tables(p: Poset) -> tuple[list, int]:
     defined iff x <= inv(y) in p.  The presets at the bounds agree, as 0 is
     p's bottom and 1 its top; an interior cell is preset undefined unless
     x <= inv(y), and otherwise it is preset to 1 or free, and a free cell
-    never takes undefined.
+    never takes undefined.  No preset breaks associativity, so none is checked:
+    decided interior cells hold 1 or undefined, no sum with 1 but 0 + 1 is
+    defined, so for a, b, c >= 1 no decided a + b is interior, and (a + b) + c
+    and a + (b + c) are undefined or undecided once a + b or b + c is decided.
     """
     n = p.n
     if p.bottom != 0 or p.top != n - 1:
@@ -359,14 +352,13 @@ def _restricted_tables(p: Poset) -> tuple[list, int]:
     nodes = 0
     for inv in _antitone_involutions(p):
         t, w = _complement_state(n, inv)  # undefined cells leave w as it is
-        # x + y is defined exactly when x <= y'; those cells get a value
-        free, preset = [], []
+        # x + y is defined exactly when x <= y'; all those cells but x + x' get a value
+        free = []
         for x, y in itertools.combinations_with_replacement(range(1, n - 1), 2):
-            if t[x][y] == UNKNOWN and not p.leq(x, inv[y]):
+            if not p.leq(x, inv[y]):
                 t[x][y] = t[y][x] = UNDEF
-            (free if t[x][y] == UNKNOWN else preset).append((x, y))
-        if not all(_assoc_cell_ok(t, w, n, x, y) for x, y in preset):
-            continue
+            elif t[x][y] == UNKNOWN:
+                free.append((x, y))
         choices = [tuple(iter_bits(p.up[x] & p.up[y] & values)) for x, y in free]
         nodes += _search(t, w, free, choices, 0, n, tables)
     return sorted(tables, key=_listing_key), nodes

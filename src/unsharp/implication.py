@@ -38,17 +38,6 @@ def implies_sets(E: EffectAlgebra, a: ElemOrSet, b: ElemOrSet) -> Subset:
     return Subset._wrap(E.sum_bits(E.comp_bits(sa.bits), low), E.n)
 
 
-def odot_image(E: EffectAlgebra, x: int, a: Subset) -> Subset:
-    'x (.) A elementwise; every element of A must dominate x-orthosupplement.'
-    if a.n != E.n:
-        raise ValueError("carrier mismatch")
-    outside = a.bits & ~E.order.up[E.comp[x]]
-    if outside:
-        w = (outside & -outside).bit_length() - 1
-        raise ValueError(f"product undefined: {E.labels[x]} (.) {E.labels[w]}")
-    return Subset._wrap(E.odot_bits(x, a.bits), E.n)
-
-
 class ImplicationTable:
     'The n x n grid of implication subsets of an algebra.'
 

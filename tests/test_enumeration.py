@@ -2,7 +2,10 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -391,7 +394,7 @@ BASE_TABLES = {2: 1, 3: 1, 4: 4, 5: 6, 6: 41, 7: 71, 8: 800, 9: 1588}
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_free_search_matches_oracle(n):
-    types = _free_types(n, None)
+    types = _free_types(n)
     assert [tab for tab, _ in _free_tables(types)] == oracles.free_tables(n)
     assert sum(nodes for *_, nodes in types) == FREE_NODES[n]
 
@@ -434,7 +437,7 @@ def test_search_keeps_inverse_rows(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_search", search)
     for n in range(2, 8):
-        types = [_type_tables((n, j)) for j in range((n - 2) // 2 + 1)]
+        types = [_type_tables(n, j) for j in range((n - 2) // 2 + 1)]
         assert sum(nodes for *_, nodes in types) == FREE_NODES[n]
     for name, nodes in RESTRICTED_NODES.items():
         assert _restricted_tables(fixture(name).order)[1] == nodes
@@ -468,40 +471,21 @@ def test_threads_two_equals_serial(n):
     assert seq.nodes > 0
 
 
-class RecordingPool:
-    'Stands in for multiprocessing.Pool: records its size, maps in-process.'
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
-@pytest.mark.parametrize(
-    "threads,cpus,pool",
-    [(64, 8, 2), (3, 8, 2), (4, 2, 2), (2, 1, None), (1, 8, None), (0, 8, None),
-     (-3, 8, None)],
-)
-def test_threads_clamped(monkeypatch, threads, cpus, pool):
-    # n = 5 has two complement types, one task each; no process is started
-    import multiprocessing
-    import os
-
-    RecordingPool.sizes = []
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    res = enumerate_effect_algebras(5, threads=threads)
-    assert (res.labeled_count, res.iso_count) == (16, 4)
-    assert RecordingPool.sizes == ([] if pool is None else [pool])
+def test_threads_is_ignored():
+    # the search runs in one process whatever threads says, and starts none
+    seq = enumerate_effect_algebras(5)
+    for threads in (64, 2, 0, -3, None):
+        res = enumerate_effect_algebras(5, threads=threads)
+        assert [(E.name, E.sums) for E in res.algebras] == [(E.name, E.sums) for E in seq.algebras]
+        assert (res.labeled_count, res.iso_count, res.nodes) == (
+            seq.labeled_count, seq.iso_count, seq.nodes) == (16, 4, FREE_NODES[5])
+    code = ("import sys; from unsharp import enumerate_effect_algebras; "
+            "res = enumerate_effect_algebras(6, threads=64); "
+            "print(res.labeled_count, res.iso_count, 'multiprocessing' in sys.modules)")
+    src = str(Path(enumeration.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["142", "10", "False"]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -509,7 +493,7 @@ def test_transported_algebras_match_full_validation(n):
     # the enumerator validates no table and reads each off its rows;
     # validating every labeled table must build the same algebras
     want, refused = oracles.validate_each_table(
-        _default_labels(n), [tab for tab, _ in _free_tables(_free_types(n, None))]
+        _default_labels(n), [tab for tab, _ in _free_tables(_free_types(n))]
     )
     res = enumerate_effect_algebras(n)
     assert refused == 0
@@ -553,7 +537,7 @@ def test_one_validation_per_base_table(monkeypatch, n):
 def test_free_search_rejects_no_completed_table(n):
     # the search is its own validator: every base table of every complement
     # type passes the oracle's validator
-    base = [tab for j in range((n - 2) // 2 + 1) for tab in _type_tables((n, j))[1]]
+    base = [tab for j in range((n - 2) // 2 + 1) for tab in _type_tables(n, j)[1]]
     assert oracles.validate_each_table(_default_labels(n), base)[1] == 0
     assert len(base) == BASE_TABLES[n]
 
@@ -564,7 +548,7 @@ def test_restricted_search_agrees_with_free_listing(e9):
     # the free tables inducing it, in the free listing's order, and each is
     # valid and induces it; on the orders of E9 and CHAIN-10 it finds valid
     # tables inducing them
-    orders = 0
+    orders = nodes = 0
     for n, total in zip(range(2, 8), (1, 1, 4, 16, 142, 1006)):
         by_order: dict = {}
         for E in enumerate_effect_algebras(n).algebras:
@@ -577,9 +561,12 @@ def test_restricted_search_agrees_with_free_listing(e9):
             assert tables == sums, (n, order.up)
             assert oracles.validate_each_table(order.labels, tables, order)[1] == 0
             counted += res.labeled_count
+            nodes += res.nodes
         assert counted == total, n
         orders += len(by_order)
     assert orders == 1 + 1 + 3 + 13 + 103 + 771
+    # no preset is checked for associativity; 4,815 is the count with each one checked
+    assert nodes == 4815
     for order in (e9.order, fixture("CHAIN-10").order):
         tables = [E.sums for E in enumerate_effect_algebras(order.n, induced_order=order).algebras]
         assert tables and oracles.validate_each_table(order.labels, tables, order)[1] == 0

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from unsharp import (
     implies_sets,
     set_implication_suite,
 )
-from unsharp.implication import odot_image
 
 import e9_data
 from conftest import idx
@@ -63,8 +61,6 @@ def test_product_examples(e9):
     assert e9.odot(g, a) == e9.zero
     assert e9.odot(e, f) == a
     assert e9.odot(a, a) is None  # a' = g is not below a
-    with pytest.raises(ValueError):
-        odot_image(e9, a, e9.subset(a))
 
 
 def test_element_suite_clean_on_corpus(small_algebras, fixture_algebras):

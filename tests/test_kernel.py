@@ -38,7 +38,6 @@ from unsharp import (
 )
 
 from unsharp import algebra
-from unsharp.implication import odot_image
 from unsharp.laws import _cone_adjointness_failures
 from unsharp.poset import iter_bits
 from unsharp.reports import _check
@@ -596,12 +595,8 @@ def test_products_match_oracle(labeled, fixtures):
                 a = Subset(bits, n)
                 try:
                     want = oracles.odot_image(E, x, a)
-                except ValueError as exc:
-                    with pytest.raises(ValueError) as got:
-                        odot_image(E, x, a)
-                    assert str(got.value) == str(exc), (E.name, x, a)
+                except ValueError:  # some product undefined: no image
                     continue
-                assert odot_image(E, x, a) == want, (E.name, x, a)
                 assert E.odot_bits(x, bits) == want.bits, (E.name, x, a)
         oracles.forget()
 

@@ -7,6 +7,7 @@ from unsharp import (
     EffectAlgebra,
     InvalidAlgebraError,
     adjointness_exchange_equivalence,
+    enumerate_effect_algebras,
     fixture,
     from_effect_algebra,
     implies,
@@ -162,6 +163,70 @@ def test_reverse_roundtrip_holds_iff_divisible():
             assert surp_roundtrip_check(report.algebra).equal == divisible, name
             kinds.add(divisible)
     assert kinds == {False, True}
+
+
+def cell_alternatives(E):
+    """(y, z, derived cell, the other subsets A passing C1-C4 with cell y -> z
+    replaced by A), decided from cones.  C1 and C2 do not read the cells, and
+    C4 reads only the cells x -> 0, pinning each to {x'}.  C3 reads y -> z
+    only through U(y -> z), in one biconditional per x whose left side reads
+    no cell and whose right side is U(x,y') <= U(y -> z); the derived cell
+    passes, so A passes iff U(A) contains the same sets U(x,y') as its cone."""
+    n, p, comp = E.n, E.order, E.comp
+    uppers = list(map(p.upper_bits, range(1 << n)))
+    for y in range(n):
+        keys = list(dict.fromkeys(p.up[comp[y]] & ux for ux in p.up))
+        reads = [[k & ~u == 0 for k in keys] for u in uppers]
+        for z in range(n):
+            cell = E.imp_bits[y][z]
+            alts = [] if z == E.zero else [
+                a for a, read in enumerate(reads) if a != cell and read == reads[cell]]
+            yield y, z, cell, alts
+
+
+def divides(E, y, z, a):
+    "C5 at cell y -> z = A: A inside U(y'), and y (.) A = L(y,z), member by member."
+    if a & ~E.order.up[E.comp[y]]:
+        return False
+    image = {E.products[y][u] for u in range(E.n) if a >> u & 1}
+    return sum(1 << v for v in image) == E.order.pair_lower[y][z]
+
+
+def test_divisibility_alone_pins_each_cell():
+    # C1-C4 fix a cell only up to its upper cone (and the cells x -> 0
+    # outright); C5 (divisibility) then admits only the derived cell
+    # y' + L(y,z), since y (.) is one-to-one on U(y'), so the reverse round
+    # trip holds iff C5 does.  Every cell of every class with n <= 7, and of
+    # four fixtures
+    rng = random.Random(3)
+    sample = []
+    cells = with_alts = alternatives = 0
+    classes = [E for n in range(2, 8) for E in enumerate_effect_algebras(n, up_to_iso=True).algebras]
+    fixtures = [fixture(name) for name in ("E9", "E6", "BOOL-3", "CHAIN-9")]
+    for counted, algebras in ((True, classes), (False, fixtures)):
+        for E in algebras:
+            for y, z, cell, alts in cell_alternatives(E):
+                assert divides(E, y, z, cell), (E.name, y, z)
+                assert not any(divides(E, y, z, a) for a in alts), (E.name, y, z)
+                if counted:
+                    cells += 1
+                    with_alts += bool(alts)
+                    alternatives += len(alts)
+                sample += [(E, y, z, a, a in alts) for a in rng.sample(range(1 << E.n), 2)]
+                sample += [(E, y, z, a, True) for a in alts[:1]]
+    assert (cells, with_alts, alternatives) == (1207, 1012, 44836)
+    # the cone reading against the validator on a seeded sample of cells
+    kinds = set()
+    for E, y, z, a, alternative in rng.sample(sample, 300):
+        c = from_effect_algebra(E, validate=False)
+        imps = [list(row) for row in c.imps]
+        imps[y][z] = a
+        report = validate_surp(replace(c, imps=tuple(map(tuple, imps))))
+        derived = a == E.imp_bits[y][z]
+        assert report.ok == (alternative or derived), (E.name, y, z, a)
+        assert not report.ok or report.algebra.divisible == derived, (E.name, y, z, a)
+        kinds.add((report.ok, derived))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_from_effect_algebra_raises_report_on_mutated_table(e9):
