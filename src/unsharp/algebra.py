@@ -9,9 +9,8 @@ everything downstream (cones, implication, residuation) lives on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poset import MAX_CARRIER, OrderError, Poset, Subset, check_order_axioms
 from .poset import _involution_clauses, iter_bits, maximal_bits
@@ -392,8 +391,8 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
     # the complement clauses are the involution clauses on (E.order, E.comp)
     involutive, antitone, swaps = _involution_clauses(E.order, comp)
     clauses = [
-        replace(involutive, clause="double_complement"),
-        replace(antitone, clause="complement_antitone"),
+        involutive._replace(clause="double_complement"),
+        antitone._replace(clause="complement_antitone"),
     ]
 
     clauses.append(_check(
@@ -424,7 +423,7 @@ def check_sum_laws(E: EffectAlgebra) -> PropertyReport:
     clauses.append(ClauseResult("difference_recovery", wit is None, wit))
     clauses.append(_check("zero_neutral", n, 1, lambda a: sums[a][E.zero] == a == sums[E.zero][a]))
 
-    clauses.append(replace(swaps, clause="bounds_complement"))
+    clauses.append(swaps._replace(clause="bounds_complement"))
     return PropertyReport("sum-laws", clauses)
 
 
@@ -452,8 +451,7 @@ def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
     )
 
 
-@dataclass
-class MonotonicityResult:
+class MonotonicityResult(NamedTuple):
     holds: bool
     witness: Optional[tuple]  # (x, A, B) with A, B as Subsets
     exhaustive: bool  # always True: the reduction is exact at every size

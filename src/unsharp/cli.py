@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from . import dsl, fixtures
+from . import dsl
 from .algebra import (
     EffectAlgebra,
     InvalidAlgebraError,
@@ -31,7 +31,8 @@ SUITES = ("lemma1", "lemma2", "th2", "th4", "c1-c5", "th3", "roundtrip")
 
 def _read_source(arg: str) -> str:
     if arg.startswith("fixture:"):
-        return fixtures.fixture_text(arg[len("fixture:"):])
+        from .fixtures import fixture_text
+        return fixture_text(arg[len("fixture:"):])
     with open(arg, encoding="utf-8") as fh:
         return fh.read()
 
@@ -282,7 +283,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    sys.stdout.write(fixtures.fixture_text(args.name))
+    from .fixtures import fixture_text
+    sys.stdout.write(fixture_text(args.name))
     return 0
 
 

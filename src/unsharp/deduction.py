@@ -11,15 +11,13 @@ pair, and E itself.  Counting and listing use that form at every size;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import EffectAlgebra
 from .poset import Subset, iter_bits
 
 
-@dataclass
-class DeductiveCheck:
+class DeductiveCheck(NamedTuple):
     holds: bool
     witness: Optional[tuple] = None  # (x, y) breaking closure, ("one",), or th3's subset
     exhaustive: bool = True  # th3 reduces to polynomially many subsets at every size
@@ -28,8 +26,10 @@ class DeductiveCheck:
         return self.holds
 
 
-@dataclass
-class DeductiveSystem:
+class DeductiveSystem(NamedTuple):
+    """`len` and `in` read `members`, so `_replace`, which checks the tuple's
+    length with `len`, is not for this record: build a new one instead."""
+
     members: Subset
     algebra: EffectAlgebra
 
@@ -209,24 +209,20 @@ def atoms(E: EffectAlgebra) -> list[DeductiveSystem]:
     ]
 
 
-@dataclass
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     ok: bool
     exhaustive: bool  # always True: pairs decide every family
     families_checked: int
     witness: Optional[tuple] = None
 
 
-@dataclass
 class DedLattice:
     """The lattice of all deductive systems, ordered by inclusion."""
 
-    algebra: EffectAlgebra
-    systems: list[DeductiveSystem]
-    index: dict = field(init=False)
-
-    def __post_init__(self):
-        self.index = {s.members.bits: i for i, s in enumerate(self.systems)}
+    def __init__(self, algebra: EffectAlgebra, systems: list[DeductiveSystem]):
+        self.algebra = algebra
+        self.systems = systems
+        self.index = {s.members.bits: i for i, s in enumerate(systems)}
 
     def leq(self, i: int, j: int) -> bool:
         return self.systems[i].members.issubset(self.systems[j].members)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .algebra import EffectAlgebra, InvalidAlgebraError, validate_tables
 from .reports import ValidationReport
@@ -36,16 +36,14 @@ class DslError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class SumEntry:
+class SumEntry(NamedTuple):
     x: str
     y: str
     value: str
     line: int
 
 
-@dataclass(frozen=True)
-class CompEntry:
+class CompEntry(NamedTuple):
     x: str
     y: str
     line: int

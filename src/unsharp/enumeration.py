@@ -50,9 +50,8 @@ canonical labeling, found by an individualization-refinement search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import EffectAlgebra
 from .poset import Poset, iter_bits
@@ -231,8 +230,7 @@ def _count_free(n: int) -> tuple[int, int, int]:
     return _counts(_free_types(n))
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     n: int
     algebras: list[EffectAlgebra]
     labeled_count: int

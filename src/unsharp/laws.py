@@ -8,8 +8,7 @@ x' + (x ^ y) = y + (x' ^ y').
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import EffectAlgebra, MonotonicityResult, is_monotonous
 from .poset import Subset, _walk_u_classes
@@ -34,14 +33,11 @@ def _contraposition_failures(E: EffectAlgebra) -> Iterator[tuple[int, int]]:
 
 def counterexample_search(E: EffectAlgebra) -> LawReport:
     """Every pair breaking contraposition, annotated comparable/incomparable."""
-    report = LawReport("contraposition")
+    failing = []
     for x, y in _contraposition_failures(E):
         _, lhs, rhs = contraposition_pair(E, x, y)
-        cmp = E.order.comparable(x, y)
-        report.failing_pairs.append(LawViolation(x, y, lhs, rhs, cmp))
-        if cmp:
-            report.comparable_only_status = False
-    return report
+        failing.append(LawViolation(x, y, lhs, rhs, E.order.comparable(x, y)))
+    return LawReport("contraposition", failing, not any(v.comparable for v in failing))
 
 
 def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
@@ -69,24 +65,20 @@ def check_lattice_identity(E: EffectAlgebra) -> LawReport:
     p = E.order
     if not p.is_lattice():
         raise ValueError("not a lattice")
-    report = LawReport("identity1")
+    failing = []
     for x in range(E.n):
         xc = E.comp[x]
         for y in range(E.n):
             lhs = E.sums[xc][p.meet(x, y)]
             rhs = E.sums[y][p.meet(xc, E.comp[y])]
             if lhs != rhs:
-                cmp = p.comparable(x, y)
-                report.failing_pairs.append(
-                    LawViolation(x, y, E.subset(lhs), E.subset(rhs), cmp)
+                failing.append(
+                    LawViolation(x, y, E.subset(lhs), E.subset(rhs), p.comparable(x, y))
                 )
-                if cmp:
-                    report.comparable_only_status = False
-    return report
+    return LawReport("identity1", failing, not any(v.comparable for v in failing))
 
 
-@dataclass
-class IdentityEquivalence:
+class IdentityEquivalence(NamedTuple):
     contraposition_holds: bool
     identity_holds: bool
 
@@ -108,8 +100,7 @@ def identity_contraposition_equivalence(E: EffectAlgebra) -> IdentityEquivalence
     return IdentityEquivalence(contra, ident)
 
 
-@dataclass
-class ConeAdjointness:
+class ConeAdjointness(NamedTuple):
     """Cone-level adjointness status together with the monotonicity probe."""
 
     holds_globally: bool

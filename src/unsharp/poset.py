@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .reports import ClauseResult, PropertyReport, _check
 
@@ -113,8 +113,7 @@ class Subset:
         return Subset._wrap(self.bits | 1 << x, self.n)
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(NamedTuple):
     'A self-inverse permutation of the carrier, applied with __call__.'
 
     mapping: tuple[int, ...]

@@ -1,14 +1,17 @@
-"""Result containers shared by the validators and law checkers."""
+"""Result containers shared by the validators and law checkers.
+
+The records are NamedTuples: a class statement builds one without the
+generated-code `exec` a dataclass runs at import.  `ValidationReport`
+stays a dataclass, as callers copy it with `dataclasses.replace`."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     """A broken axiom or condition, with the first witness that broke it."""
 
     axiom: str
@@ -43,8 +46,7 @@ class ValidationReport:
         return None
 
 
-@dataclass
-class ClauseResult:
+class ClauseResult(NamedTuple):
     """One clause of a multi-clause property check."""
 
     clause: str
@@ -77,12 +79,11 @@ def _check(name: str, n: int, arity: int, holds, quick=None, key=None) -> Clause
     return ClauseResult(name, True, None)
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Pass/fail per clause; at most one (lexicographically first) witness each."""
 
     name: str
-    clauses: list[ClauseResult] = field(default_factory=list)
+    clauses: list[ClauseResult]
 
     @property
     def ok(self) -> bool:
@@ -98,8 +99,7 @@ class PropertyReport:
         return [c for c in self.clauses if not c.passed and not c.skipped]
 
 
-@dataclass
-class LawViolation:
+class LawViolation(NamedTuple):
     """A pair breaking a global law, with both evaluated sides."""
 
     x: int
@@ -109,12 +109,11 @@ class LawViolation:
     comparable: bool
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
     """Global status of a binary law over all element pairs."""
 
     law: str
-    failing_pairs: list[LawViolation] = field(default_factory=list)
+    failing_pairs: list[LawViolation]
     comparable_only_status: bool = True  # law held on every comparable pair
 
     @property

@@ -12,8 +12,8 @@ candidates report exactly what they break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import EffectAlgebra, InvalidAlgebraError, _image, first_asymmetric_pair
 from .algebra import first_nonassociative_triple
@@ -219,10 +219,9 @@ def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
     return E
 
 
-@dataclass
-class RoundtripResult:
+class RoundtripResult(NamedTuple):
     equal: bool
-    diffs: list[tuple] = field(default_factory=list)
+    diffs: list[tuple]
 
     def __bool__(self):
         return self.equal

@@ -878,16 +878,13 @@ def contraposition_pair(E: EffectAlgebra, x: int, y: int):
 
 def counterexample_search(E: EffectAlgebra) -> LawReport:
     """Every pair breaking contraposition, annotated comparable/incomparable."""
-    report = LawReport("contraposition")
+    failing = []
     for x in range(E.n):
         for y in range(E.n):
             equal, lhs, rhs = contraposition_pair(E, x, y)
             if not equal:
-                cmp = E.order.comparable(x, y)
-                report.failing_pairs.append(LawViolation(x, y, lhs, rhs, cmp))
-                if cmp:
-                    report.comparable_only_status = False
-    return report
+                failing.append(LawViolation(x, y, lhs, rhs, E.order.comparable(x, y)))
+    return LawReport("contraposition", failing, not any(v.comparable for v in failing))
 
 
 def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:

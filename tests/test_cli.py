@@ -5,7 +5,7 @@ import time
 import pytest
 
 from unsharp.cli import SUITES, main
-from unsharp.fixtures import BUNDLED
+from unsharp.fixtures import BUNDLED, E9_TEXT
 
 
 def run(capsys, *argv):
@@ -336,15 +336,21 @@ def test_full_check_and_ded_on_large_fixtures_within_budget(command, name):
 
 
 BASE_MODULES = {
-    "unsharp", "unsharp.cli", "unsharp.algebra", "unsharp.dsl",
-    "unsharp.fixtures", "unsharp.poset", "unsharp.reports",
+    "unsharp", "unsharp.cli", "unsharp.algebra", "unsharp.dsl", "unsharp.poset", "unsharp.reports",
 }
+BASE_DATACLASSES = {"AlgebraSpec", "Subset", "ValidationReport"}
 LOADS_AS_MAIN = """\
 import atexit, runpy, sys
-atexit.register(lambda: print(
-    " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "unsharp" or m == "csv")),
-    file=sys.stderr,
-))
+
+def report():
+    modules = [m for m in sys.modules if m.split(".")[0] == "unsharp"]
+    print(" ".join(sorted(modules + [m for m in sys.modules if m == "csv"])), file=sys.stderr)
+    print(" ".join(sorted({
+        cls.__name__ for m in modules for cls in vars(sys.modules[m]).values()
+        if isinstance(cls, type) and "__dataclass_fields__" in vars(cls)
+    })), file=sys.stderr)
+
+atexit.register(report)
 sys.argv[0] = "unsharp"
 runpy.run_module("unsharp", run_name="__main__", alter_sys=True)
 """
@@ -353,27 +359,35 @@ runpy.run_module("unsharp", run_name="__main__", alter_sys=True)
 @pytest.mark.parametrize(
     "argv,extra",
     [
-        (["validate", "fixture:E9"], set()),
-        (["order", "fixture:E9"], set()),
-        (["implies", "fixture:E9", "e", "a"], {"implication"}),
-        (["table", "fixture:E9"], {"implication"}),
-        (["residuate", "fixture:E9", "--roundtrip"], {"implication", "residuation"}),
-        (["ded", "fixture:E9"], {"deduction"}),
-        (["laws", "fixture:E9"], {"laws"}),
-        (["check", "fixture:E9"], {"implication", "residuation", "deduction"}),
-        (["fixture", "E9"], set()),
+        (["validate", "fixture:E9"], {"fixtures"}),
+        (["order", "fixture:E9"], {"fixtures"}),
+        (["implies", "fixture:E9", "e", "a"], {"fixtures", "implication"}),
+        (["table", "fixture:E9"], {"fixtures", "implication"}),
+        (["residuate", "fixture:E9", "--roundtrip"], {"fixtures", "implication", "residuation"}),
+        (["ded", "fixture:E9"], {"fixtures", "deduction"}),
+        (["laws", "fixture:E9"], {"fixtures", "laws"}),
+        (["check", "fixture:E9"], {"fixtures", "implication", "residuation", "deduction"}),
+        (["fixture", "E9"], {"fixtures"}),
         (["enumerate", "5"], {"enumeration"}),
+        (["validate", "e9.ea"], set()),
     ],
 )
-def test_each_command_loads_only_the_modules_it_uses(argv, extra):
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
     # the package runs as `python -m unsharp ...` would run it; `csv` is
-    # loaded only by `table --format csv`, so no command here loads it
+    # loaded only by `table --format csv`, so no command here loads it.  A
+    # file command builds three dataclasses and `residuation` a fourth: the
+    # other records are NamedTuples, which import without an `exec`
+    doc = tmp_path / "e9.ea"
+    doc.write_text(E9_TEXT, encoding="utf-8")
+    argv = [str(doc) if a == "e9.ea" else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", LOADS_AS_MAIN, *argv], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.split())
-    assert loaded == BASE_MODULES | {f"unsharp.{m}" for m in extra}
+    modules, classes = proc.stderr.splitlines()[-2:]
+    assert set(modules.split()) == BASE_MODULES | {f"unsharp.{m}" for m in extra}
+    residuated = {"UnsharpResiduatedPoset"} if "residuation" in extra else set()
+    assert set(classes.split()) == BASE_DATACLASSES | residuated
 
 
 def test_ded_enumerate_streams_into_a_closed_pipe():

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 from pathlib import Path
 
 import pytest
 
 from unsharp import (
+    AlgebraSpec,
     DslError,
     emit_dot,
     emit_spec,
@@ -27,6 +29,19 @@ def test_minimal_two_chain():
     assert spec.name == "T" and spec.labels == ("0", "1")
     rep = spec_report(spec)
     assert rep.ok and rep.algebra.n == 2
+
+
+def test_replace_relabels_a_parsed_spec():
+    # the benchmark's corpus set-up moves a parsed document's labels with
+    # dataclasses.replace, which is why AlgebraSpec stays a dataclass
+    spec = parse_spec(E9_TEXT)
+    moved = dataclasses.replace(spec, labels=spec.labels[3:] + spec.labels[:3])
+    assert isinstance(moved, AlgebraSpec) and moved.sums == spec.sums
+    rep = spec_report(moved)
+    assert rep.ok
+    E = rep.algebra
+    assert E.labels == ("c", "d", "e", "f", "g", "1", "0", "a", "b")
+    assert (E.labels[E.zero], E.labels[E.one]) == ("0", "1")
 
 
 def test_e9_text_parses_to_nine_entries():

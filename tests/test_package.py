@@ -112,3 +112,26 @@ def test_no_module_keeps_an_unused_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = [f"{name} (line {line})" for name, line in imported.items() if name not in used]
         assert not unused, f"{path.name} imports {', '.join(unused)} and never uses it"
+
+
+RECORDS = {
+    "ClauseResult", "CompEntry", "CompletenessReport", "ConeAdjointness", "DeductiveCheck",
+    "DeductiveSystem", "EnumerationResult", "IdentityEquivalence", "Involution", "LawReport",
+    "LawViolation", "MonotonicityResult", "PropertyReport", "RoundtripResult", "SumEntry",
+    "Violation",
+}
+
+
+def test_no_record_shares_a_mutable_default():
+    # a NamedTuple default is one object for every instance, so a list
+    # default would carry one call's appends into the next
+    records = {}
+    for path in pathlib.Path(unsharp.__file__).parent.glob("[!_]*.py"):
+        home = importlib.import_module(f"unsharp.{path.stem}")
+        for cls in vars(home).values():
+            if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_field_defaults"):
+                records[cls.__name__] = cls
+    assert set(records) == RECORDS
+    for cls in records.values():
+        for name, value in cls._field_defaults.items():
+            assert not isinstance(value, (list, dict, set)), f"{cls.__name__}.{name}"
