@@ -13,7 +13,7 @@ _HOME = {
     for module, names in (
         ("algebra", "EffectAlgebra InvalidAlgebraError MonotonicityResult"
          " check_cone_equations check_sum_laws is_monotonous validate_tables"),
-        ("deduction", "DeductiveSystem atoms characterization_agreement"
+        ("deduction", "atoms characterization_agreement"
          " characterize count_ded ded_lattice enumerate_ded generate"
          " is_deductive_system"),
         ("dsl", "AlgebraSpec DslError emit_dot emit_spec emit_table"
@@ -26,7 +26,7 @@ _HOME = {
         ("laws", "check_comparable_contraposition check_cone_level_adjointness"
          " check_lattice_identity contraposition_pair counterexample_search"
          " identity_contraposition_equivalence"),
-        ("poset", "Involution Poset Subset validate_involution"),
+        ("poset", "Poset Subset validate_involution"),
         ("residuation", "UnsharpResiduatedPoset adjointness_exchange_equivalence"
          " from_effect_algebra roundtrip_check"
          " surp_roundtrip_check to_effect_algebra validate_surp"),

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .poset import MAX_CARRIER, OrderError, Poset, Subset, check_order_axioms
-from .poset import _involution_clauses, iter_bits, maximal_bits
+from .poset import _bits, _involution_clauses, iter_bits, maximal_bits
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
 class InvalidAlgebraError(ValueError):
@@ -190,28 +190,25 @@ class EffectAlgebra:
 
     def set_complement(self, a: Subset) -> Subset:
         "A' = {x' : x in A}."
-        if a.n != self.n:
-            raise ValueError("carrier mismatch")
-        return Subset._wrap(self.comp_bits(a.bits), self.n)
+        return Subset._wrap(self.comp_bits(_bits(self.n, a)), self.n)
 
     def add_elem_set(self, x: int, a: Subset) -> Subset:
         'x + A elementwise; requires A <= x-orthosupplement.'
-        if a.n != self.n:
-            raise ValueError("carrier mismatch")
+        bits = _bits(self.n, a)
         xc = self.comp[x]
-        outside = a.bits & ~self.order.down[xc]
+        outside = bits & ~self.order.down[xc]
         if outside:
             y = (outside & -outside).bit_length() - 1
             raise ValueError(
                 f"sum undefined: {self.labels[y]} is not below "
                 f"{self.labels[xc]} (adding {self.labels[x]})"
             )
-        return Subset._wrap(self.add_bits(x, a.bits), self.n)
+        return Subset._wrap(self.add_bits(x, bits), self.n)
 
     def add_sets(self, a: Subset, b: Subset) -> Subset:
         'A + B elementwise; requires A <= B-orthosupplement pairwise.'
-        if a.n != self.n or b.n != self.n:
-            raise ValueError("carrier mismatch")
+        if a.n != self.n or b.n != self.n:  # inline: the set-sum loops call this hot
+            _bits(self.n, a if a.n != self.n else b)
         # A is below B' pairwise iff it is below m' for every maximal m of B
         m = self.order._principal.get(b.bits)
         if m is None:

@@ -27,6 +27,7 @@ from .reports import PropertyReport, ValidationReport
 # compiles only what a command runs
 
 SUITES = ("lemma1", "lemma2", "th2", "th4", "c1-c5", "th3", "roundtrip")
+LAWS = ("contraposition", "identity1", "intro-adjointness", "monotonous")
 
 
 def _read_source(arg: str) -> str:
@@ -96,8 +97,7 @@ def cmd_table(args) -> int:
 def cmd_residuate(args) -> int:
     from . import residuation
     E = _load(args.file)
-    c = residuation.from_effect_algebra(E, validate=False)
-    report = residuation.validate_surp(c)
+    report = residuation.validate_surp(residuation.from_effect_algebra(E))
     failed = {v.axiom for v in report.violations}
     for cond in ("C1", "C2", "C3", "C4"):
         if cond in failed:
@@ -124,11 +124,11 @@ def cmd_ded(args) -> int:
         return 0
     if args.enumerate:
         for d in deduction.iter_ded(E):
-            print(E.render(d.members))
+            print(E.render(d))
         return 0
     if args.atoms:
         for d in deduction.atoms(E):
-            print(E.render(d.members))
+            print(E.render(d))
         return 0
     print(f"{deduction.count_ded(E)} deductive systems, {len(deduction.atoms(E))} atoms")
     return 0
@@ -137,16 +137,7 @@ def cmd_ded(args) -> int:
 def cmd_laws(args) -> int:
     from . import laws
     E = _load(args.file)
-    chosen = [
-        name
-        for name, on in (
-            ("contraposition", args.contraposition),
-            ("identity1", args.identity1),
-            ("intro-adjointness", args.intro_adjointness),
-            ("monotonous", args.monotonous),
-        )
-        if on
-    ] or ["contraposition", "identity1", "intro-adjointness", "monotonous"]
+    chosen = [law for law in LAWS if getattr(args, law.replace("-", "_"))] or LAWS
     status = 0
     adjointness = None
     for name in chosen:
@@ -239,8 +230,7 @@ def run_suite(E: EffectAlgebra, name: str) -> tuple[bool, str]:
         return rep.ok, _failure_text(rep)
     if name == "c1-c5":
         from . import residuation
-        c = residuation.from_effect_algebra(E, validate=False)
-        report = residuation.validate_surp(c)
+        report = residuation.validate_surp(residuation.from_effect_algebra(E))
         if not report.ok:
             return False, "; ".join(str(v) for v in report.violations)
         if not report.algebra.divisible:
@@ -331,10 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laws", help="contraposition and friends")
     p.add_argument("file")
-    p.add_argument("--contraposition", action="store_true")
-    p.add_argument("--identity1", action="store_true")
-    p.add_argument("--intro-adjointness", action="store_true")
-    p.add_argument("--monotonous", action="store_true")
+    for law in LAWS:
+        p.add_argument(f"--{law}", action="store_true")
     p.set_defaults(func=cmd_laws)
 
     p = sub.add_parser("enumerate", help="all effect algebras on n elements")

@@ -14,7 +14,7 @@ import itertools
 from typing import Iterator, NamedTuple, Optional
 
 from .algebra import EffectAlgebra
-from .poset import Subset, iter_bits
+from .poset import Subset, _bits, iter_bits
 
 
 class DeductiveCheck(NamedTuple):
@@ -24,20 +24,6 @@ class DeductiveCheck(NamedTuple):
 
     def __bool__(self):
         return self.holds
-
-
-class DeductiveSystem(NamedTuple):
-    """`len` and `in` read `members`, so `_replace`, which checks the tuple's
-    length with `len`, is not for this record: build a new one instead."""
-
-    members: Subset
-    algebra: EffectAlgebra
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
 
 
 def _closure_witness(E: EffectAlgebra, bits: int) -> Optional[tuple[int, int]]:
@@ -53,23 +39,21 @@ def _closure_witness(E: EffectAlgebra, bits: int) -> Optional[tuple[int, int]]:
 
 def is_deductive_system(E: EffectAlgebra, d: Subset) -> DeductiveCheck:
     """Both defining conditions, checked directly with no shortcut."""
-    if d.n != E.n:
-        raise ValueError("carrier mismatch")
-    if E.one not in d:
+    bits = _bits(E.n, d)
+    if not bits >> E.one & 1:
         return DeductiveCheck(False, ("one",))
-    wit = _closure_witness(E, d.bits)
+    wit = _closure_witness(E, bits)
     return DeductiveCheck(wit is None, wit)
 
 
 def characterize(E: EffectAlgebra, d: Subset) -> bool:
     """Proper D containing 1 is deductive iff D and D' are disjoint."""
-    if d.n != E.n:
-        raise ValueError("carrier mismatch")
-    if E.one not in d:
+    bits = _bits(E.n, d)
+    if not bits >> E.one & 1:
         raise ValueError("characterization needs 1 as a member")
-    if d.bits == E.full_set().bits:
+    if bits == E.order.full_bits:
         raise ValueError("characterization needs a proper subset; E itself is always deductive")
-    return not E.comp_bits(d.bits) & d.bits
+    return not E.comp_bits(bits) & bits
 
 
 def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
@@ -136,18 +120,18 @@ def _complement_pairs(E: EffectAlgebra) -> list[tuple[int, int]]:
     ]
 
 
-def enumerate_ded(E: EffectAlgebra) -> list[DeductiveSystem]:
+def enumerate_ded(E: EffectAlgebra) -> list[Subset]:
     'All deductive systems, in the order of iter_ded.'
     return list(iter_ded(E))
 
 
-def iter_ded(E: EffectAlgebra) -> Iterator[DeductiveSystem]:
+def iter_ded(E: EffectAlgebra) -> Iterator[Subset]:
     """All deductive systems, one at a time, by size then sorted members.
 
     Generated in order from the complement pairs, so the first systems
     arrive at once even when there are 3^31 of them."""
     for bits in _closed_form_ded(E):
-        yield DeductiveSystem(Subset._wrap(bits, E.n), E)
+        yield Subset._wrap(bits, E.n)
 
 
 def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
@@ -186,9 +170,7 @@ def generate(E: EffectAlgebra, m: Subset) -> Subset:
 
     M u {1} when M avoids 0 and is disjoint from M'; all of E otherwise.
     """
-    if m.n != E.n:
-        raise ValueError("carrier mismatch")
-    return Subset._wrap(_generated(E, m.bits), E.n)
+    return Subset._wrap(_generated(E, _bits(E.n, m)), E.n)
 
 
 def _generated(E: EffectAlgebra, bits: int) -> int:
@@ -197,13 +179,13 @@ def _generated(E: EffectAlgebra, bits: int) -> int:
     return bits | 1 << E.one
 
 
-def atoms(E: EffectAlgebra) -> list[DeductiveSystem]:
+def atoms(E: EffectAlgebra) -> list[Subset]:
     """Minimal systems above {1}: exactly the {1,x} with x not in {0,1}, x' != x.
 
     An empty list means the hypothesis is unsatisfiable (e.g. two-element E).
     """
     return [
-        DeductiveSystem(Subset._wrap((1 << E.one) | (1 << x), E.n), E)
+        Subset._wrap((1 << E.one) | (1 << x), E.n)
         for x in range(E.n)
         if x not in (E.zero, E.one) and E.comp[x] != x
     ]
@@ -219,20 +201,19 @@ class CompletenessReport(NamedTuple):
 class DedLattice:
     """The lattice of all deductive systems, ordered by inclusion."""
 
-    def __init__(self, algebra: EffectAlgebra, systems: list[DeductiveSystem]):
+    def __init__(self, algebra: EffectAlgebra, systems: list[Subset]):
         self.algebra = algebra
         self.systems = systems
-        self.index = {s.members.bits: i for i, s in enumerate(systems)}
+        self.index = {s.bits: i for i, s in enumerate(systems)}
 
     def leq(self, i: int, j: int) -> bool:
-        return self.systems[i].members.issubset(self.systems[j].members)
+        return self.systems[i].issubset(self.systems[j])
 
     def meet(self, i: int, j: int) -> int:
-        bits = self.systems[i].members.bits & self.systems[j].members.bits
-        return self.index[bits]
+        return self.index[self.systems[i].bits & self.systems[j].bits]
 
     def join(self, i: int, j: int) -> int:
-        union = self.systems[i].members.bits | self.systems[j].members.bits
+        union = self.systems[i].bits | self.systems[j].bits
         return self.index[_generated(self.algebra, union)]
 
     def check_completeness(self) -> CompletenessReport:
@@ -249,7 +230,7 @@ class DedLattice:
         is 1 + k + k(k-1)/2 families for k systems, in that order.
         """
         k = len(self.systems)
-        members = [s.members.bits for s in self.systems]
+        members = [s.bits for s in self.systems]
         full = self.algebra.order.full_bits
         checked = 1 + k + k * (k - 1) // 2
         singletons = ((i,) for i in range(k))

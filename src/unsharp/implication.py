@@ -8,18 +8,15 @@ from operator import or_
 from typing import Iterator, Union
 
 from .algebra import EffectAlgebra
-from .poset import Subset, iter_bits
+from .poset import Subset, _bits, iter_bits
 from .reports import ClauseResult, PropertyReport, _check
 
 ElemOrSet = Union[int, Subset]
 
 
-def _as_subset(E: EffectAlgebra, v: ElemOrSet) -> Subset:
-    if isinstance(v, Subset):
-        if v.n != E.n:
-            raise ValueError("carrier mismatch")
-        return v
-    return Subset.single(E.n, v)
+def _as_bits(E: EffectAlgebra, v: ElemOrSet) -> int:
+    'The mask of a subset of the carrier, or of the singleton {v}.'
+    return _bits(E.n, v) if isinstance(v, Subset) else Subset.single(E.n, v).bits
 
 
 def implies(E: EffectAlgebra, x: int, y: int) -> Subset:
@@ -33,9 +30,8 @@ def implies_sets(E: EffectAlgebra, a: ElemOrSet, b: ElemOrSet) -> Subset:
     An empty antecedent yields the empty set (the elementwise sum has
     nothing to range over).
     """
-    sa, sb = _as_subset(E, a), _as_subset(E, b)
-    low = E.order.lower_bits(sa.bits | sb.bits)
-    return Subset._wrap(E.sum_bits(E.comp_bits(sa.bits), low), E.n)
+    a, b = _as_bits(E, a), _as_bits(E, b)
+    return Subset._wrap(E.sum_bits(E.comp_bits(a), E.order.lower_bits(a | b)), E.n)
 
 
 class ImplicationTable:

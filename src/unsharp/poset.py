@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .reports import ClauseResult, PropertyReport, _check
 
@@ -23,9 +23,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _check_same_carrier(n: int, s: "Subset"):
+def _bits(n: int, s: "Subset") -> int:
+    'The mask of `s`, which must be a subset of the carrier {0..n-1}.'
     if s.n != n:
-        raise ValueError(f"carrier mismatch: subset over {s.n} elements, poset has {n}")
+        raise ValueError(f"carrier mismatch: subset over {s.n} elements, carrier has {n}")
+    return s.bits
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,6 @@ class Subset:
         if not 0 <= x < self.n:
             raise ValueError(f"element {x} outside carrier")
         return Subset._wrap(self.bits | 1 << x, self.n)
-
-
-class Involution(NamedTuple):
-    'A self-inverse permutation of the carrier, applied with __call__.'
-
-    mapping: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
 
 
 class OrderError(ValueError):
@@ -250,13 +243,11 @@ class Poset:
 
     def lower_cone(self, a: Subset) -> Subset:
         'L(A): everything below all of A; L(empty) is the whole carrier.'
-        _check_same_carrier(self.n, a)
-        return Subset._wrap(self.lower_bits(a.bits), self.n)
+        return Subset._wrap(self.lower_bits(_bits(self.n, a)), self.n)
 
     def upper_cone(self, a: Subset) -> Subset:
         'U(A): everything above all of A; U(empty) is the whole carrier.'
-        _check_same_carrier(self.n, a)
-        return Subset._wrap(self.upper_bits(a.bits), self.n)
+        return Subset._wrap(self.upper_bits(_bits(self.n, a)), self.n)
 
     def cone_pair(self, *elements: int) -> tuple[Subset, Subset]:
         'L(A) and U(A) for A given by its elements; one or two in-range ints read the cones off.'
@@ -271,9 +262,7 @@ class Poset:
 
     def set_leq(self, a: Subset, b: Subset) -> bool:
         'Every element of A below every element of B; vacuous when either is empty.'
-        _check_same_carrier(self.n, a)
-        _check_same_carrier(self.n, b)
-        return not (b.bits & ~self.upper_bits(a.bits))
+        return not ~self.upper_bits(_bits(self.n, a)) & _bits(self.n, b)
 
     def interval(self, a: int, b: int) -> Subset:
         '[a,b] as a subset, possibly empty.'
@@ -333,12 +322,11 @@ def maximal_bits(mask: int, up: Sequence[int]) -> int:
     return tops
 
 
-def validate_involution(p: Poset, inv: Involution) -> PropertyReport:
-    """Check that `inv` is an antitone involution swapping bottom and top.
+def validate_involution(p: Poset, m: Sequence[int]) -> PropertyReport:
+    """Check that the map x -> m[x] is an antitone involution swapping bottom and top.
 
     Every broken invariant gets its own clause with the first witness.
     """
-    m = inv.mapping
     clauses = []
     if len(m) != p.n or sorted(m) != list(range(p.n)):
         dup = next((x for x in range(len(m)) if m.count(m[x]) > 1), None)

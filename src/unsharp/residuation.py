@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Optional
 from .algebra import EffectAlgebra, InvalidAlgebraError, _image, first_asymmetric_pair
 from .algebra import first_nonassociative_triple
 from .implication import exchange_failures
-from .poset import Involution, Poset, Subset, _walk_u_classes, iter_bits
+from .poset import Poset, Subset, _walk_u_classes, iter_bits
 from .poset import validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
@@ -33,16 +33,11 @@ class UnsharpResiduatedPoset:
     products: tuple[tuple[Optional[int], ...], ...]
     imps: tuple[tuple[int, ...], ...]
     name: str = "C"
-    validated: bool = False
     divisible: Optional[bool] = None
 
     @property
     def n(self) -> int:
         return self.poset.n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.poset.labels
 
     def odot(self, x: int, y: int) -> Optional[int]:
         return self.products[x][y]
@@ -62,20 +57,14 @@ def _odot_bits(products, mask: int, y: int) -> Optional[int]:
     return bits
 
 
-def from_effect_algebra(E: EffectAlgebra, validate: bool = True) -> UnsharpResiduatedPoset:
+def from_effect_algebra(E: EffectAlgebra) -> UnsharpResiduatedPoset:
     """Derive product and implication tables from an effect algebra.
 
     x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).  The product
-    table and the cell masks are the algebra's own.  With `validate`, tables
-    failing C1-C4 raise InvalidAlgebraError carrying the report.
+    table and the cell masks are the algebra's own; `validate_surp` checks
+    them against C1-C5.
     """
-    c = UnsharpResiduatedPoset(E.order, E.comp, E.products, E.imp_bits, name=E.name)
-    if validate:
-        report = validate_surp(c)
-        if not report.ok:
-            raise InvalidAlgebraError(report)
-        return report.algebra
-    return c
+    return UnsharpResiduatedPoset(E.order, E.comp, E.products, E.imp_bits, name=E.name)
 
 
 def adjointness_failures(p: Poset, inv, products, up_imp, odot=None) -> Iterator[tuple]:
@@ -123,7 +112,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
                 raise ValueError(
                     f"implication cell ({x}, {y}) is not a mask over the carrier: {m!r}")
 
-    inv_report = validate_involution(p, Involution(tuple(inv)))
+    inv_report = validate_involution(p, inv)
     if not inv_report.ok:
         bad = inv_report.failures()[0]
         violations.append(
@@ -191,7 +180,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     divisible = all(
         odot(x, imp) == low for x in range(n) for imp, low in set(zip(imps[x], p.pair_lower[x]))
     )
-    return ValidationReport([], replace(c, validated=True, divisible=divisible))
+    return ValidationReport([], replace(c, divisible=divisible))
 
 
 def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
@@ -229,7 +218,7 @@ class RoundtripResult(NamedTuple):
 
 def roundtrip_check(E: EffectAlgebra) -> RoundtripResult:
     'Algebra -> residuated tables -> algebra; compare sum tables, entrywise on a mismatch.'
-    back = to_effect_algebra(from_effect_algebra(E, validate=False))
+    back = to_effect_algebra(from_effect_algebra(E))
     n, sums = E.n, back.sums
     diffs = [] if E.sums == sums else [(x, y, E.sums[x][y], sums[x][y]) for x in range(n)
                                        for y in range(n) if E.sums[x][y] != sums[x][y]]
@@ -247,7 +236,7 @@ def surp_roundtrip_check(c: UnsharpResiduatedPoset) -> RoundtripResult:
     `validate_surp`), so only one cell passes C5, and the rebuilt cell
     y' + L(y,z) does.
     """
-    back = from_effect_algebra(to_effect_algebra(c), validate=False)
+    back = from_effect_algebra(to_effect_algebra(c))
     diffs = []
     for x in range(c.n):
         for y in range(c.n):

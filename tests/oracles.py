@@ -19,7 +19,6 @@ from typing import Optional, Union
 from unsharp import (
     EffectAlgebra,
     InvalidAlgebraError,
-    Involution,
     MonotonicityResult,
     Poset,
     Subset,
@@ -431,7 +430,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     prod = c.products
     violations: list[Violation] = []
 
-    inv_report = validate_involution(p, Involution(tuple(inv)))
+    inv_report = validate_involution(p, inv)
     if not inv_report.ok:
         bad = inv_report.failures()[0]
         violations.append(
@@ -569,7 +568,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
 
     if violations:
         return ValidationReport(violations, None)
-    out = replace(c, validated=True, divisible=divisible)
+    out = replace(c, divisible=divisible)
     return ValidationReport([], out)
 
 
@@ -687,7 +686,7 @@ def characterization_agreement(E: EffectAlgebra) -> DeductiveCheck:
 def _family_bounds(lat: DedLattice, family: tuple[int, ...]):
     """Greatest lower / least upper bound of a family, found by scanning
     every system for the bounds and then for the extreme one; None if missing."""
-    members = [s.members.bits for s in lat.systems]
+    members = [s.bits for s in lat.systems]
     lowers = [b for b in members if all(not (b & ~members[i]) for i in family)]
     uppers = [b for b in members if all(not (members[i] & ~b) for i in family)]
     inf = [b for b in lowers if all(not (o & ~b) for o in lowers)]
@@ -712,7 +711,7 @@ def completeness_sweep(lat: DedLattice) -> CompletenessReport:
     each family's intersection and the system generated by its union must
     both be systems of the lattice, as `DedLattice.meet` and `join` read them."""
     k, full = len(lat.systems), lat.algebra.order.full_bits
-    members = [s.members.bits for s in lat.systems]
+    members = [s.bits for s in lat.systems]
     for mask in range(1 << k):
         family = tuple(i for i in range(k) if mask >> i & 1)
         inf, union = full, 0

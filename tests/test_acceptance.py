@@ -127,7 +127,7 @@ def test_criterion_04_residuation_soundness():
         start = time.perf_counter()
         corpus = [fixture(name) for name in SUITE_FIXTURES] + small_corpus()
         for E in corpus:
-            rep = validate_surp(from_effect_algebra(E, validate=False))
+            rep = validate_surp(from_effect_algebra(E))
             assert rep.ok, (E.name, [str(v) for v in rep.violations])
             assert rep.algebra.divisible is True, E.name
             rt = roundtrip_check(E)
@@ -151,7 +151,7 @@ def test_criterion_06_deduction():
             assert agree.holds, (E.name, agree.witness)
         systems = enumerate_ded(E9)
         assert len(systems) == 28
-        named = {E9.render(d.members) for d in atoms(E9)}
+        named = {E9.render(d) for d in atoms(E9)}
         assert named == {"{a,1}", "{b,1}", "{c,1}", "{e,1}", "{f,1}", "{g,1}"}
         pos = {lab: i for i, lab in enumerate(E9.labels)}
         assert generate(E9, E9.subset(pos["a"], pos["g"])) == E9.full_set()
@@ -216,7 +216,7 @@ def test_criterion_09_mutation_sensitivity():
         c = from_effect_algebra(E)
         imps = [list(row) for row in c.imps]
         imps[1][0] = E.subset(7, 8).bits  # a -> 0 corrupted to {g,1}
-        broken = replace(c, imps=tuple(tuple(r) for r in imps), validated=False)
+        broken = replace(c, imps=tuple(tuple(r) for r in imps))
         rep = validate_surp(broken)
         v = rep.first("C4")
         assert v is not None and v.witness == (1,)

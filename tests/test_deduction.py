@@ -29,7 +29,7 @@ def members(E, *labs):
 def test_e9_counts_and_atoms(e9):
     systems = enumerate_ded(e9)
     assert len(systems) == 28
-    rendered = {e9.render(d.members) for d in atoms(e9)}
+    rendered = {e9.render(d) for d in atoms(e9)}
     assert rendered == {"{a,1}", "{b,1}", "{c,1}", "{e,1}", "{f,1}", "{g,1}"}
 
 
@@ -128,9 +128,9 @@ def test_generate(e9):
 def test_all_enumerated_really_are_systems(e9, e6):
     for E in (e9, e6):
         systems = enumerate_ded(E)
-        assert len({d.members.bits for d in systems}) == len(systems)
+        assert len({d.bits for d in systems}) == len(systems)
         for d in systems:
-            assert is_deductive_system(E, d.members).holds
+            assert is_deductive_system(E, d).holds
         # and nothing outside the list sneaks through (full sweep)
         count = sum(
             is_deductive_system(E, Subset(mask, E.n)).holds
@@ -142,14 +142,14 @@ def test_all_enumerated_really_are_systems(e9, e6):
 def test_lattice_meets_and_joins(e9):
     lat = ded_lattice(e9)
     systems = lat.systems
-    pos = {d.members.bits: i for i, d in enumerate(systems)}
+    pos = {d.bits: i for i, d in enumerate(systems)}
     ag = members(e9, "a", "1")
     bf = members(e9, "b", "1")
     i, j = pos[ag.bits], pos[bf.bits]
     met = systems[lat.meet(i, j)]
-    assert met.members == members(e9, "1")
+    assert met == members(e9, "1")
     joined = systems[lat.join(i, j)]
-    assert joined.members == members(e9, "a", "b", "1")
+    assert joined == members(e9, "a", "b", "1")
     assert lat.leq(pos[members(e9, "1").bits], i)
 
 
@@ -170,7 +170,7 @@ def test_completeness_reports_a_missing_bound(e9):
     # without {a,b,1} the family of {a,1} and {b,1} has no least upper bound
     lat = ded_lattice(e9)
     ab = members(e9, "a", "b", "1").bits
-    pruned = DedLattice(e9, [d for d in lat.systems if d.members.bits != ab])
+    pruned = DedLattice(e9, [d for d in lat.systems if d.bits != ab])
     rep = pruned.check_completeness()
     assert rep == oracles.check_completeness(pruned)
     assert not rep.ok and len(rep.witness) == 2
@@ -210,10 +210,10 @@ def test_atoms_are_the_covers_of_one_in_the_lattice(name):
     bottom = 1 << E.one
     covers = []
     for d in ded_lattice(E).systems:
-        bits = d.members.bits
+        bits = d.bits
         if bits != bottom and all(m & ~bits for m in covers):
             covers.append(bits)
-    found = [d.members.bits for d in atoms(E)]
+    found = [d.bits for d in atoms(E)]
     # with no {1,x} at all (every interior element self-complementary),
     # the whole carrier is the one system above {1}
     assert sorted(covers) == (found or [E.full_set().bits])
@@ -224,14 +224,14 @@ def test_closed_form_matches_the_brute_force(name):
     E = fixture(name)
     brute = oracles.enumerate_ded(E)
     assert list(_closed_form_ded(E)) == brute
-    assert [d.members.bits for d in iter_ded(E)] == brute
+    assert [d.bits for d in iter_ded(E)] == brute
 
 
 @pytest.mark.parametrize("name", ["CHAIN-21", "CHAIN-22"])
 def test_closed_form_order_on_large_fixtures(name):
     E = fixture(name)
     assert list(_closed_form_ded(E)) == oracles.closed_form_ded(E)
-    assert [d.members.bits for d in enumerate_ded(E)] == oracles.closed_form_ded(E)
+    assert [d.bits for d in enumerate_ded(E)] == oracles.closed_form_ded(E)
 
 
 def test_closed_form_order_on_bool5_prefix():
@@ -247,6 +247,6 @@ def test_iter_ded_streams_above_the_brute_force_limit():
     start = time.perf_counter()
     first = list(itertools.islice(iter_ded(E), 5))
     assert time.perf_counter() - start < 1.0
-    assert [E.render(d.members) for d in first] == [
+    assert [E.render(d) for d in first] == [
         "{1}", "{a1,1}", "{a2,1}", "{a3,1}", "{a4,1}"
     ]

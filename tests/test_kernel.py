@@ -68,7 +68,7 @@ def assert_suites_match(E):
     'th2, th4, the derived tables with C1-C5, and th3 where the sweep is small.'
     assert element_implication_suite(E) == oracles.element_implication_suite(E), E.name
     assert set_implication_suite(E) == oracles.set_implication_suite(E), E.name
-    c = from_effect_algebra(E, validate=False)
+    c = from_effect_algebra(E)
     assert c == oracles.from_effect_algebra(E), E.name
     assert validate_surp(c) == oracles.validate_surp(c), E.name
     if E.n <= 16:
@@ -212,7 +212,7 @@ def test_deductive_check_matches_oracle_on_random_subsets(fixtures):
 def test_deductive_systems_match_the_definitional_sweep(labeled, fixtures):
     for E in [*labeled, *fixtures]:
         brute = oracles.enumerate_ded(E)
-        assert [d.members.bits for d in enumerate_ded(E)] == brute, E.name
+        assert [d.bits for d in enumerate_ded(E)] == brute, E.name
         assert count_ded(E) == len(brute), E.name
 
 
@@ -278,7 +278,7 @@ def test_class_walk_lists_the_triples_of_the_pair_walk(labeled):
     rng = random.Random(3)
     c3_failing = 0
     for name in ("E9", "E6", "BOOL-3", "CHAIN-7"):
-        c = from_effect_algebra(fixture(name), validate=False)
+        c = from_effect_algebra(fixture(name))
         for bad in mutations(c, rng, 150):
             p = bad.poset
             up_imp = [[p.upper_bits(cell) for cell in row] for row in bad.imps]
@@ -293,7 +293,7 @@ def test_mutated_tables_report_like_oracle():
     rng = random.Random(3)
     broken = set()
     for name in ("E9", "E6", "BOOL-3", "CHAIN-7"):
-        c = from_effect_algebra(fixture(name), validate=False)
+        c = from_effect_algebra(fixture(name))
         for bad in mutations(c, rng, 150):
             rep = validate_surp(bad)
             assert rep == oracles.validate_surp(bad), name
@@ -318,10 +318,10 @@ def test_c3_fails_where_dual_adjointness_does(labeled, fixtures):
     # algebra with n <= 6, the fixtures and the mutated tables of the test above
     rng = random.Random(3)
     mutated = [bad for name in ("E9", "E6", "BOOL-3", "CHAIN-7") for bad in
-               mutations(from_effect_algebra(fixture(name), validate=False), rng, 150)]
+               mutations(from_effect_algebra(fixture(name)), rng, 150)]
     failing = 0
-    for c in [*(from_effect_algebra(E, validate=False) for E in labeled if E.n <= 6),
-              *(from_effect_algebra(E, validate=False) for E in fixtures), *mutated]:
+    for c in [*(from_effect_algebra(E) for E in labeled if E.n <= 6),
+              *(from_effect_algebra(E) for E in fixtures), *mutated]:
         rep = validate_surp(c)
         if rep.first("C1") is None:
             ref = oracles.check_dual_adjointness(c)
@@ -349,8 +349,8 @@ def test_to_effect_algebra_matches_the_cell_loop(e6):
     rng = random.Random(41)
     kinds = set()
     cands = [bad for name in ("E9", "E6", "BOOL-3", "CHAIN-7")
-             for bad in mutations(from_effect_algebra(fixture(name), validate=False), rng, 150)]
-    c = from_effect_algebra(e6, validate=False)
+             for bad in mutations(from_effect_algebra(fixture(name)), rng, 150)]
+    c = from_effect_algebra(e6)
     n, a, a_comp, b, b_comp = e6.n, *(e6.labels.index(s) for s in ("a", "a'", "b", "b'"))
     swapped = list(c.inv)
     swapped[a], swapped[b_comp], swapped[b], swapped[a_comp] = b_comp, a, a_comp, b
@@ -373,14 +373,14 @@ def test_c3_reads_the_cells_after_replace_or_assignment(e9):
     # C3 builds U(y -> z) from the cells the tables hold, whether they are the
     # algebra's own or came in by `replace` or by an assignment to `imps`,
     # here with one U(y -> z) changed
-    c = from_effect_algebra(e9, validate=False)
+    c = from_effect_algebra(e9)
     n = e9.n
     y, z = next((y, z) for y in range(n) for z in range(n)
                 if z != e9.zero and e9.up_imp_bits[y][z] != 1 << e9.one)
     imps = [list(row) for row in c.imps]
     imps[y][z] = 1 << e9.one
     imps = tuple(map(tuple, imps))
-    by_assignment = from_effect_algebra(e9, validate=False)
+    by_assignment = from_effect_algebra(e9)
     by_assignment.imps = imps
     want = oracles.validate_surp(replace(c, imps=imps))
     assert [v.axiom for v in want.violations] == ["C3"]
@@ -396,7 +396,7 @@ def test_c3_and_c5_read_assigned_products_and_involution(e9, e6):
     rng = random.Random(31)
     axioms = set()
     for _ in range(40):
-        c = from_effect_algebra(e9, validate=False)
+        c = from_effect_algebra(e9)
         prods = [list(row) for row in c.products]
         prods[rng.randrange(e9.n)][rng.randrange(e9.n)] = rng.choice([None, *range(e9.n)])
         c.products = tuple(map(tuple, prods))
@@ -406,7 +406,7 @@ def test_c3_and_c5_read_assigned_products_and_involution(e9, e6):
     assert "C3" in axioms
     # another antitone involution of E6's order, a <-> b' and b <-> a': C3 at
     # y = a then reads U(x,b'), which holds b', and a (.) b' is undefined
-    c = from_effect_algebra(e6, validate=False)
+    c = from_effect_algebra(e6)
     a, a_comp, b, b_comp = (e6.labels.index(s) for s in ("a", "a'", "b", "b'"))
     inv = list(c.inv)
     inv[a], inv[b_comp], inv[b], inv[a_comp] = b_comp, a, a_comp, b
@@ -419,7 +419,7 @@ def test_one_cell_mutations_break_divisibility_like_oracle(e9):
     # C5 is decided once per distinct pair (x -> y, L(x,y)) in a row, so a
     # changed cell must still count where an unchanged cell of its row shares
     # its L(x,y); every one-member change of every cell against the oracle
-    c = from_effect_algebra(e9, validate=False)
+    c = from_effect_algebra(e9)
     n, low = e9.n, e9.order.pair_lower
     kinds = set()
     for x in range(n):
@@ -445,7 +445,7 @@ def test_monotonicity_scan_takes_z_before_x(e6):
     # z = 1, first at (0, a', 1); the scan walks z, then x >= z', then
     # y >= x, so it names the column-a' triple, which is not the
     # lexicographically first failing one
-    c = from_effect_algebra(e6, validate=False)
+    c = from_effect_algebra(e6)
     a, a_comp, one = (e6.labels.index(lab) for lab in ("a", "a'", "1"))
     prods = [list(row) for row in c.products]
     prods[a][a_comp] = prods[e6.zero][one] = a

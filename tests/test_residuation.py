@@ -22,7 +22,8 @@ from conftest import idx
 
 def test_derived_tables_on_e9(e9):
     c = from_effect_algebra(e9)
-    assert c.validated and c.divisible
+    report = validate_surp(c)
+    assert report.ok and report.algebra.divisible
     g, a, e, f = (idx(e9, lab) for lab in "gaef")
     assert c.odot(g, a) == e9.zero
     assert c.odot(e, f) == a
@@ -33,7 +34,7 @@ def test_derived_tables_on_e9(e9):
 
 def test_corpus_is_valid_and_divisible(small_algebras, fixture_algebras):
     for E in small_algebras + fixture_algebras:
-        rep = validate_surp(from_effect_algebra(E, validate=False))
+        rep = validate_surp(from_effect_algebra(E))
         assert rep.ok, (E.name, [str(v) for v in rep.violations])
         assert rep.algebra.divisible is True
 
@@ -50,7 +51,7 @@ def test_roundtrip_both_ways(small_algebras, fixture_algebras):
 def test_implication_rows_are_masks_read_as_subsets(e9):
     # the cells are the algebra's own int masks, and `imp` reads one as the
     # Subset it stands for; a copy of equal value validates alike
-    c = from_effect_algebra(e9, validate=False)
+    c = from_effect_algebra(e9)
     n = e9.n
     assert c.imps is e9.imp_bits
     assert all(type(cell) is int for row in c.imps for cell in row)
@@ -65,7 +66,7 @@ def test_implication_rows_are_masks_read_as_subsets(e9):
 def test_cells_that_are_not_masks_are_refused(e9):
     # rows of Subsets, a negative mask, a mask past the carrier, a float and
     # a short table raise instead of being read as cells
-    c = from_effect_algebra(e9, validate=False)
+    c = from_effect_algebra(e9)
     n = e9.n
 
     def with_cell(x, y, value):
@@ -91,7 +92,7 @@ def test_c1_breakage_short_circuits(e9):
     c = from_effect_algebra(e9)
     mapping = list(c.inv)
     mapping[1], mapping[2] = mapping[2], mapping[1]
-    broken = replace(c, inv=tuple(mapping), validated=False)
+    broken = replace(c, inv=tuple(mapping))
     rep = validate_surp(broken)
     assert not rep.ok
     assert {v.axiom for v in rep.violations} == {"C1"}
@@ -102,7 +103,7 @@ def test_c2_strictness_witnessed(e9):
     prods = [list(row) for row in c.products]
     a = idx(e9, "a")
     prods[a][a] = e9.zero  # a' is not below a, so this pair must stay undefined
-    broken = replace(c, products=tuple(tuple(r) for r in prods), validated=False)
+    broken = replace(c, products=tuple(tuple(r) for r in prods))
     rep = validate_surp(broken)
     assert rep.first("C2") is not None
 
@@ -112,7 +113,7 @@ def test_c4_mutation_reports_both_c3_and_c4(e9):
     imps = [list(row) for row in c.imps]
     a = idx(e9, "a")
     imps[a][e9.zero] = e9.subset(idx(e9, "g"), e9.one).bits
-    broken = replace(c, imps=tuple(tuple(r) for r in imps), validated=False)
+    broken = replace(c, imps=tuple(tuple(r) for r in imps))
     rep = validate_surp(broken)
     axioms = {v.axiom for v in rep.violations}
     assert "C4" in axioms
@@ -129,7 +130,7 @@ def test_order_mismatch_rejected(e9):
     # a different order than the carrier poset
     f = idx(e9, "f")
     prods[f][f] = prods[f][d]
-    broken = replace(c, products=tuple(tuple(r) for r in prods), validated=False)
+    broken = replace(c, products=tuple(tuple(r) for r in prods))
     with pytest.raises((InvalidAlgebraError, ValueError)):
         to_effect_algebra(broken)
 
@@ -150,7 +151,7 @@ def test_reverse_roundtrip_holds_iff_divisible():
     for name in ("E6", "E9", "BOOL-3", "BOOL-4", "CHAIN-7", "CHAIN-16"):
         E = fixture(name)
         n, p = E.n, E.order
-        c = from_effect_algebra(E, validate=False)
+        c = from_effect_algebra(E)
         for _ in range(150):
             imps = [list(row) for row in c.imps]
             for _ in range(rng.randint(1, 4)):
@@ -218,7 +219,7 @@ def test_divisibility_alone_pins_each_cell():
     # the cone reading against the validator on a seeded sample of cells
     kinds = set()
     for E, y, z, a, alternative in rng.sample(sample, 300):
-        c = from_effect_algebra(E, validate=False)
+        c = from_effect_algebra(E)
         imps = [list(row) for row in c.imps]
         imps[y][z] = a
         report = validate_surp(replace(c, imps=tuple(map(tuple, imps))))
@@ -237,10 +238,8 @@ def test_from_effect_algebra_raises_report_on_mutated_table(e9):
     # the mutated sums with E9's own complement and order, and no cached table
     bad = EffectAlgebra(e9.labels, tuple(map(tuple, sums)), e9.zero, e9.one, "E9-mutated")
     bad.comp, bad.order = e9.comp, e9.order
-    with pytest.raises(InvalidAlgebraError) as err:
-        from_effect_algebra(bad)
-    report = err.value.report
-    assert report == validate_surp(from_effect_algebra(bad, validate=False))
+    report = validate_surp(from_effect_algebra(bad))
+    assert not report.ok and report.algebra is None
     assert [(v.axiom, v.witness) for v in report.violations] == [
         ("C2", (5, 6, 7)), ("C2", (1, 6)), ("C3", (2, 7, 2)),
     ]
