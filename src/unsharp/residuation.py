@@ -60,9 +60,9 @@ def _odot_bits(products, mask: int, y: int) -> Optional[int]:
 def from_effect_algebra(E: EffectAlgebra) -> UnsharpResiduatedPoset:
     """Derive product and implication tables from an effect algebra.
 
-    x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).  The product
-    table and the cell masks are the algebra's own; `validate_surp` checks
-    them against C1-C5.
+    x (.) y = (x' + y')' where defined, x -> y = x' + L(x,y).  The order,
+    with E's own labels, zero and one, the product table and the cell masks
+    are the algebra's; `validate_surp` checks them against C1-C5.
     """
     return UnsharpResiduatedPoset(E.order, E.comp, E.products, E.imp_bits, name=E.name)
 
@@ -187,10 +187,14 @@ def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
     """Recover the effect algebra via x + y = (x' (.) y')' for x <= y'.
 
     Row x is read off the product row of x' as a whole; a cell with x <= y'
-    and no product is a strictness gap, raised at its first y.
-    The construction always validates when `c` came from a valid algebra;
-    a failure therefore indicates an invalid input and is raised with the
-    offending report attached.
+    and no product is a strictness gap, raised at its first y.  The algebra
+    F always validates when `c` came from a valid algebra; a failure raises
+    its report.  F keeps `c.poset`'s labels and bounds, and its order: F has
+    x + y iff x <= inv(y), and x <=_F z iff x + z' is defined (Foulis and
+    Bennett 1994), so x <=_F z iff x <= tau(z), tau = inv after F's
+    complement.  inv is a permutation, or two sums 0 + y agree, so tau is
+    one; reflexivity gives z <= tau(z), and along a cycle of tau
+    antisymmetry makes tau the identity.
     """
     p, inv = c.poset, c.inv
     undefined, sums = object(), []
@@ -201,11 +205,7 @@ def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
             gap = Violation("C2", (inv[x], inv[row.index(None)]), "strictness gap")
             raise InvalidAlgebraError(ValidationReport([gap]))
         sums.append(tuple(None if t is undefined else inv[t] for t in row))
-    E = EffectAlgebra.from_tables(p.labels, sums, p.bottom, p.top, name=c.name)
-    if E.order.up != p.up:
-        wrong = Violation("order", (), "derived order differs from the poset")
-        raise InvalidAlgebraError(ValidationReport([wrong]))
-    return E
+    return EffectAlgebra.from_tables(p.labels, sums, p.bottom, p.top, name=c.name)
 
 
 class RoundtripResult(NamedTuple):
@@ -217,13 +217,11 @@ class RoundtripResult(NamedTuple):
 
 
 def roundtrip_check(E: EffectAlgebra) -> RoundtripResult:
-    'Algebra -> residuated tables -> algebra; compare sum tables, entrywise on a mismatch.'
+    'Algebra -> tables -> algebra; compare sum tables, entrywise on a mismatch.'
     back = to_effect_algebra(from_effect_algebra(E))
     n, sums = E.n, back.sums
     diffs = [] if E.sums == sums else [(x, y, E.sums[x][y], sums[x][y]) for x in range(n)
                                        for y in range(n) if E.sums[x][y] != sums[x][y]]
-    if E.labels != back.labels or E.zero != back.zero or E.one != back.one:
-        diffs.append(("labels/bounds", E.labels, back.labels, (E.zero, E.one)))
     return RoundtripResult(not diffs, diffs)
 
 
@@ -234,7 +232,7 @@ def surp_roundtrip_check(c: UnsharpResiduatedPoset) -> RoundtripResult:
     products come back whole, and C5 asks y (.) (y -> z) = L(y,z) with every
     product defined, so y -> z lies in U(y').  There y (.) is one-to-one (see
     `validate_surp`), so only one cell passes C5, and the rebuilt cell
-    y' + L(y,z) does.
+    y' + L(y,z) does.  The order comes back too (see `to_effect_algebra`).
     """
     back = from_effect_algebra(to_effect_algebra(c))
     diffs = []
@@ -244,8 +242,6 @@ def surp_roundtrip_check(c: UnsharpResiduatedPoset) -> RoundtripResult:
                 diffs.append(("product", x, y, c.products[x][y], back.products[x][y]))
             if c.imps[x][y] != back.imps[x][y]:
                 diffs.append(("imp", x, y, c.imp(x, y), back.imp(x, y)))
-    if c.poset.up != back.poset.up:
-        diffs.append(("order", c.poset.up, back.poset.up))
     return RoundtripResult(not diffs, diffs)
 
 

@@ -1,18 +1,27 @@
 """The errors the public functions raise on arguments they cannot take: a
 subset over another carrier, an undefined elementwise sum, a map that is
-not a permutation, and the `Subset` operators' own checks."""
+not a permutation, the `Subset` operators' own checks and sizes out of
+range; and the small behaviours of the public records."""
 
 import pytest
 
 from unsharp import (
+    MonotonicityResult,
+    Poset,
     Subset,
     characterize,
+    check_sum_laws,
+    enumerate_effect_algebras,
     fixture,
     generate,
     implies_sets,
     is_deductive_system,
     validate_involution,
+    validate_tables,
 )
+from unsharp.deduction import DeductiveCheck
+from unsharp.laws import IdentityEquivalence
+from unsharp.residuation import RoundtripResult
 
 E9 = fixture("E9")
 OWN = E9.subset(0, 8)  # {0, 1}
@@ -90,3 +99,61 @@ def test_subset_operators_and_their_checks(method, arg, expect, bad, message):
     with pytest.raises(ValueError) as err:
         method(bad)
     assert str(err.value) == message
+
+
+def chain_up(n, bottom=0):
+    'Up-sets of an n-chain listed bottom first from index `bottom`, wrapping round.'
+    order = [(bottom + k) % n for k in range(n)]
+    return [sum(1 << y for y in order[order.index(x):]) for x in range(n)]
+
+
+def restricted(p):
+    return enumerate_effect_algebras(p.n, induced_order=p)
+
+
+ARGUMENT_CHECKS = {
+    "validate_tables-0": (lambda: validate_tables((), [], 0, 0), "carrier size 0 outside 1..64"),
+    "validate_tables-65": (lambda: validate_tables([f"e{i}" for i in range(65)], [], 0, 64),
+                           "carrier size 65 outside 1..64"),
+    "Poset-negative-mask": (lambda: Poset([3, -1]), "up-mask of 1 falls outside the carrier"),
+    "Poset-65": (lambda: Poset(chain_up(65)), "carrier size 65 outside 1..64"),
+    "Poset-label-count": (lambda: Poset([3, 2], ["0"]), "label count differs from carrier size"),
+    "Poset-duplicate-labels": (lambda: Poset([3, 2], ["0", "0"]),
+                               "labels are not pairwise distinct"),
+    "restricted-11": (lambda: restricted(Poset(chain_up(11))),
+                      "restricted search supports 2..10 elements"),
+    "restricted-bottom-1": (lambda: restricted(Poset(chain_up(3, bottom=1))),
+                            "restricted search expects bottom 0 and top n-1"),
+    "CHAIN-65": (lambda: fixture("CHAIN-65"), "chain size out of range (2..64)"),
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS)
+def test_arguments_out_of_range_raise(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_repr_and_missing_clause():
+    assert repr(E9) == "<EffectAlgebra E9 n=9>"
+    report = check_sum_laws(E9)
+    assert report.clause("double_complement").passed
+    with pytest.raises(KeyError) as err:
+        report.clause("no such clause")
+    assert err.value.args == ("no such clause",)
+
+
+@pytest.mark.parametrize("passing, failing", [
+    (DeductiveCheck(True), DeductiveCheck(False, ("one",))),
+    (MonotonicityResult(True, None, True), MonotonicityResult(False, (0, OWN, OWN), True)),
+    (RoundtripResult(True, []), RoundtripResult(False, [(3, 3, 1, 2)])),
+    # equivalence is the agreement of the two verdicts, not either verdict
+    (IdentityEquivalence(False, False), IdentityEquivalence(True, False)),
+    (IdentityEquivalence(True, True), IdentityEquivalence(False, True)),
+], ids=["DeductiveCheck", "MonotonicityResult", "RoundtripResult", "IdentityEquivalence-false",
+        "IdentityEquivalence-true"])
+def test_result_records_are_falsy_exactly_when_they_fail(passing, failing):
+    # a NamedTuple with fields is truthy by default, so `if not result:`
+    # relies on each record's own __bool__
+    assert bool(passing) is True and bool(failing) is False

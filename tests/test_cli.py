@@ -1,11 +1,15 @@
+import dataclasses
 import subprocess
 import sys
 import time
 
 import pytest
 
-from unsharp.cli import SUITES, main
+from unsharp import fixture, laws, residuation
+from unsharp.cli import SUITES, main, run_suite
 from unsharp.fixtures import BUNDLED, E9_TEXT
+from unsharp.reports import ValidationReport
+from unsharp.residuation import RoundtripResult
 
 
 def run(capsys, *argv):
@@ -220,6 +224,88 @@ def test_check_suite_selection(capsys):
         code, out, err = run(capsys, "check", "fixture:E9", "--suite", value)
         assert (code, out) == (2, "")
         assert err == "unknown suite ''; choose from lemma1,lemma2,th2,th4,c1-c5,th3,roundtrip\n"
+
+
+def test_check_invalid_file(tmp_path, capsys):
+    # a document that parses but fails validation exits 1 with the report
+    bad = tmp_path / "bad.ea"
+    bad.write_text("algebra B\nelements 0 m 1\nzero 0\none 1\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out, err) == (1, "", "invalid: E3 violated at (1): no orthosupplement\n")
+
+
+def test_run_suite_refuses_an_unknown_name():
+    # cmd_check screens the names first, so only a direct call reaches this
+    with pytest.raises(ValueError) as err:
+        run_suite(fixture("E9"), "bogus")
+    assert str(err.value) == "unknown suite 'bogus'"
+
+
+# The theorem self-checks: on a correct package no algebra fails C1-C5, the
+# round trip or comparable contraposition, so these tests swap in failing
+# results to pin what the commands print and return when one does.
+STRICTNESS = "C2 violated at (0,0): strictness: product defined iff x' <= y"
+# what roundtrip_check reports on EA6-4 given EA6-7's product table (test_residuation)
+FOREIGN_SUMS = RoundtripResult(False, [(3, 3, 1, 2), (3, 4, 2, 1), (4, 3, 2, 1), (4, 4, 1, 2)])
+
+
+def fault(monkeypatch, validation):
+    'Make C1-C5 report `validation` (applied to the real tables) and the round trip fail.'
+    real = residuation.validate_surp
+    monkeypatch.setattr(residuation, "validate_surp", lambda c: validation(real, c))
+    monkeypatch.setattr(residuation, "roundtrip_check", lambda E: FOREIGN_SUMS)
+
+
+def undefined_product_defined(real, c):
+    'The report on `c` with 0 (.) 0, which must stay undefined, set to 0.'
+    prods = [list(row) for row in c.products]
+    prods[0][0] = 0
+    return real(dataclasses.replace(c, products=tuple(map(tuple, prods))))
+
+
+def not_divisible(real, c):
+    return ValidationReport([], dataclasses.replace(c, divisible=False))
+
+
+def test_residuate_prints_each_failing_self_check(capsys, monkeypatch):
+    fault(monkeypatch, undefined_product_defined)
+    code, out, err = run(capsys, "residuate", "fixture:E9", "--roundtrip")
+    assert (code, err) == (1, "")
+    assert out == (
+        f"C1: ok\nC2: FAIL {STRICTNESS}\nC3: ok\nC4: ok\nC5 (divisibility): None\n"
+        "roundtrip: FAIL [(3, 3, 1, 2), (3, 4, 2, 1), (4, 3, 2, 1)]\n"
+    )
+
+
+@pytest.mark.parametrize("validation, detail", [
+    (undefined_product_defined, f"{STRICTNESS}; C2 violated at (0,1,7): product not associative"),
+    (not_divisible, "not divisible"),
+])
+def test_check_prints_each_failing_self_check(capsys, monkeypatch, validation, detail):
+    fault(monkeypatch, validation)
+    code, out, err = run(capsys, "check", "fixture:E9", "--suite", "th2,c1-c5,roundtrip")
+    assert (code, err) == (1, "")
+    assert out == (
+        f"th2: pass\nc1-c5: FAIL {detail}\n"
+        "roundtrip: FAIL [(3, 3, 1, 2), (3, 4, 2, 1), (4, 3, 2, 1)]\n"
+    )
+
+
+def test_laws_flags_a_failing_comparable_pair(capsys, monkeypatch):
+    real = laws.counterexample_search
+
+    def one_comparable_failure(E):
+        rep = real(E)
+        first = rep.failing_pairs[0]._replace(comparable=True)
+        return rep._replace(failing_pairs=[first], comparable_only_status=False)
+
+    monkeypatch.setattr(laws, "counterexample_search", one_comparable_failure)
+    code, out, err = run(capsys, "laws", "fixture:E9", "--contraposition")
+    assert (code, err) == (1, "")
+    assert out == (
+        "contraposition: 1 failing pairs\n  a b: {g,1} != {1} (comparable)\n"
+        "  a COMPARABLE pair fails; this should be impossible\n"
+    )
 
 
 def test_console_script_entry():

@@ -8,6 +8,7 @@ import pytest
 from unsharp import (
     AlgebraSpec,
     DslError,
+    InvalidAlgebraError,
     emit_dot,
     emit_spec,
     emit_table,
@@ -131,6 +132,41 @@ def test_sum_line_errors_in_full(text, message):
     with pytest.raises(DslError) as err:
         parse_spec(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("algebra\n", "line 1, column 1: expected: algebra NAME"),
+        ("algebra A B\n", "line 1, column 1: expected: algebra NAME"),
+        ("elements 0 1\nelements 0 1\n", "line 2, column 1: elements declared twice"),
+        ("# no labels\nelements\n", "line 2, column 1: expected at least one element label"),
+        ("elements 0 1\nzero\n", "line 2, column 1: expected: zero LABEL"),
+        ("elements 0 1\none 1 0\n", "line 2, column 1: expected: one LABEL"),
+        ("elements 0 1\nzero 0\nzero 0\n", "line 3, column 1: zero declared twice"),
+        ("elements 0 1\none 1\none 1\n", "line 3, column 1: one declared twice"),
+        (HEAD + "sum a b 1\n", "line 4, column 1: expected: sum X Y = Z"),
+        (HEAD + "sum a b - 1\n", "line 4, column 1: expected: sum X Y = Z"),
+        (HEAD + "complement a b\n", "line 4, column 1: expected: complement X = Y"),
+        (HEAD + "complement a - b\n", "line 4, column 1: expected: complement X = Y"),
+        # the last line, or the one after a final line break
+        ("", "line 1, column 1: missing elements declaration"),
+        ("algebra A\n", "line 2, column 1: missing elements declaration"),
+        ("algebra A\n# nothing else", "line 2, column 1: missing elements declaration"),
+    ],
+)
+def test_malformed_directives_in_full(text, message):
+    with pytest.raises(DslError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
+
+def test_load_algebra_raises_the_validation_report():
+    # the document parses, but m has no orthosupplement
+    with pytest.raises(InvalidAlgebraError) as err:
+        load_algebra("elements 0 m 1\nzero 0\none 1\n")
+    assert str(err.value) == "E3 violated at (1): no orthosupplement"
+    assert [str(v) for v in err.value.report.violations] == [str(err.value)]
 
 
 def test_complement_declarations_checked():

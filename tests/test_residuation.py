@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from unsharp import (
     to_effect_algebra,
     validate_surp,
 )
+from unsharp.residuation import RoundtripResult, UnsharpResiduatedPoset
 
 from conftest import idx
 
@@ -123,16 +125,18 @@ def test_c4_mutation_reports_both_c3_and_c4(e9):
 
 
 def test_order_mismatch_rejected(e9):
+    # f (.) f set to the value of f (.) d: the rebuilt sum table is not
+    # associative, and validation refuses it; a rebuilt table that validates
+    # always has the poset's order (test_to_effect_algebra_keeps_the_order_of_its_poset)
     c = from_effect_algebra(e9)
     prods = [list(row) for row in c.products]
-    b, d = idx(e9, "b"), idx(e9, "d")
-    # claim f.b = d (wrong value) - the rebuilt sum table then induces
-    # a different order than the carrier poset
-    f = idx(e9, "f")
+    d, f = idx(e9, "d"), idx(e9, "f")
     prods[f][f] = prods[f][d]
     broken = replace(c, products=tuple(tuple(r) for r in prods))
-    with pytest.raises((InvalidAlgebraError, ValueError)):
+    with pytest.raises(InvalidAlgebraError) as err:
         to_effect_algebra(broken)
+    assert [str(v) for v in err.value.report.violations] == [
+        "E2 violated at (2,2,4): associativity fails"]
 
 
 def test_exchange_equivalence_everywhere(small_algebras, fixture_algebras):
@@ -230,7 +234,7 @@ def test_divisibility_alone_pins_each_cell():
     assert kinds == {(False, False), (True, False), (True, True)}
 
 
-def test_from_effect_algebra_raises_report_on_mutated_table(e9):
+def test_validate_surp_reports_a_mutated_sum_table(e9):
     # a + b = e changed to a + b = f behind the validator's back
     a, b, f = (idx(e9, lab) for lab in "abf")
     sums = [list(row) for row in e9.sums]
@@ -243,3 +247,56 @@ def test_from_effect_algebra_raises_report_on_mutated_table(e9):
     assert [(v.axiom, v.witness) for v in report.violations] == [
         ("C2", (5, 6, 7)), ("C2", (1, 6)), ("C3", (2, 7, 2)),
     ]
+
+
+def test_roundtrip_check_reports_a_foreign_product_table():
+    # EA6-4 and EA6-7 share their order and complement, so EA6-4 with the
+    # other's products goes through to_effect_algebra and comes back as
+    # EA6-7: the sums differ cell by cell
+    algebras = {E.name: E for E in enumerate_effect_algebras(6).algebras}
+    E, F = algebras["EA6-4"], algebras["EA6-7"]
+    assert (E.order.up, E.comp) == (F.order.up, F.comp) and E.sums != F.sums
+    E.__dict__["products"] = F.products
+    rt = roundtrip_check(E)
+    assert not rt and rt.diffs[:2] == [(3, 3, 1, 2), (3, 4, 2, 1)]
+    assert rt.diffs == [(x, y, E.sums[x][y], F.sums[x][y]) for x in range(6) for y in range(6)
+                        if E.sums[x][y] != F.sums[x][y]]
+
+
+def test_surp_roundtrip_check_reports_a_defined_product_off_its_domain(e9):
+    # 0 (.) 0 is undefined, as 0' = 1 is not below 0; setting it breaks C2
+    # strictness, and the rebuilt table leaves the cell undefined again
+    c = from_effect_algebra(e9)
+    prods = [list(row) for row in c.products]
+    assert prods[0][0] is None
+    prods[0][0] = 0
+    broken = replace(c, products=tuple(map(tuple, prods)))
+    assert validate_surp(broken).first("C2").witness == (0, 0)
+    assert surp_roundtrip_check(broken) == RoundtripResult(False, [("product", 0, 0, 0, None)])
+
+
+def test_to_effect_algebra_keeps_the_order_of_its_poset():
+    # every order of the labeled listing with n <= 6, each of its antitone
+    # involutions, and the product table of each algebra with that order:
+    # the rebuilt algebra fails validation or has the poset's order exactly
+    outcomes = []
+    for n in range(2, 7):
+        by_order = {}
+        for E in enumerate_effect_algebras(n).algebras:
+            by_order.setdefault(E.order.up, (E.order, []))[1].append(E)
+        for p, algebras in by_order.values():
+            for inv in itertools.permutations(range(n)):
+                if any(inv[inv[x]] != x for x in range(n)) or any(
+                        not p.leq(inv[y], inv[x]) for x in range(n) for y in range(n)
+                        if p.leq(x, y)):
+                    continue
+                for E in algebras:
+                    c = UnsharpResiduatedPoset(p, inv, E.products, E.imp_bits)
+                    try:
+                        F = to_effect_algebra(c)
+                    except InvalidAlgebraError:
+                        outcomes.append("refused")
+                        continue
+                    assert F.order.up == p.up, (E.name, inv)
+                    outcomes.append("same order")
+    assert (outcomes.count("refused"), outcomes.count("same order")) == (164, 164)
