@@ -32,7 +32,7 @@ canonical form for their class.  Only a listing relabels, each tau once
 as a getter over the cells and a lookup of the values; the labeled tables
 are sorted into the order of a cell-by-cell search, and each listed
 algebra comes from the EffectAlgebra constructor, which reads it off its
-rows.
+rows, and carries its base table's form.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn
@@ -44,7 +44,10 @@ relabeling, and both list their tables in one order.  The search and the
 counts reach n = 10; the free listing stops at n = 8 (15,136 algebras).
 
 `canonical_form`, `find_isomorphism` and `is_isomorphic` all rest on one
-canonical labeling, found by an individualization-refinement search.
+canonical labeling, found by an individualization-refinement search.  The
+form is kept on the algebra, so it is computed once per algebra and not
+at all for a listed one; the labeling is not kept, as a listed algebra
+knows its class's form but not its own labeling.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ UNDEF = -1
 
 MAX_SEARCH = 10  # both modes, and the free mode's counts
 MAX_LISTED = 8  # the free listing, whose names at n >= 9 are not decided
+_FORM = "_canonical_form"  # the key of an algebra's kept form in its __dict__
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -192,13 +196,13 @@ def _free_types(n: int) -> list:
 
 
 def _free_tables(types: list) -> list:
-    """Every labeled table, (table, (j, base index)), in the order of one
-    search over all cells with values (undefined, 1..n-1)."""
+    """Every labeled table, (table, form of its base table), in the order of
+    one search over all cells with values (undefined, 1..n-1)."""
     tables = []
-    for j, (taus, base, _, _) in enumerate(types):
+    for taus, base, forms, _ in types:
         cells = [tuple(itertools.chain.from_iterable(tab)) for tab in base]
         for move in map(_mover, taus):
-            tables += [(move(c), (j, b)) for b, c in enumerate(cells)]
+            tables += [(move(c), form) for c, form in zip(cells, forms)]
     tables.sort(key=lambda e: _listing_key(e[0]))
     return tables
 
@@ -249,13 +253,15 @@ def enumerate_effect_algebras(
 
     With `up_to_iso` the algebra list keeps one representative per
     isomorphism class, the first labeled member (counts for both modes are
-    always computed).  With `induced_order` only tables inducing exactly
-    that order are produced.  `threads` is accepted and ignored, like the
-    CLI's `THREADS`: the search runs in one process.  A table the search
-    completes is valid by construction, and one of the restricted search
-    induces exactly the given order: see `_restricted_tables`.  The free
-    mode lists n up to 8 and the restricted mode up to 10; the free mode's
-    counts alone reach 10 (`unsharp enumerate`).
+    always computed).  Every listed algebra carries the canonical form of
+    the base table it was moved from, which is its own, so `canonical_form`
+    reads it without a search.  With `induced_order` only tables inducing
+    exactly that order are produced.  `threads` is accepted and ignored,
+    like the CLI's `THREADS`: the search runs in one process.  A table the
+    search completes is valid by construction, and one of the restricted
+    search induces exactly the given order: see `_restricted_tables`.  The
+    free mode lists n up to 8 and the restricted mode up to 10; the free
+    mode's counts alone reach 10 (`unsharp enumerate`).
     """
     if induced_order is None:
         if not 2 <= n <= MAX_LISTED:
@@ -269,14 +275,19 @@ def enumerate_effect_algebras(
             raise ValueError(f"restricted search supports 2..{MAX_SEARCH} elements")
         found, nodes = _restricted_tables(induced_order)
         labels = induced_order.labels
-        groups = [([tuple(range(n))], found, _forms(labels, found), nodes)]
-        tables = [(tab, (0, i)) for i, tab in enumerate(found)]
+        forms = _forms(labels, found)
+        groups, tables = [([tuple(range(n))], found, forms, nodes)], list(zip(found, forms))
     labeled, iso, nodes = _counts(groups)
-    # the listing: with up_to_iso each class keeps its first labeled member
+    # the listing: with up_to_iso each class keeps its first labeled member;
+    # each algebra carries the form of the base table it was moved from
     firsts: dict = {}
-    for i, (tab, (j, b)) in enumerate(tables):
-        firsts.setdefault(groups[j][2][b] if up_to_iso else i, (i, tab))
-    algebras = [EffectAlgebra(labels, tab, 0, n - 1, f"EA{n}-{i}") for i, tab in firsts.values()]
+    for i, (tab, form) in enumerate(tables):
+        firsts.setdefault(form if up_to_iso else i, (i, tab, form))
+    algebras = []
+    for i, tab, form in firsts.values():
+        E = EffectAlgebra(labels, tab, 0, n - 1, f"EA{n}-{i}")
+        E.__dict__[_FORM] = form
+        algebras.append(E)
     return EnumerationResult(n, algebras, labeled, iso, up_to_iso, nodes)
 
 
@@ -462,8 +473,13 @@ def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
 
 
 def canonical_form(E: EffectAlgebra) -> tuple:
-    'A relabeling-invariant encoding, equal for two algebras exactly when they are isomorphic.'
-    return _canonical_labeling(E)[0]
+    """A relabeling-invariant encoding, equal for two algebras exactly when they
+    are isomorphic.  It is computed once per algebra and kept on it, like the
+    derived tables; an algebra the enumerator lists carries its base table's."""
+    form = E.__dict__.get(_FORM)
+    if form is None:
+        form = E.__dict__[_FORM] = _canonical_labeling(E)[0]
+    return form
 
 
 def find_isomorphism(E1: EffectAlgebra, E2: EffectAlgebra) -> Optional[tuple]:

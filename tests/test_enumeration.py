@@ -228,8 +228,11 @@ def relabelings(E, seed: int, count: int = 2):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_canonical_form_partitions_like_oracle(n):
     # 1 + 1 + 4 + 16 + 142 + 1,006 = 1,170 labeled algebras over the six n
+    # canonical_form reads the form the listing seeded; the labeling itself
+    # runs afresh on every algebra
     algebras = enumerate_effect_algebras(n).algebras
     ids = partition(map(canonical_form, algebras))
+    assert ids == partition(_canonical_labeling(E)[0] for E in algebras)
     assert ids == partition(map(oracles.canonical_form, algebras))
     firsts = {}
     for E, i in zip(algebras, ids):
@@ -531,6 +534,44 @@ def test_one_validation_per_base_table(monkeypatch, n):
     # each base table of type j stands for |relabelings of type j| labeled tables
     bases = sum(types.count(j) // len(_relabelings(n, j)) for j in set(types))
     assert len(calls) == bases == BASE_TABLES[n]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_canonical_labeling_per_base_table(monkeypatch, n):
+    # a listing labels each base table once and seeds every algebra it lists
+    # with that form, so grouping the listing into classes labels nothing
+    calls = []
+    real = enumeration._canonical_labeling
+    monkeypatch.setattr(enumeration, "_canonical_labeling", lambda E: calls.append(E) or real(E))
+    res = enumerate_effect_algebras(n)
+    assert len(calls) == BASE_TABLES[n]
+    forms = {canonical_form(E) for E in res.algebras}
+    assert len(calls) == BASE_TABLES[n] and len(forms) == res.iso_count
+
+
+def _listings():
+    """The free listings with n <= 8, with and without up_to_iso, and the
+    restricted listings of E9 and CHAIN-10."""
+    for n in range(2, 9):
+        for up_to_iso in (False, True):
+            yield f"n{n}-iso{up_to_iso:d}", enumerate_effect_algebras(n, up_to_iso)
+    for name in RESTRICTED_NODES:
+        order = fixture(name).order
+        yield name, enumerate_effect_algebras(order.n, induced_order=order)
+
+
+def test_listed_algebras_carry_their_own_form():
+    # the seed is the form of the base table an algebra was moved from; a
+    # relabeling keeps the form, so it must be the algebra's own
+    for name, res in _listings():
+        for E in res.algebras:
+            assert canonical_form(E) == _canonical_labeling(E)[0], (name, E.name)
+    # a relabeled algebra is a new instance: it starts with no form and computes its own
+    E = enumerate_effect_algebras(7).algebras[-1]
+    F = relabel(E, [0, *range(E.n - 2, 0, -1), E.n - 1])
+    assert enumeration._FORM in E.__dict__ and enumeration._FORM not in F.__dict__
+    assert canonical_form(F) == canonical_form(E) == _canonical_labeling(F)[0]
+    assert F.__dict__[enumeration._FORM] == canonical_form(E)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
