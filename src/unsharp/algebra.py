@@ -37,10 +37,10 @@ class EffectAlgebra:
     undefined, and reads x' (the u with x + u = 1) and the order (x <= y iff
     x + z = y for some z) off the rows in one pass.  Instances are immutable
     afterwards, so the implication and product tables are built on first
-    use and kept, as is the canonical form (`enumeration.canonical_form`),
-    which the enumerator seeds on the algebras it lists.  The `*_bits`
-    helpers work on subsets given as bitmasks and assume the operation is
-    defined, which holds wherever the law suites call them.  In every effect algebra the image of an interval
+    use and kept, and an algebra the enumerator lists carries its canonical
+    form.  The `*_bits` helpers work on subsets given as bitmasks and
+    assume the operation is defined, which holds wherever the law suites
+    call them.  In every effect algebra the image of an interval
     under ', x + and x (.) is an interval, which those helpers read off two
     cones; any other set is walked member by member.
     """

@@ -44,10 +44,10 @@ relabeling, and both list their tables in one order.  The search and the
 counts reach n = 10; the free listing stops at n = 8 (15,136 algebras).
 
 `canonical_form`, `find_isomorphism` and `is_isomorphic` all rest on one
-canonical labeling, found by an individualization-refinement search.  The
-form is kept on the algebra, so it is computed once per algebra and not
-at all for a listed one; the labeling is not kept, as a listed algebra
-knows its class's form but not its own labeling.
+canonical labeling, found by an individualization-refinement search.  A
+listed algebra carries its form, which `canonical_form` reads without a
+search; its labeling is not kept, as a relabeling keeps the form but not
+the labeling.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ UNDEF = -1
 
 MAX_SEARCH = 10  # both modes, and the free mode's counts
 MAX_LISTED = 8  # the free listing, whose names at n >= 9 are not decided
-_FORM = "_canonical_form"  # the key of an algebra's kept form in its __dict__
+_FORM = "_canonical_form"  # the key of a listed algebra's form in its __dict__
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -276,7 +276,8 @@ def enumerate_effect_algebras(
         found, nodes = _restricted_tables(induced_order)
         labels = induced_order.labels
         forms = _forms(labels, found)
-        groups, tables = [([tuple(range(n))], found, forms, nodes)], list(zip(found, forms))
+        groups = [([tuple(range(n))], found, forms, nodes)]
+        tables = list(zip(found, forms))
     labeled, iso, nodes = _counts(groups)
     # the listing: with up_to_iso each class keeps its first labeled member;
     # each algebra carries the form of the base table it was moved from
@@ -474,12 +475,9 @@ def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
 
 def canonical_form(E: EffectAlgebra) -> tuple:
     """A relabeling-invariant encoding, equal for two algebras exactly when they
-    are isomorphic.  It is computed once per algebra and kept on it, like the
-    derived tables; an algebra the enumerator lists carries its base table's."""
-    form = E.__dict__.get(_FORM)
-    if form is None:
-        form = E.__dict__[_FORM] = _canonical_labeling(E)[0]
-    return form
+    are isomorphic.  An algebra the enumerator lists carries its own; any
+    other runs the labeling search."""
+    return E.__dict__.get(_FORM) or _canonical_labeling(E)[0]
 
 
 def find_isomorphism(E1: EffectAlgebra, E2: EffectAlgebra) -> Optional[tuple]:
