@@ -21,7 +21,7 @@ from .algebra import (
     check_sum_laws,
     is_monotonous,
 )
-from .reports import PropertyReport, ValidationReport
+from .reports import PropertyReport
 
 # the other modules are imported by the commands that use them: start-up
 # compiles only what a command runs
@@ -38,10 +38,6 @@ def _read_source(arg: str) -> str:
         return fh.read()
 
 
-def _validate(arg: str) -> ValidationReport:
-    return dsl.spec_report(dsl.parse_spec(_read_source(arg)))
-
-
 def _load(arg: str) -> EffectAlgebra:
     return dsl.load_algebra(_read_source(arg))  # main prints InvalidAlgebraError
 
@@ -54,7 +50,7 @@ def _label_index(E: EffectAlgebra, label: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = _validate(args.file)
+    report = dsl.spec_report(dsl.parse_spec(_read_source(args.file)))
     if report.ok:
         E = report.algebra
         print(f"{E.name}: valid effect algebra with {E.n} elements")

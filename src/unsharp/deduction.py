@@ -126,19 +126,11 @@ def enumerate_ded(E: EffectAlgebra) -> list[Subset]:
 
 
 def iter_ded(E: EffectAlgebra) -> Iterator[Subset]:
-    """All deductive systems, one at a time, by size then sorted members.
-
-    Generated in order from the complement pairs, so the first systems
-    arrive at once even when there are 3^31 of them."""
-    for bits in _closed_form_ded(E):
-        yield Subset._wrap(bits, E.n)
-
-
-def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
-    """{1} plus at most one member of each complement pair, then the whole
-    carrier: the systems th3 describes, as masks in the order of
-    `iter_ded`.  Adding 1 to every set keeps their order, so the
-    picks are generated in lexicographic order of their member tuples."""
+    """All deductive systems, one at a time, by size then sorted members:
+    {1} plus at most one member of each complement pair, then the whole
+    carrier, the systems th3 describes.  Adding 1 to every set keeps their
+    order, so the picks are generated in lexicographic order of their member
+    tuples, and the first systems arrive at once even when there are 3^31."""
     pairs = _complement_pairs(E)
     partner = {x: xc for x, xc in pairs} | {xc: x for x, xc in pairs}
     elems = [*sorted(partner), E.n]  # E.n ends the list: no pair has a member there
@@ -152,7 +144,7 @@ def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
         while stack:
             i, need, blocked, bits = stack.pop()
             if not need:
-                yield bits
+                yield Subset._wrap(bits, E.n)
                 continue
             c = elems[i]
             # the free pairs with a member at c or later; never grows with c
@@ -162,7 +154,7 @@ def _closed_form_ded(E: EffectAlgebra) -> Iterator[int]:
             if not blocked >> c & 1:
                 stack.append((i + 1, need - 1, blocked | 1 << partner[c], bits | 1 << c))
     if full != one_bit:
-        yield full
+        yield Subset._wrap(full, E.n)
 
 
 def generate(E: EffectAlgebra, m: Subset) -> Subset:

@@ -226,32 +226,22 @@ def emit_dot(E: EffectAlgebra) -> str:
     return "\n".join(out) + "\n"
 
 
-def _table_cells(source: Union[ImplicationTable, EffectAlgebra]):
-    if isinstance(source, EffectAlgebra):
-        E = source
-        corner = "+"
-        cells = [
-            [
-                "-" if E.sums[x][y] is None else E.labels[E.sums[x][y]]
-                for y in range(E.n)
-            ]
-            for x in range(E.n)
-        ]
-    else:
-        E = source.algebra
-        corner = "->"
-        cells = [
-            [E.render(source[x, y]) for y in range(E.n)] for x in range(E.n)
-        ]
-    return E, corner, cells
-
-
 def emit_table(
     source: Union[ImplicationTable, EffectAlgebra], format: str = "aligned"
 ) -> str:
-    E, corner, cells = _table_cells(source)
+    if isinstance(source, EffectAlgebra):
+        E, corner = source, "+"
+        rows = [
+            [E.labels[x], *("-" if s is None else E.labels[s] for s in row)]
+            for x, row in enumerate(E.sums)
+        ]
+    else:
+        E, corner = source.algebra, "->"
+        rows = [
+            [E.labels[x], *(E.render(source[x, y]) for y in range(E.n))]
+            for x in range(E.n)
+        ]
     header = [corner, *E.labels]
-    rows = [[E.labels[x], *cells[x]] for x in range(E.n)]
     if format == "csv":
         import csv  # only here: the other commands need not load it
         buf = io.StringIO()

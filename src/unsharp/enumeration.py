@@ -399,12 +399,11 @@ def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
     index of x) whose relabeled table it encodes.
 
     Colours start as the ranks of (|L(x)|, |U(x)|, x' = x), which puts 0
-    first and 1 last; a colouring that is discrete already is the one leaf.
-    Otherwise they are refined by the multiset of (colour of y, colour of
-    x + y) over the defined sums until no class splits; the old colour
-    leads each key, so classes split in place (and a round that splits
-    none leaves every colour as it was), and colours stay ranks below n,
-    so c(y) * n + c(x + y) codes a pair without collision.
+    first and 1 last, and are refined by the multiset of (colour of y,
+    colour of x + y) over the defined sums until no class splits; the old
+    colour leads each key, so classes split in place (and a round that
+    splits none leaves every colour as it was), and colours stay ranks
+    below n, so c(y) * n + c(x + y) codes a pair without collision.
     A colouring that is not discrete individualizes each member of its first
     smallest non-singleton class in turn, that member going first in its
     class; a discrete one is a leaf and encodes the table relabeled by it,
@@ -419,10 +418,6 @@ def _canonical_labeling(E: EffectAlgebra) -> tuple[tuple, list[int]]:
     # ranked as the tuples (|L(x)|, |U(x)|, x' = x) would be, as |U(x)| <= n
     colour = _ranks([(down[x].bit_count() * (n + 1) + up[x].bit_count()) * 2
                      + (E.comp[x] == x) for x in range(n)])
-    if max(colour) + 1 == n:  # the one leaf, encoded as in visit
-        order = sorted(range(n), key=colour.__getitem__)
-        return (n, *[n if (s := row[y]) is None else colour[s]
-                     for row in map(sums.__getitem__, order) for y in order]), colour
     best: list = []  # encoding, slot, its inverse and the path of the least leaf so far
     autos: list = []  # automorphisms g, g[x] the image of x
 

@@ -67,14 +67,14 @@ def from_effect_algebra(E: EffectAlgebra) -> UnsharpResiduatedPoset:
     return UnsharpResiduatedPoset(E.order, E.comp, E.products, E.imp_bits, name=E.name)
 
 
-def adjointness_failures(p: Poset, inv, products, up_imp, odot=None) -> Iterator[tuple]:
+def adjointness_failures(p: Poset, inv, up_imp, odot) -> Iterator[tuple]:
     """Triples breaking unsharp adjointness (C3), in lexicographic order:
     U(x,y') (.) y <= UL(y,z)  iff  U(x,y') <= U(y -> z),
-    with U(y -> z) read from the table `up_imp`.  U(x,y') (.) y is read off
-    `products`, or given `odot`, as odot(y, U(x,y')): U(x,y') lies in U(y')."""
+    with U(y -> z) read from the table `up_imp` and U(x,y') (.) y given by
+    odot(y, U(x,y')), None where undefined: U(x,y') lies in U(y')."""
 
     def sides(y, umask, uls, uis):
-        image = _odot_bits(products, umask, y) if odot is None else odot(y, umask)
+        image = odot(y, umask)
         lhs = [image is not None and image & ul == image for ul in uls]
         return lhs, [umask & ui == umask for ui in uis]
 
@@ -167,7 +167,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
 
     # C3: unsharp adjointness, quantified over all triples
     up_imp = [list(map(p.upper_bits, row)) for row in imps]
-    add("C3", next(adjointness_failures(p, inv, prod, up_imp, odot), None),
+    add("C3", next(adjointness_failures(p, inv, up_imp, odot), None),
         "unsharp adjointness fails")
 
     # C4: x -> 0 = {x'}
@@ -251,7 +251,7 @@ def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
     Both biconditionals are computed per triple and must agree pointwise
     (and each holds outright on a valid algebra).
     """
-    adj = list(adjointness_failures(E.order, E.comp, E.products, E.up_imp_bits, E.odot_bits))
+    adj = list(adjointness_failures(E.order, E.comp, E.up_imp_bits, E.odot_bits))
     exch = list(exchange_failures(E))
     match_wit = min(set(adj) ^ set(exch), default=None)
     adj_wit = adj[0] if adj else None

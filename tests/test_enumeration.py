@@ -464,16 +464,6 @@ def test_restricted_search_and_involutions_match_oracle():
         assert got, name  # the order of an effect algebra admits at least that one
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_threads_two_equals_serial(n):
-    seq = enumerate_effect_algebras(n)
-    par = enumerate_effect_algebras(n, threads=2)
-    assert [(E.name, E.sums) for E in par.algebras] == [(E.name, E.sums) for E in seq.algebras]
-    assert (par.labeled_count, par.iso_count) == (seq.labeled_count, seq.iso_count)
-    assert par.nodes == seq.nodes
-    assert seq.nodes > 0
-
-
 def test_threads_is_ignored():
     # the search runs in one process whatever threads says, and starts none
     seq = enumerate_effect_algebras(5)

@@ -41,7 +41,7 @@ from unsharp import algebra
 from unsharp.laws import _cone_adjointness_failures
 from unsharp.poset import iter_bits
 from unsharp.reports import _check
-from unsharp.residuation import adjointness_failures
+from unsharp.residuation import _odot_bits, adjointness_failures
 
 import oracles
 
@@ -270,7 +270,8 @@ def test_class_walk_lists_the_triples_of_the_pair_walk(labeled):
     cone_failing = 0
     for E in labeled:
         p, up_imp = E.order, E.up_imp_bits
-        got = list(adjointness_failures(p, E.comp, E.products, up_imp))
+        walk = lambda y, m: _odot_bits(E.products, m, y)  # the member walk
+        got = list(adjointness_failures(p, E.comp, up_imp, walk))
         assert got == list(oracles.walk_adjointness_failures(p, E.comp, E.products, up_imp))
         got = list(_cone_adjointness_failures(E))
         assert got == list(oracles.walk_cone_adjointness_failures(E)), E.name
@@ -282,7 +283,8 @@ def test_class_walk_lists_the_triples_of_the_pair_walk(labeled):
         for bad in mutations(c, rng, 150):
             p = bad.poset
             up_imp = [[p.upper_bits(cell) for cell in row] for row in bad.imps]
-            got = list(adjointness_failures(p, bad.inv, bad.products, up_imp))
+            walk = lambda y, m: _odot_bits(bad.products, m, y)
+            got = list(adjointness_failures(p, bad.inv, up_imp, walk))
             assert got == list(oracles.walk_adjointness_failures(p, bad.inv, bad.products, up_imp))
             c3_failing += len(got) > 1
     # lists of more than one triple are compared on most mutations
