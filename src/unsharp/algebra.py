@@ -34,32 +34,35 @@ class EffectAlgebra:
     the table passes; the enumerator calls it on tables valid by
     construction and `relabel` on isomorphic images of valid tables.  It
     takes the labels as a tuple and the sums as a tuple of rows, None where
-    undefined, and reads x' (the u with x + u = 1) and the order (x <= y iff
-    x + z = y for some z) off the rows in one pass.  Instances are immutable
-    afterwards, so the implication and product tables are built on first
-    use and kept, and an algebra the enumerator lists carries its canonical
-    form.  The `*_bits` helpers work on subsets given as bitmasks and
-    assume the operation is defined, which holds wherever the law suites
-    call them.  In every effect algebra the image of an interval
-    under ', x + and x (.) is an interval, which those helpers read off two
-    cones; any other set is walked member by member.
+    undefined, and reads x' (the u with x + u = 1) off the rows.  Instances
+    are immutable afterwards, so the order (x <= y iff x + z = y for some z),
+    the implication and the product tables are built on first use and kept,
+    and an algebra the enumerator lists carries its canonical form.  The
+    `*_bits` helpers work on subsets given as bitmasks and assume the
+    operation is defined, which holds wherever the law suites call them.
+    In every effect algebra the image of an interval under ', x + and x (.)
+    is an interval, which those helpers read off two cones; any other set
+    is walked member by member.
     """
 
-    __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "order", "name", "__dict__")
+    __slots__ = ("n", "sums", "comp", "zero", "one", "labels", "name", "__dict__")
 
     def __init__(self, labels, sums, zero, one, name="E"):
-        n = len(sums)
-        up, down = [], [0] * n
-        for x, row in enumerate(sums):
+        self.n, self.sums, self.comp = len(sums), sums, tuple([row.index(one) for row in sums])
+        self.zero, self.one, self.labels, self.name = zero, one, labels, name
+
+    @cached_property
+    def order(self) -> Poset:
+        "x <= y iff x + z = y for some z, read off the rows in one pass."
+        up, down = [], [0] * self.n
+        for x, row in enumerate(self.sums):
             bit, mask = 1 << x, 0
             for v in row:
                 if v is not None:
                     mask |= 1 << v
                     down[v] |= bit
             up.append(mask)
-        self.n, self.sums, self.comp = n, sums, tuple([row.index(one) for row in sums])
-        self.zero, self.one, self.labels, self.name = zero, one, labels, name
-        self.order = Poset._unchecked(tuple(up), tuple(down), zero, one, labels)
+        return Poset._unchecked(tuple(up), tuple(down), self.zero, self.one, self.labels)
 
     @classmethod
     def from_tables(cls, labels, sums, zero, one, declared_comp=None, name="E"):
@@ -90,9 +93,9 @@ class EffectAlgebra:
 
     def comp_bits(self, mask: int) -> int:
         "A' = {x' : x in A}; [p,q]' = [q',p'], as ' is an order-reversing involution."
-        if (pq := self.order._intervals.get(mask)) is None:
+        if (pq := (p := self.order)._intervals.get(mask)) is None:
             return _image(self.comp, mask)
-        return self.order.up[self.comp[pq[1]]] & self.order.down[self.comp[pq[0]]]
+        return p.up[self.comp[pq[1]]] & p.down[self.comp[pq[0]]]
 
     def add_bits(self, x: int, mask: int) -> int:
         """x + A elementwise, for A below x'; x + [p,q] = [x+p, x+q] when x + q is
@@ -114,12 +117,12 @@ class EffectAlgebra:
         lies under one.  It is not L(t + m): that needs Riesz decomposition,
         which Boolean algebras and chains have and E6 and E9 do not.
         """
-        m = self.order._principal.get(b)  # B = L(m): its maximal element by one lookup
-        return self._sum_bits(a, b, maximal_bits(b, self.order.up) if m is None else 1 << m)
+        m = (p := self.order)._principal.get(b)  # B = L(m): its maximal element by one lookup
+        return self._sum_bits(a, b, maximal_bits(b, p.up) if m is None else 1 << m)
 
     def _sum_bits(self, a: int, b: int, tops: int) -> int:
         'A + B as in `sum_bits`, given the maximal elements of B.'
-        up, down, sums, bits = self.order.up, self.order.down, self.sums, 0
+        up, down, sums, bits = (p := self.order).up, p.down, self.sums, 0
         maxima = []
         while tops:
             low = tops & -tops
@@ -131,7 +134,7 @@ class EffectAlgebra:
             maxima.append(m)
             tops ^= low
         # a down-set with one maximal element m is L(m)
-        if len(maxima) == 1 and (t := self.order._principal.get(a)) is not None:
+        if len(maxima) == 1 and (t := p._principal.get(a)) is not None:
             return self._down_sums[t][maxima[0]]
         while a:
             low = a & -a
@@ -211,16 +214,16 @@ class EffectAlgebra:
         if a.n != self.n or b.n != self.n:  # inline: the set-sum loops call this hot
             _bits(self.n, a if a.n != self.n else b)
         # A is below B' pairwise iff it is below m' for every maximal m of B
-        m = self.order._principal.get(b.bits)
+        m = (p := self.order)._principal.get(b.bits)
         if m is None:
-            tops = maximal_bits(b.bits, self.order.up)
-            below = self.order.lower_bits(self.comp_bits(tops))
+            tops = maximal_bits(b.bits, p.up)
+            below = p.lower_bits(self.comp_bits(tops))
         else:
-            tops, below = 1 << m, self.order.down[self.comp[m]]
+            tops, below = 1 << m, p.down[self.comp[m]]
         if a.bits & ~below:
-            x, y = next((x, y) for x in a for y in b if not self.order.leq(x, self.comp[y]))
+            x, y = next((x, y) for x in a for y in b if not p.leq(x, self.comp[y]))
             raise ValueError(f"set sum undefined: {self.labels[x]} + {self.labels[y]}")
-        if m is not None and (t := self.order._principal.get(a.bits)) is not None:
+        if m is not None and (t := p._principal.get(a.bits)) is not None:
             return Subset._wrap(self._down_sums[t][m], self.n)
         return Subset._wrap(self._sum_bits(a.bits, b.bits, tops), self.n)
 
@@ -263,7 +266,9 @@ def validate_tables(
     raise ValueError instead of being reported, since no algebra can be
     read off at all.  A stage walks a row only when the row fails, for the
     witness.  The algebra is built once E3 and the declared complements
-    hold; the order stages, implied by E1-E4, read its cones if E2 fails.
+    hold; the order stages, implied by E1-E4, build its order and read its
+    cones only if E2 fails, so a valid table's order waits for its first
+    reader.
     """
     labels = tuple(labels)
     n = len(labels)

@@ -31,8 +31,9 @@ type j stands for |relabelings of type j| labeled tables, and its
 canonical form for their class.  Only a listing relabels, each tau once
 as a getter over the cells and a lookup of the values; the labeled tables
 are sorted into the order of a cell-by-cell search, and each listed
-algebra comes from the EffectAlgebra constructor, which reads it off its
-rows, and carries its base table's form.
+algebra comes from the EffectAlgebra constructor, which reads its
+complements off its rows and leaves its order to its first reader, and
+carries its base table's form.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn

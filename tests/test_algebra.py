@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,13 +8,18 @@ from unsharp import (
     EffectAlgebra,
     InvalidAlgebraError,
     Poset,
+    canonical_form,
     check_cone_equations,
     check_sum_laws,
     enumerate_effect_algebras,
     fixture,
+    fixture_text,
     is_monotonous,
+    parse_spec,
+    spec_report,
     validate_tables,
 )
+from unsharp.enumeration import _FORM
 
 import e9_data
 import oracles
@@ -232,14 +239,35 @@ def test_order_stage_reports_first_witness(sums, text):
 
 
 def test_constructor_derives_complement_and_order_by_the_definitions(fixture_algebras):
-    # the constructor reads comp and the order off the rows in one pass;
-    # the oracle reads them off by the definitions
+    # the constructor reads comp off the rows and leaves the order to its
+    # first read, which reads it off the rows in one pass; the oracle reads
+    # both off by the definitions
     labeled = [E for n in range(2, 8) for E in enumerate_effect_algebras(n).algebras]
     assert len(labeled) == 1170
-    for E in labeled + fixture_algebras:
+    parsed = spec_report(parse_spec(fixture_text("E9"))).algebra
+    for E in labeled + [parsed]:
+        assert "order" not in vars(E), E.name
+
+    def copies(E):
+        'E through pickle at every protocol from 2 and through copy.copy.'
+        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+        return [pickle.loads(pickle.dumps(E, k)) for k in protocols] + [copy.copy(E)]
+
+    # a listed algebra keeps its tables and form through a copy, whether
+    # or not its order has been built
+    listed = labeled[-1]
+    before = copies(listed)
+    for E in labeled + [parsed] + fixture_algebras:
         p = E.order
         assert (E.comp, p.up, p.down, p.bottom, p.top) == oracles.derived_fields(E), E.name
         assert oracles.poset_fields(p) == oracles.poset_fields(Poset(p.up, E.labels)), E.name
+    after = copies(listed)
+    for built, group in ((False, before), (True, after)):
+        for F in group:
+            assert ("order" in vars(F)) is built
+            assert (F.sums, F.comp, F.name) == (listed.sums, listed.comp, listed.name)
+            assert oracles.poset_fields(F.order) == oracles.poset_fields(listed.order)
+            assert canonical_form(F) == vars(F)[_FORM] == canonical_form(listed)
 
 
 def one_cell_mutations(E, rng, count):
