@@ -483,8 +483,9 @@ def is_monotonous(E: EffectAlgebra) -> MonotonicityResult:
     the first failing x, then the numerically largest failing A, which is
     the largest such A_l since every failing A lies inside one, then
     likewise the largest B_u failing with that A.  The A_l of the first
-    failing l need not be the largest: on EA8-40 (n = 8) it gives
-    (x4, {x3,x4,x5}, {0,x6}) where the sweep gives (x4, {x3,x5,x6}, {0,x4}).
+    failing l need not be the largest: on EA8-40 of the labeled listing
+    (`enumerate_effect_algebras(8)`) it gives (x4, {x3,x4,x5}, {0,x6})
+    where the sweep gives (x4, {x3,x5,x6}, {0,x4}).
     """
     n, p = E.n, E.order
     L, U, up, down = p.lower_bits, p.upper_bits, p.up, p.down

@@ -187,19 +187,17 @@ def cmd_laws(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .enumeration import MAX_LISTED, MAX_SEARCH, _count_free, enumerate_effect_algebras
+    from .enumeration import MAX_LISTED, MAX_SEARCH, enumerate_effect_algebras
     if not 2 <= args.n <= MAX_SEARCH:  # before --emit creates its directory
         raise ValueError(f"unrestricted search supports 2..{MAX_SEARCH} elements")
     emit = args.emit and not args.count_only
+    labeled = emit and not args.up_to_iso  # only this mode lists every labeled algebra
+    if labeled and args.n > MAX_LISTED:
+        raise ValueError(f"--emit without --up-to-iso lists 2..{MAX_LISTED} elements")
     if emit:  # an unusable path fails before the search, not after it
-        if args.n > MAX_LISTED:
-            raise ValueError(f"--emit lists 2..{MAX_LISTED} elements")
         os.makedirs(args.emit, exist_ok=True)
-        result = enumerate_effect_algebras(args.n, up_to_iso=args.up_to_iso)
-        labeled, iso = result.labeled_count, result.iso_count
-    else:  # the count line alone needs no labeled algebra
-        labeled, iso, _ = _count_free(args.n)
-    print(f"n={args.n}: {labeled} labeled, {iso} up to isomorphism")
+    result = enumerate_effect_algebras(args.n, up_to_iso=not labeled)
+    print(f"n={args.n}: {result.labeled_count} labeled, {result.iso_count} up to isomorphism")
     if emit:
         for E in result.algebras:
             with open(os.path.join(args.emit, f"{E.name}.ea"), "w", encoding="utf-8") as fh:

@@ -28,21 +28,25 @@ back.  So (tau, T) -> tau.T is a bijection from the pairs (involution of
 type j, base table of type j) onto the labeled tables of type j, and no
 table is found twice.  A relabeling is an isomorphism, so a base table of
 type j stands for |relabelings of type j| labeled tables, and its
-canonical form for their class.  Only a listing relabels, each tau once
-as a getter over the cells and a lookup of the values; the labeled tables
-are sorted into the order of a cell-by-cell search, and each listed
-algebra comes from the EffectAlgebra constructor, which reads its
-complements off its rows and leaves its order to its first reader, and
-carries its base table's form.
+canonical form for their class; the type is an invariant, so a class is
+the base tables of one type with one form.  Listed up to isomorphism, each
+class is its first base table, the classes ranked by (type, index of that
+table) and named EA{n}-c0, EA{n}-c1, ...  Only the labeled listing
+relabels, each tau once as a getter over the cells and a lookup of the
+values, and sorts the labeled tables into the order of a cell-by-cell
+search, named EA{n}-0, EA{n}-1, ...  Each listed algebra comes from the
+EffectAlgebra constructor, which reads its complements off its rows and
+leaves its order to its first reader, and carries its base table's form.
 
 A restricted mode enumerates only tables whose induced order equals a
 given poset; there every order-reversing involution is preset in turn
 and the definedness pattern is forced, presets that no triple can break
 and that keep n = 9 tractable.  Both modes run one search routine, which
-differs only in the values each cell may take, and one count routine,
-where the restricted tables form one group with the identity as its only
-relabeling, and both list their tables in one order.  The search and the
-counts reach n = 10; the free listing stops at n = 8 (15,136 algebras).
+differs only in the values each cell may take, and one listing step,
+where the restricted tables form one group, in the labeled listing's
+order, with the identity as its only relabeling.  The search, the counts
+and the classes reach n = 10; the labeled free listing stops at n = 8
+(15,136 algebras).
 
 `canonical_form`, `find_isomorphism` and `is_isomorphic` all rest on one
 canonical labeling, found by an individualization-refinement search.  A
@@ -63,8 +67,8 @@ from .poset import Poset, iter_bits
 UNKNOWN = -2
 UNDEF = -1
 
-MAX_SEARCH = 10  # both modes, and the free mode's counts
-MAX_LISTED = 8  # the free listing, whose names at n >= 9 are not decided
+MAX_SEARCH = 10  # the search, the counts and the classes, in both modes
+MAX_LISTED = 8  # the free labeled listing: 15,136 algebras at n = 8
 _FORM = "_canonical_form"  # the key of a listed algebra's form in its __dict__
 
 
@@ -196,11 +200,11 @@ def _free_types(n: int) -> list:
     return [_type_tables(n, j) for j in range((n - 2) // 2 + 1)]
 
 
-def _free_tables(types: list) -> list:
+def _labeled_tables(groups: list) -> list:
     """Every labeled table, (table, form of its base table), in the order of
     one search over all cells with values (undefined, 1..n-1)."""
     tables = []
-    for taus, base, forms, _ in types:
+    for taus, base, forms, _ in groups:
         cells = [tuple(itertools.chain.from_iterable(tab)) for tab in base]
         for move in map(_mover, taus):
             tables += [(move(c), form) for c, form in zip(cells, forms)]
@@ -222,19 +226,6 @@ def _forms(labels, base: list) -> list:
     return [canonical_form(EffectAlgebra(labels, tab, 0, len(tab) - 1)) for tab in base]
 
 
-def _counts(groups: list) -> tuple[int, int, int]:
-    """(labeled, iso, nodes) over groups (relabelings, base tables, forms, nodes):
-    a base table stands for one labeled table per relabeling of its group."""
-    labeled = sum(len(taus) * len(forms) for taus, _, forms, _ in groups)
-    classes = {form for _, _, forms, _ in groups for form in forms}
-    return labeled, len(classes), sum(g[3] for g in groups)
-
-
-def _count_free(n: int) -> tuple[int, int, int]:
-    'The counts of `enumerate_effect_algebras(n)`, with nothing relabeled, sorted or built.'
-    return _counts(_free_types(n))
-
-
 class EnumerationResult(NamedTuple):
     n: int
     algebras: list[EffectAlgebra]
@@ -253,22 +244,26 @@ def enumerate_effect_algebras(
     """All effect algebras on n labeled elements with 0 first and 1 last.
 
     With `up_to_iso` the algebra list keeps one representative per
-    isomorphism class, the first labeled member (counts for both modes are
-    always computed).  Every listed algebra carries the canonical form of
-    the base table it was moved from, which is its own, so `canonical_form`
-    reads it without a search.  With `induced_order` only tables inducing
-    exactly that order are produced.  `threads` is accepted and ignored,
-    like the CLI's `THREADS`: the search runs in one process.  A table the
-    search completes is valid by construction, and one of the restricted
-    search induces exactly the given order: see `_restricted_tables`.  The
-    free mode lists n up to 8 and the restricted mode up to 10; the free
-    mode's counts alone reach 10 (`unsharp enumerate`).
+    isomorphism class, its first base table, named EA{n}-c{k} with the
+    classes ranked by (complement type, index of that table); the
+    restricted mode's one group is in listing order, so there it is the
+    first labeled member.  Without it every labeled table is listed, named
+    EA{n}-{i} in listing order.  The counts are the same in both.  Every
+    listed algebra carries the canonical form of the base table it was
+    moved from, which is its own, so `canonical_form` reads it without a
+    search.  With `induced_order` only tables inducing exactly that order
+    are produced.  `threads` is accepted and ignored, like the CLI's
+    `THREADS`: the search runs in one process.  A table the search
+    completes is valid by construction, and one of the restricted search
+    induces exactly the given order: see `_restricted_tables`.  The free
+    labeled listing takes n up to 8 (`MAX_LISTED`); the free classes and
+    the restricted mode take n up to 10 (`MAX_SEARCH`).
     """
     if induced_order is None:
-        if not 2 <= n <= MAX_LISTED:
-            raise ValueError(f"unrestricted listing supports 2..{MAX_LISTED} elements")
+        bound, what = (MAX_SEARCH, "search") if up_to_iso else (MAX_LISTED, "listing")
+        if not 2 <= n <= bound:
+            raise ValueError(f"unrestricted {what} supports 2..{bound} elements")
         groups, labels = _free_types(n), _default_labels(n)
-        tables = _free_tables(groups)
     else:
         if induced_order.n != n:
             raise ValueError("order carrier differs from n")
@@ -276,21 +271,20 @@ def enumerate_effect_algebras(
             raise ValueError(f"restricted search supports 2..{MAX_SEARCH} elements")
         found, nodes = _restricted_tables(induced_order)
         labels = induced_order.labels
-        forms = _forms(labels, found)
-        groups = [([tuple(range(n))], found, forms, nodes)]
-        tables = list(zip(found, forms))
-    labeled, iso, nodes = _counts(groups)
-    # the listing: with up_to_iso each class keeps its first labeled member;
-    # each algebra carries the form of the base table it was moved from
-    firsts: dict = {}
-    for i, (tab, form) in enumerate(tables):
-        firsts.setdefault(form if up_to_iso else i, (i, tab, form))
+        groups = [([tuple(range(n))], found, _forms(labels, found), nodes)]
+    classes: dict = {}  # each form's first base table, the groups in order
+    for _, base, forms, _ in groups:
+        for tab, form in zip(base, forms):
+            classes.setdefault(form, (tab, form))
     algebras = []
-    for i, tab, form in firsts.values():
-        E = EffectAlgebra(labels, tab, 0, n - 1, f"EA{n}-{i}")
-        E.__dict__[_FORM] = form
+    for i, (tab, form) in enumerate(classes.values() if up_to_iso else _labeled_tables(groups)):
+        E = EffectAlgebra(labels, tab, 0, n - 1, f"EA{n}-{'c' if up_to_iso else ''}{i}")
+        E.__dict__[_FORM] = form  # the form of its base table, which is its own
         algebras.append(E)
-    return EnumerationResult(n, algebras, labeled, iso, up_to_iso, nodes)
+    # a base table stands for one labeled table per relabeling of its group
+    labeled = sum(len(taus) * len(forms) for taus, _, forms, _ in groups)
+    nodes = sum(g[3] for g in groups)
+    return EnumerationResult(n, algebras, labeled, len(classes), up_to_iso, nodes)
 
 
 # -- restricted search over a fixed order ----------------------------------

@@ -59,16 +59,29 @@ def test_enumerate_emit_onto_a_file(tmp_path, capsys):
 
 
 def test_enumerate_out_of_range_creates_no_emit_directory(tmp_path, capsys):
-    # the listing stops at 8 and the search at 10
+    # the labeled listing stops at 8, the class listing and the search at 10
     target = tmp_path / "out"
-    for n, message in [("9", "--emit lists 2..8 elements"), ("10", "--emit lists 2..8 elements"),
-                       ("11", "unrestricted search supports 2..10 elements"),
-                       ("1", "unrestricted search supports 2..10 elements")]:
-        for flags in (["--emit", str(target)], ["--up-to-iso", "--emit", str(target)]):
-            code, out, err = run(capsys, "enumerate", n, *flags)
-            assert code == 2 and out == ""
-            assert err == message + "\n"
-            assert not target.exists()
+    labeled, classes = ["--emit", str(target)], ["--up-to-iso", "--emit", str(target)]
+    listing, search = ("--emit without --up-to-iso lists 2..8 elements",
+                       "unrestricted search supports 2..10 elements")
+    for n, flags, message in [("9", labeled, listing), ("10", labeled, listing),
+                              ("11", labeled, search), ("11", classes, search),
+                              ("1", labeled, search), ("1", classes, search)]:
+        code, out, err = run(capsys, "enumerate", n, *flags)
+        assert code == 2 and out == ""
+        assert err == message + "\n"
+        assert not target.exists()
+
+
+def test_enumerate_up_to_iso_emits_each_class_past_eight(tmp_path, capsys):
+    # one file per class, named EA9-c0 ... EA9-c59, each a valid algebra
+    code, out, err = run(capsys, "enumerate", "9", "--up-to-iso", "--emit", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == f"n=9: 165544 labeled, 60 up to isomorphism\nwrote 60 files to {tmp_path}\n"
+    names = sorted(f.stem for f in tmp_path.glob("*.ea"))
+    assert names == sorted(f"EA9-c{k}" for k in range(60))
+    for name in names:
+        assert run(capsys, "validate", str(tmp_path / f"{name}.ea"))[0] == 0, name
 
 
 @pytest.mark.parametrize(
@@ -76,19 +89,25 @@ def test_enumerate_out_of_range_creates_no_emit_directory(tmp_path, capsys):
               ["--count-only", "--emit"]],
 )
 def test_enumerate_count_modes_reach_ten(tmp_path, capsys, monkeypatch, flags):
-    # the count modes take N up to 10 and refuse 11; the search itself is
-    # pinned in test_enumeration.py and at n = 10 in a CI step
+    # the count modes take N up to 10 and refuse 11, and ask the library
+    # for the classes; the search itself is pinned in test_enumeration.py and
+    # at n = 10 in a CI step
     import unsharp.enumeration as enumeration
 
     asked = []
-    monkeypatch.setattr(enumeration, "_count_free", lambda n: asked.append(n) or (n, 1, 0))
+
+    def classes(n, up_to_iso=False):
+        asked.append((n, up_to_iso))
+        return enumeration.EnumerationResult(n, [], n, 1, up_to_iso, 0)
+
+    monkeypatch.setattr(enumeration, "enumerate_effect_algebras", classes)
     target = tmp_path / "out"
     argv = [a for f in flags for a in ((f, str(target)) if f == "--emit" else (f,))]
     code, out, err = run(capsys, "enumerate", "10", *argv)
     assert (code, out, err) == (0, "n=10: 10 labeled, 1 up to isomorphism\n", "")
     code, out, err = run(capsys, "enumerate", "11", *argv)
     assert (code, out, err) == (2, "", "unrestricted search supports 2..10 elements\n")
-    assert asked == [10] and not target.exists()
+    assert asked == [(10, True)] and not target.exists()
 
 
 def test_unknown_fixture(capsys):
@@ -333,11 +352,19 @@ def spy_on_enumeration(monkeypatch) -> list:
 
 
 def test_enumerate_eight_counts_from_the_class_representatives(capsys, monkeypatch):
-    # the count line comes from the base tables' orbits: nothing is listed
+    # the count line comes from the base tables' orbits: nothing is relabeled
+    # or sorted, and only the classes are listed
+    import unsharp.enumeration as enumeration
+
     modes = spy_on_enumeration(monkeypatch)
+
+    def relabeled(groups):
+        raise AssertionError("the count modes relabel no table")
+
+    monkeypatch.setattr(enumeration, "_labeled_tables", relabeled)
     code, out, err = run(capsys, "enumerate", "8", "--count-only")
     assert (code, out, err) == (0, "n=8: 15136 labeled, 40 up to isomorphism\n", "")
-    assert modes == []
+    assert modes == [True]
 
 
 @pytest.mark.parametrize(
@@ -348,14 +375,13 @@ def test_enumerate_eight_counts_from_the_class_representatives(capsys, monkeypat
 def test_enumerate_builds_every_labeled_algebra_only_to_emit_it(
     tmp_path, capsys, monkeypatch, flags, up_to_iso
 ):
-    # up_to_iso is what the mode asked of the library when it always listed;
-    # only a mode that writes files lists now, once, with that value
+    # every mode makes one library call, for the classes unless it writes
+    # the labeled listing
     modes = spy_on_enumeration(monkeypatch)
     argv = [a for f in flags for a in ((f, str(tmp_path)) if f == "--emit" else (f,))]
     code, out, _ = run(capsys, "enumerate", "4", *argv)
     assert code == 0 and out.startswith("n=4: 4 labeled, 3 up to isomorphism\n")
-    emits = "--emit" in flags and "--count-only" not in flags
-    assert modes == ([up_to_iso] if emits else [])
+    assert modes == [up_to_iso]
 
 
 @pytest.mark.parametrize("threads", ["two", "2"])

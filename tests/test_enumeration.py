@@ -26,10 +26,9 @@ import unsharp.enumeration as enumeration
 from unsharp.enumeration import (
     _antitone_involutions,
     _canonical_labeling,
-    _count_free,
     _default_labels,
-    _free_tables,
     _free_types,
+    _labeled_tables,
     _relabelings,
     _restricted_tables,
     _type_tables,
@@ -81,6 +80,15 @@ def classes(n):
     return enumerate_effect_algebras(n, up_to_iso=True)
 
 
+@functools.cache
+def first_members(n) -> tuple:
+    'The first labeled member of each class, in the order of the plain listing.'
+    firsts: dict = {}
+    for E in enumerate_effect_algebras(n).algebras:
+        firsts.setdefault(canonical_form(E), E)
+    return tuple(firsts.values())
+
+
 def test_pinned_counts_at_eight():
     res = classes(8)
     assert (res.labeled_count, res.iso_count) == (15136, 40)
@@ -106,15 +114,19 @@ def test_labeled_count_is_the_orbit_sum(n):
     # independent of the relabeling step: each class contributes (n-2)!/|Aut(E)|
     res = classes(n)
     orbits = [math.factorial(n - 2) // automorphisms(E) for E in res.algebras]
-    assert sum(orbits) == res.labeled_count == _count_free(n)[0]
+    assert sum(orbits) == res.labeled_count
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_count_path_equals_the_listing(n):
-    # the count path sums the orbits of the base tables; the listing path
-    # relabels, sorts and builds them
-    res = classes(n)
-    assert _count_free(n) == (res.labeled_count, res.iso_count, res.nodes)
+    # the counts sum the orbits of the base tables and count their forms,
+    # with each class listed as its first base table; the plain listing
+    # relabels, sorts and builds every labeled table
+    res, plain = classes(n), enumerate_effect_algebras(n)
+    assert (res.labeled_count, res.iso_count, res.nodes) == (
+        plain.labeled_count, plain.iso_count, plain.nodes)
+    assert res.labeled_count == len(plain.algebras)
+    assert res.iso_count == len(res.algebras) == len({canonical_form(E) for E in plain.algebras})
 
 
 def test_orbit_identity_small():
@@ -278,7 +290,7 @@ def test_horizontal_sum_isomorphism_matches_oracle():
     # here the search meets an automorphism before it has seen every kind of
     # leaf, so leaving more of the tree than the automorphism covers would
     # change the form
-    reps = {E.name: E for n in (6, 7) for E in classes(n).algebras}
+    reps = {E.name: E for n in (6, 7) for E in enumerate_effect_algebras(n).algebras}
     E = horizontal_sum(reps["EA6-16"], reps["EA7-4"])
     algebras = [E, *relabelings(E, seed=1, count=6)]
     assert len({canonical_form(F) for F in algebras}) == 1
@@ -321,7 +333,7 @@ def test_canonical_labelings_are_pinned():
     assert labeling_digest(labeled) == (
         "d48d775ec0a47757ea3c8123db3044f72d3c14169efab1a32b15f051b2ff996b"
     )
-    assert labeling_digest(classes(8).algebras) == (
+    assert labeling_digest(first_members(8)) == (
         "3849cd0e06ed918313348e5bec337ddf1146d0a5b1cbbc2e3df409bf988811f3"
     )
     assert labeling_digest(map(fixture, PINNED_FIXTURES)) == (
@@ -343,8 +355,11 @@ def test_corpus_class_ids_follow_canonical_form():
 def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         enumerate_effect_algebras(1)
-    with pytest.raises(ValueError):
+    # the plain listing stops at 8, the class listing and the search at 10
+    with pytest.raises(ValueError, match=r"^unrestricted listing supports 2\.\.8 elements$"):
         enumerate_effect_algebras(9)
+    with pytest.raises(ValueError, match=r"^unrestricted search supports 2\.\.10 elements$"):
+        enumerate_effect_algebras(11, up_to_iso=True)
     with pytest.raises(ValueError):
         enumerate_effect_algebras(9, induced_order=fixture("CHAIN-4").order)
 
@@ -358,7 +373,7 @@ def test_relabel_equals_validating_the_transported_table(e9):
     import random
 
     rng = random.Random(12)
-    for E in [e9, *(F for n in range(2, 7) for F in classes(n).algebras)]:
+    for E in [e9, *(F for n in range(2, 7) for F in first_members(n))]:
         n = E.n
         perms = [list(range(n)), list(range(n))[::-1]]  # the second swaps 0 and 1
         for _ in range(3):
@@ -379,10 +394,10 @@ def test_relabel_equals_validating_the_transported_table(e9):
 
 
 def _restricted_orders():
-    'The orders of E9, CHAIN-10 and every isomorphism class with n <= 7.'
+    'The orders of E9, CHAIN-10 and the first labeled member of each class with n <= 7.'
     orders = [("E9", fixture("E9").order), ("CHAIN-10", fixture("CHAIN-10").order)]
     for n in range(2, 8):
-        for i, E in enumerate(enumerate_effect_algebras(n, up_to_iso=True).algebras):
+        for i, E in enumerate(first_members(n)):
             orders.append((f"n{n}-class{i}", E.order))
     return orders
 
@@ -398,14 +413,16 @@ BASE_TABLES = {2: 1, 3: 1, 4: 4, 5: 6, 6: 41, 7: 71, 8: 800, 9: 1588}
 @pytest.mark.parametrize("n", range(2, 8))
 def test_free_search_matches_oracle(n):
     types = _free_types(n)
-    assert [tab for tab, _ in _free_tables(types)] == oracles.free_tables(n)
+    assert [tab for tab, _ in _labeled_tables(types)] == oracles.free_tables(n)
     assert sum(nodes for *_, nodes in types) == FREE_NODES[n]
 
 
-def test_count_free_at_nine():
-    # the count path alone reaches n = 9; n = 10 (3,719,836 labeled, 172
-    # classes, 449,132 nodes) runs as a CI step under a timeout
-    assert _count_free(9) == (165544, 60, FREE_NODES[9])
+def test_classes_at_nine():
+    # the class listing reaches n = 9 in tier-1; n = 10 (3,719,836 labeled,
+    # 172 classes, 449,132 nodes) runs as a CI step under a timeout
+    res = classes(9)
+    assert (res.labeled_count, res.iso_count, res.nodes) == (165544, 60, FREE_NODES[9])
+    assert len(res.algebras) == 60
 
 
 def test_search_keeps_inverse_rows(monkeypatch):
@@ -484,24 +501,25 @@ def test_threads_is_ignored():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_transported_algebras_match_full_validation(n):
     # the enumerator validates no table and reads each off its rows;
-    # validating every labeled table must build the same algebras
-    want, refused = oracles.validate_each_table(
-        _default_labels(n), [tab for tab, _ in _free_tables(_free_types(n))]
-    )
+    # validating every labeled table must build the same algebras, and
+    # validating every base table, complement type by complement type, must
+    # build the classes: the first base table of each form, numbered in turn
+    types, labels = _free_types(n), _default_labels(n)
+    want, refused = oracles.validate_each_table(labels, [tab for tab, _ in _labeled_tables(types)])
     res = enumerate_effect_algebras(n)
     assert refused == 0
     assert list(map(oracles.algebra_fields, res.algebras)) == list(
         map(oracles.algebra_fields, want)
     )
+    base, refused = oracles.validate_each_table(labels, [tab for _, b, _, _ in types for tab in b])
+    assert refused == 0
+    firsts: dict = {}
+    for E in base:
+        firsts.setdefault(_canonical_labeling(E)[0], E)
     reps = classes(n).algebras
-    if n < 8:  # the first labeled member of each class
-        firsts = {}
-        for E in want:
-            firsts.setdefault(canonical_form(E), E)
-        assert [E.name for E in reps] == [E.name for E in firsts.values()]
-    by_name = {E.name: E for E in want}
-    assert [oracles.algebra_fields(E) for E in reps] == [
-        oracles.algebra_fields(by_name[E.name]) for E in reps
+    assert [E.name for E in reps] == [f"EA{n}-c{k}" for k in range(len(firsts))]
+    assert [oracles.algebra_fields(E)[1:] for E in reps] == [
+        oracles.algebra_fields(E)[1:] for E in firsts.values()
     ]
 
 
@@ -525,6 +543,28 @@ def test_one_validation_per_base_table(monkeypatch, n):
     # each base table of type j stands for |relabelings of type j| labeled tables
     bases = sum(types.count(j) // len(_relabelings(n, j)) for j in set(types))
     assert len(calls) == bases == BASE_TABLES[n]
+
+
+def test_class_catalogue_is_pinned():
+    # each class is listed as its first base table, the classes ranked by
+    # (complement type, index of that base table) and named EA{n}-c{k};
+    # names, labels and sums may change only on purpose
+    digest = hashlib.sha256()
+    for n in range(2, 10):
+        reps = classes(n).algebras
+        types = [complement_pairs(E.sums) for E in reps]
+        assert types == sorted(types), n
+        for E, j in zip(reps, types):
+            digest.update(repr((E.name, E.labels, E.sums)).encode())
+            pairs = (x + 1 if x % 2 else x - 1 for x in range(1, 2 * j + 1))
+            assert E.comp == (n - 1, *pairs, *range(2 * j + 1, n - 1), 0), E.name
+        forms = [_canonical_labeling(E)[0] for E in reps]
+        assert len(set(forms)) == len(forms), n
+        if n <= 8:  # the classes of the plain listing
+            assert set(forms) == {canonical_form(E) for E in first_members(n)}, n
+    assert digest.hexdigest() == (
+        "b2ad1b31e1ff62f79d289b5c83a87cb53a6b78c96b1bdf3b4a5cab97057df003"
+    )
 
 
 def _listings():

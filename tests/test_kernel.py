@@ -173,8 +173,9 @@ def test_meet_join_and_lattice_match_oracle(labeled):
 
 
 def test_monotonicity_witness_takes_the_largest_failing_a_l():
-    # EA8-40: at x = x4 the A_l of the first failing l is {x3,x4,x5}, with
-    # B = {0,x6}; the sweep reports the numerically largest failing A_l
+    # EA8-40 of the labeled n = 8 listing: at x = x4 the A_l of the first
+    # failing l is {x3,x4,x5}, with B = {0,x6}; the sweep reports the
+    # numerically largest failing A_l
     n = 8
     sums = [[None] * n for _ in range(n)]
     cells = [(0, x, x) for x in range(n)] + [
