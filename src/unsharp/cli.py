@@ -30,16 +30,12 @@ SUITES = ("lemma1", "lemma2", "th2", "th4", "c1-c5", "th3", "roundtrip")
 LAWS = ("contraposition", "identity1", "intro-adjointness", "monotonous")
 
 
-def _read_source(arg: str) -> str:
-    if arg.startswith("fixture:"):
-        from .fixtures import fixture_text
-        return fixture_text(arg[len("fixture:"):])
-    with open(arg, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load(arg: str) -> EffectAlgebra:
-    return dsl.load_algebra(_read_source(arg))  # main prints InvalidAlgebraError
+    if arg.startswith("fixture:"):
+        from .fixtures import fixture
+        return fixture(arg[len("fixture:"):])
+    with open(arg, encoding="utf-8") as fh:
+        return dsl.load_algebra(fh.read())  # main prints InvalidAlgebraError
 
 
 def _label_index(E: EffectAlgebra, label: str) -> int:
@@ -50,14 +46,14 @@ def _label_index(E: EffectAlgebra, label: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = dsl.spec_report(dsl.parse_spec(_read_source(args.file)))
-    if report.ok:
-        E = report.algebra
-        print(f"{E.name}: valid effect algebra with {E.n} elements")
-        return 0
-    for v in report.violations:
-        print(str(v))
-    return 1
+    try:
+        E = _load(args.file)
+    except InvalidAlgebraError as exc:
+        for v in exc.report.violations:
+            print(v)
+        return 1
+    print(f"{E.name}: valid effect algebra with {E.n} elements")
+    return 0
 
 
 def cmd_order(args) -> int:

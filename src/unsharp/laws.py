@@ -61,7 +61,15 @@ def check_comparable_contraposition(E: EffectAlgebra) -> PropertyReport:
 
 
 def check_lattice_identity(E: EffectAlgebra) -> LawReport:
-    """x' + (x ^ y) = y + (x' ^ y') on a lattice, pair by pair."""
+    """x' + (x ^ y) = y + (x' ^ y') on a lattice, pair by pair.
+
+    It holds on an MV-effect algebra, a lattice where x ^ y = 0 makes x + y
+    defined, and so does global contraposition.  On a lattice L(x,y) is the
+    down-set of x ^ y and z -> x' + z maps [0,x] onto [x',1] in order, so
+    U(x -> y) is the up-set of x' + (x ^ y) = x' (+) y, where a (+) b =
+    a + (a' ^ b) is the MV sum.  It commutes (Dvurecenskij and Pulmannova
+    2000, ch. 1): x' (+) y = y (+) x' = y + (y' ^ x').
+    """
     p = E.order
     if not p.is_lattice():
         raise ValueError("not a lattice")

@@ -1,13 +1,11 @@
 """Result containers shared by the validators and law checkers.
 
 The records are NamedTuples: a class statement builds one without the
-generated-code `exec` a dataclass runs at import.  `ValidationReport`
-stays a dataclass, as callers copy it with `dataclasses.replace`."""
+generated-code `exec` a dataclass runs at import."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
 
@@ -24,15 +22,14 @@ class Violation(NamedTuple):
         return f"{self.axiom} violated at ({w}){msg}"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a structural validation run.
 
     `algebra` holds the validated structure (an effect algebra, or a
     residuated poset) and is populated only when no violations were found.
     """
 
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
     algebra: Any = None
 
     @property

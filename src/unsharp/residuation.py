@@ -46,17 +46,6 @@ class UnsharpResiduatedPoset:
         return Subset(self.imps[x][y], self.n)
 
 
-def _odot_bits(products, mask: int, y: int) -> Optional[int]:
-    'A (.) y over a bitmask; None when any product is undefined.'
-    bits = 0
-    for u in iter_bits(mask):
-        v = products[u][y]
-        if v is None:
-            return None
-        bits |= 1 << v
-    return bits
-
-
 def from_effect_algebra(E: EffectAlgebra) -> UnsharpResiduatedPoset:
     """Derive product and implication tables from an effect algebra.
 
@@ -163,7 +152,8 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     def odot(y, mask):
         if c2_passed and not mask & ~up[inv[y]]:
             return _image(prod[y], mask, p)
-        return _odot_bits(prod, mask, y)
+        col = cols[y]  # the members' products u (.) y, down column y
+        return None if None in map(col.__getitem__, iter_bits(mask)) else _image(col, mask)
 
     # C3: unsharp adjointness, quantified over all triples
     up_imp = [list(map(p.upper_bits, row)) for row in imps]
@@ -183,6 +173,20 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     return ValidationReport([], replace(c, divisible=divisible))
 
 
+def _sum_rows(c: UnsharpResiduatedPoset) -> tuple[tuple[Optional[int], ...], ...]:
+    'The unvalidated sum table of `to_effect_algebra`, read as its docstring says.'
+    p, inv = c.poset, c.inv
+    undefined, sums = object(), []
+    for x, ux in enumerate(p.up):
+        prow = c.products[inv[x]]
+        row = [prow[v] if ux >> v & 1 else undefined for v in inv]
+        if None in row:
+            gap = Violation("C2", (inv[x], inv[row.index(None)]), "strictness gap")
+            raise InvalidAlgebraError(ValidationReport([gap]))
+        sums.append(tuple(None if t is undefined else inv[t] for t in row))
+    return tuple(sums)
+
+
 def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
     """Recover the effect algebra via x + y = (x' (.) y')' for x <= y'.
 
@@ -196,16 +200,8 @@ def to_effect_algebra(c: UnsharpResiduatedPoset) -> EffectAlgebra:
     one; reflexivity gives z <= tau(z), and along a cycle of tau
     antisymmetry makes tau the identity.
     """
-    p, inv = c.poset, c.inv
-    undefined, sums = object(), []
-    for x, ux in enumerate(p.up):
-        prow = c.products[inv[x]]
-        row = [prow[v] if ux >> v & 1 else undefined for v in inv]
-        if None in row:
-            gap = Violation("C2", (inv[x], inv[row.index(None)]), "strictness gap")
-            raise InvalidAlgebraError(ValidationReport([gap]))
-        sums.append(tuple(None if t is undefined else inv[t] for t in row))
-    return EffectAlgebra.from_tables(p.labels, sums, p.bottom, p.top, name=c.name)
+    p = c.poset
+    return EffectAlgebra.from_tables(p.labels, _sum_rows(c), p.bottom, p.top, name=c.name)
 
 
 class RoundtripResult(NamedTuple):
@@ -218,10 +214,11 @@ class RoundtripResult(NamedTuple):
 
 def roundtrip_check(E: EffectAlgebra) -> RoundtripResult:
     'Algebra -> tables -> algebra; compare sum tables, entrywise on a mismatch.'
-    back = to_effect_algebra(from_effect_algebra(E))
-    n, sums = E.n, back.sums
+    n, sums = E.n, _sum_rows(from_effect_algebra(E))
     diffs = [] if E.sums == sums else [(x, y, E.sums[x][y], sums[x][y]) for x in range(n)
                                        for y in range(n) if E.sums[x][y] != sums[x][y]]
+    if diffs:  # a table equal to a valid E's is valid; another raises if it is not
+        EffectAlgebra.from_tables(E.labels, sums, E.zero, E.one)
     return RoundtripResult(not diffs, diffs)
 
 

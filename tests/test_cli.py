@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from unsharp import fixture, laws, residuation
+from unsharp import fixture, fixture_text, laws, load_algebra, residuation
 from unsharp.cli import SUITES, main, run_suite
 from unsharp.fixtures import BUNDLED, E9_TEXT
 from unsharp.reports import ValidationReport
@@ -128,6 +128,39 @@ def test_fixture_size_must_be_plain_ascii_decimal(capsys, name):
 def test_fixture_prints_document(capsys):
     code, out, _ = run(capsys, "fixture", "E6")
     assert code == 0 and out.startswith("algebra E6")
+
+
+FIXTURE_NAMES = ("E9", "E6", *(f"BOOL-{k}" for k in range(1, 7)),
+                 *(f"CHAIN-{n}" for n in range(2, 65)))
+
+
+def test_every_fixture_is_the_algebra_its_document_parses_to():
+    # `fixture:NAME` loads the bundled algebra without emitting and
+    # re-parsing its document, so the two must not be told apart
+    for name in FIXTURE_NAMES:
+        E, F = fixture(name), load_algebra(fixture_text(name))
+        assert (E.labels, E.sums, E.zero, E.one, E.name) == (F.labels, F.sums, F.zero, F.one, F.name)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_fixture_source_prints_what_its_document_prints(tmp_path, capsys, name):
+    # every file command, through main, on `fixture:NAME` and on the file
+    # `unsharp fixture NAME` writes: the same stdout, stderr and exit code
+    code, text, _ = run(capsys, "fixture", name)
+    assert code == 0
+    doc = tmp_path / "doc.ea"
+    doc.write_text(text, encoding="utf-8")
+    labels = fixture(name).labels
+    x, y = labels[1], labels[-2]
+    commands = [
+        ["validate"], ["order"], ["order", "--dot"], ["implies", x, y], ["table"],
+        ["table", "--sums", "--format", "csv"], ["residuate", "--roundtrip"], ["ded"],
+        ["ded", "--atoms"], ["ded", "--enumerate"], ["ded", "--generate", x], ["laws"], ["check"],
+    ]
+    for cmd, *rest in commands:
+        on_fixture = run(capsys, cmd, f"fixture:{name}", *rest)
+        assert on_fixture == run(capsys, cmd, str(doc), *rest), (cmd, rest)
+        assert on_fixture[0] == 0, (cmd, rest)
 
 
 def test_order_and_dot(capsys):
@@ -450,7 +483,7 @@ def test_full_check_and_ded_on_large_fixtures_within_budget(command, name):
 BASE_MODULES = {
     "unsharp", "unsharp.cli", "unsharp.algebra", "unsharp.dsl", "unsharp.poset", "unsharp.reports",
 }
-BASE_DATACLASSES = {"AlgebraSpec", "Subset", "ValidationReport"}
+BASE_DATACLASSES = {"AlgebraSpec", "Subset"}
 LOADS_AS_MAIN = """\
 import atexit, runpy, sys
 
@@ -487,7 +520,7 @@ runpy.run_module("unsharp", run_name="__main__", alter_sys=True)
 def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
     # the package runs as `python -m unsharp ...` would run it; `csv` is
     # loaded only by `table --format csv`, so no command here loads it.  A
-    # file command builds three dataclasses and `residuation` a fourth: the
+    # file command builds two dataclasses and `residuation` a third: the
     # other records are NamedTuples, which import without an `exec`
     doc = tmp_path / "e9.ea"
     doc.write_text(E9_TEXT, encoding="utf-8")

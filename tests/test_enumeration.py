@@ -628,3 +628,51 @@ def test_restricted_search_agrees_with_free_listing(e9):
     for order in (e9.order, fixture("CHAIN-10").order):
         tables = [E.sums for E in enumerate_effect_algebras(order.n, induced_order=order).algebras]
         assert tables and oracles.validate_each_table(order.labels, tables, order)[1] == 0
+
+
+def order_complement_maps(E, F) -> list:
+    "Every bijection f with x <= y iff f(x) <= f(y), and f(x') = f(x)'."
+    n, le, lf = E.n, E.order.leq, F.order.leq
+    maps = []
+
+    def extend(f):
+        x = len(f)
+        if x == n:
+            maps.append(tuple(f))
+            return
+        cx = E.comp[x]
+        for v in set(range(n)) - set(f):
+            if (cx > x or F.comp[v] == (v if cx == x else f[cx])) and all(
+                    le(x, u) == lf(v, f[u]) and le(u, x) == lf(f[u], v) for u in range(x)):
+                extend([*f, v])
+
+    extend([])
+    return sorted(maps)
+
+
+def carries_cones(E, F, f) -> bool:
+    'Whether f maps each cone U(x -> y) of E onto the cone U(f(x) -> f(y)) of F.'
+    image = lambda mask: sum(1 << f[a] for a in range(E.n) if mask >> a & 1)
+    return all(image(E.up_imp_bits[x][y]) == F.up_imp_bits[f[x]][f[y]]
+               for x in range(E.n) for y in range(E.n))
+
+
+TWINS = {("EA8-c32", "EA8-c33"): 2, ("EA8-c34", "EA8-c37"): 6,
+         ("EA9-c42", "EA9-c44"): 2, ("EA9-c45", "EA9-c52"): 6}
+
+
+@pytest.mark.parametrize("pair", TWINS)
+def test_twins_share_order_and_complement_but_not_implication(pair):
+    # two classes whose orders and complements are isomorphic: the sums, and
+    # with them the implication's upper cones, still tell them apart, as
+    # U(x -> y) = {w >= x' : L(x,y) within L(x (.) w)} reads the product
+    by_name = {E.name: E for n in (8, 9) for E in classes(n).algebras}
+    E, F = (by_name[name] for name in pair)
+    maps = order_complement_maps(E, F)
+    assert len(maps) == TWINS[pair]
+    assert canonical_form(E) != canonical_form(F)
+    assert not any(carries_cones(E, F, f) for f in maps)
+    # on a relabeled copy the search finds the relabeling, which carries the cones
+    perm = tuple(random.Random(E.n).sample(range(E.n), E.n))
+    G = relabel(E, perm)
+    assert perm in order_complement_maps(E, G) and carries_cones(E, G, perm)

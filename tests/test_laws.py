@@ -5,6 +5,7 @@ from unsharp import (
     check_cone_level_adjointness,
     check_lattice_identity,
     contraposition_pair,
+    enumerate_effect_algebras,
     fixture,
     identity_contraposition_equivalence,
     is_monotonous,
@@ -108,3 +109,26 @@ def test_monotone_census_is_stable(small_algebras):
     # frozen regression: all 22 algebras with n <= 5 are monotonous
     assert len(small_algebras) == 22
     assert all(is_monotonous(E).holds for E in small_algebras)
+
+
+def is_mv(E) -> bool:
+    'An MV-effect algebra: a lattice in which x ^ y = 0 makes x + y defined.'
+    p = E.order
+    return p.is_lattice() and all(
+        E.sums[x][y] is not None for x in range(E.n) for y in range(E.n) if p.meet(x, y) == E.zero)
+
+
+def test_mv_algebras_have_the_lukasiewicz_implication_and_contrapose():
+    # the proof in check_lattice_identity: on an MV-effect algebra U(x -> y)
+    # is the up-set of x' + (x ^ y), and no pair breaks contraposition
+    mv = [[E for E in enumerate_effect_algebras(n, up_to_iso=True).algebras if is_mv(E)]
+          for n in range(2, 9)]
+    assert list(map(len, mv)) == [1, 1, 2, 1, 2, 1, 3]  # n = 2..8
+    bundled = [fixture(f"CHAIN-{n}") for n in range(2, 65)] + [
+        fixture(f"BOOL-{k}") for k in range(1, 7)]
+    for E in [*(E for row in mv for E in row), *bundled]:
+        assert is_mv(E), E.name
+        p, comp = E.order, E.comp
+        assert all(E.up_imp_bits[x][y] == p.up[E.sums[comp[x]][p.meet(x, y)]]
+                   for x in range(E.n) for y in range(E.n)), E.name
+        assert counterexample_search(E).holds_globally, E.name

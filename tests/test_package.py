@@ -117,7 +117,8 @@ def test_no_module_keeps_an_unused_import():
 RECORDS = {
     "ClauseResult", "CompEntry", "CompletenessReport", "ConeAdjointness", "DeductiveCheck",
     "EnumerationResult", "IdentityEquivalence", "LawReport", "LawViolation",
-    "MonotonicityResult", "PropertyReport", "RoundtripResult", "SumEntry", "Violation",
+    "MonotonicityResult", "PropertyReport", "RoundtripResult", "SumEntry", "ValidationReport",
+    "Violation",
 }
 
 

@@ -263,6 +263,19 @@ def test_roundtrip_check_reports_a_foreign_product_table():
                         if E.sums[x][y] != F.sums[x][y]]
 
 
+def test_roundtrip_check_validates_only_a_table_unlike_its_own():
+    # raw constructor tables on 0, a, b, 1 that fail validation: one whose
+    # rows come back as they were is not validated again, and passes (the
+    # check assumes a valid E); one that comes back different still raises
+    def raw(aa, ab, bb):
+        sums = ((0, 1, 2, 3), (1, aa, ab, None), (2, ab, bb, None), (3, None, None, None))
+        return EffectAlgebra(("0", "a", "b", "1"), sums, 0, 3, "X")
+
+    assert roundtrip_check(raw(2, 3, 1)) == RoundtripResult(True, [])  # a <= b <= a
+    with pytest.raises(InvalidAlgebraError, match="E1 violated at"):
+        roundtrip_check(raw(3, 1, 3))
+
+
 def test_surp_roundtrip_check_reports_a_defined_product_off_its_domain(e9):
     # 0 (.) 0 is undefined, as 0' = 1 is not below 0; setting it breaks C2
     # strictness, and the rebuilt table leaves the cell undefined again
