@@ -19,7 +19,7 @@ whitespace and comments.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .algebra import EffectAlgebra, InvalidAlgebraError, validate_tables
@@ -49,14 +49,23 @@ class CompEntry(NamedTuple):
     line: int
 
 
-@dataclass
-class AlgebraSpec:
-    name: str
-    labels: tuple[str, ...]
-    zero: str
-    one: str
-    sums: list[SumEntry] = field(default_factory=list)
-    comps: list[CompEntry] = field(default_factory=list)
+def __getattr__(name: str):
+    'Build the `AlgebraSpec` dataclass on first use (PEP 562): only `parse_spec` makes one.'
+    if name != "AlgebraSpec":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import dataclass, field
+
+    @dataclass
+    class AlgebraSpec:
+        name: str
+        labels: tuple[str, ...]
+        zero: str
+        one: str
+        sums: list[SumEntry] = field(default_factory=list)
+        comps: list[CompEntry] = field(default_factory=list)
+
+    AlgebraSpec.__qualname__ = name
+    return globals().setdefault(name, AlgebraSpec)
 
 
 def _column(line: str, i: int) -> int:
@@ -69,6 +78,11 @@ def _column(line: str, i: int) -> int:
 
 
 def parse_spec(text: str) -> AlgebraSpec:
+    return sys.modules[__name__].AlgebraSpec(*_parse(text))  # built once, by __getattr__
+
+
+def _parse(text: str) -> tuple:
+    "The fields of the document's `AlgebraSpec`: name, labels, zero, one, sums, comps."
     name: Optional[str] = None
     labels: Optional[tuple[str, ...]] = None
     members: frozenset[str] = frozenset()  # the labels, once declared
@@ -154,8 +168,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     for what in ("zero", "one"):
         if what not in bounds:
             raise DslError(f"missing {what} declaration", text.count("\n") + 1)
-    sums = list(seen_pairs.values())
-    return AlgebraSpec(name or "E", labels, bounds["zero"], bounds["one"], sums, comps)
+    return name or "E", labels, bounds["zero"], bounds["one"], list(seen_pairs.values()), comps
 
 
 def _comp_partner(entry: CompEntry, label: str) -> str:
@@ -164,28 +177,32 @@ def _comp_partner(entry: CompEntry, label: str) -> str:
 
 def spec_report(spec: AlgebraSpec) -> ValidationReport:
     'Run the declared tables through the axiom checker.'
-    n = len(spec.labels)
-    index = {lab: i for i, lab in enumerate(spec.labels)}
+    return _report(spec.name, spec.labels, spec.zero, spec.one, spec.sums, spec.comps)
+
+
+def _report(name, labels, zero, one, entries, comps) -> ValidationReport:
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
     sums: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    for e in spec.sums:
+    for e in entries:
         x, y, v = index[e.x], index[e.y], index[e.value]
         sums[x][y] = v
         sums[y][x] = v
     declared = None
-    if spec.comps:
+    if comps:
         declared = {}
-        for e in spec.comps:
+        for e in comps:
             declared[index[e.x]] = index[e.y]
             declared[index[e.y]] = index[e.x]
     return validate_tables(
-        spec.labels, sums, index[spec.zero], index[spec.one],
-        declared_comp=declared, name=spec.name,
+        labels, sums, index[zero], index[one], declared_comp=declared, name=name,
     )
 
 
 def load_algebra(text: str) -> EffectAlgebra:
     'Parse and validate in one step; raises DslError or InvalidAlgebraError.'
-    report = spec_report(parse_spec(text))
+    # straight from the parsed fields: building an `AlgebraSpec` would import `dataclasses`
+    report = _report(*_parse(text))
     if not report.ok:
         raise InvalidAlgebraError(report)
     return report.algebra
@@ -193,11 +210,7 @@ def load_algebra(text: str) -> EffectAlgebra:
 
 def emit_spec(source: Union[AlgebraSpec, EffectAlgebra]) -> str:
     body: list[str]
-    if isinstance(source, AlgebraSpec):
-        name, labels, zero, one = source.name, source.labels, source.zero, source.one
-        body = [f"sum {e.x} {e.y} = {e.value}" for e in source.sums]
-        body += [f"complement {e.x} = {e.y}" for e in source.comps]
-    else:
+    if isinstance(source, EffectAlgebra):
         E = source
         name, labels = E.name, E.labels
         zero, one = labels[E.zero], labels[E.one]
@@ -208,6 +221,10 @@ def emit_spec(source: Union[AlgebraSpec, EffectAlgebra]) -> str:
             for y in range(x, E.n)
             if y != E.zero and (v := E.sums[x][y]) is not None
         ]
+    else:
+        name, labels, zero, one = source.name, source.labels, source.zero, source.one
+        body = [f"sum {e.x} {e.y} = {e.value}" for e in source.sums]
+        body += [f"complement {e.x} = {e.y}" for e in source.comps]
     lines = [f"algebra {name}", "elements " + " ".join(labels), f"zero {zero}", f"one {one}"]
     return "\n".join(lines + body) + "\n"
 

@@ -6,7 +6,6 @@ word and cone arithmetic is a handful of AND/OR operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -30,24 +29,46 @@ def _bits(n: int, s: "Subset") -> int:
     return s.bits
 
 
-@dataclass(frozen=True)
 class Subset:
-    """An immutable subset of {0..n-1} stored as a bitmask."""
+    """An immutable subset of {0..n-1} stored as a bitmask; its value is (bits, n).
 
+    A plain class, not a dataclass, so that importing it runs no generated code."""
+
+    __match_args__ = ("bits", "n")
     bits: int
     n: int
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_CARRIER:
-            raise ValueError(f"carrier size {self.n} outside 0..{MAX_CARRIER}")
-        if self.bits < 0 or self.bits & ~((1 << self.n) - 1):
+    def __init__(self, bits: int, n: int):
+        if not 0 <= n <= MAX_CARRIER:
+            raise ValueError(f"carrier size {n} outside 0..{MAX_CARRIER}")
+        if bits < 0 or bits & ~((1 << n) - 1):
             raise ValueError("subset bits fall outside the carrier")
+        # object.__setattr__ keeps the values inline, faster to read than a __dict__
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not Subset:
+            return NotImplemented
+        return self.bits == other.bits and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.n))
+
+    def __repr__(self) -> str:
+        return f"Subset(bits={self.bits!r}, n={self.n!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def _wrap(cls, bits: int, n: int) -> "Subset":
         'A Subset of a mask computed over a carrier the package holds; nothing is checked.'
         s = object.__new__(cls)
-        fields = s.__dict__  # filled directly, past the frozen __setattr__
+        fields = s.__dict__  # filled directly, past __setattr__
         fields["bits"], fields["n"] = bits, n
         return s
 

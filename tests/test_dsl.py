@@ -1,10 +1,14 @@
 import csv
 import dataclasses
 import io
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import unsharp
 from unsharp import (
     AlgebraSpec,
     DslError,
@@ -43,6 +47,33 @@ def test_replace_relabels_a_parsed_spec():
     E = rep.algebra
     assert E.labels == ("c", "d", "e", "f", "g", "1", "0", "a", "b")
     assert (E.labels[E.zero], E.labels[E.one]) == ("0", "1")
+
+
+FIRST_SPEC = """\
+import sys
+from unsharp import dsl
+from unsharp.fixtures import E9_TEXT
+E = dsl.load_algebra(E9_TEXT)
+assert dsl.emit_spec(E) == E9_TEXT and "dataclasses" not in sys.modules
+spec = dsl.parse_spec(E9_TEXT)
+assert type(spec) is dsl.AlgebraSpec and "dataclasses" in sys.modules
+assert dsl.spec_report(spec).algebra.sums == E.sums
+"""
+
+
+def test_algebra_spec_is_one_class_built_on_first_use():
+    # `dsl` builds the dataclass when it is first asked for, so loading and
+    # emitting a document imports no `dataclasses`; every route to the
+    # class then gives the same object
+    proc = subprocess.run([sys.executable, "-c", FIRST_SPEC], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spec = parse_spec(E9_TEXT)
+    assert type(spec) is AlgebraSpec is unsharp.dsl.AlgebraSpec is unsharp.AlgebraSpec
+    assert (AlgebraSpec.__module__, AlgebraSpec.__qualname__) == ("unsharp.dsl", "AlgebraSpec")
+    assert dataclasses.is_dataclass(AlgebraSpec) and pickle.loads(pickle.dumps(spec)) == spec
+    assert repr(spec).startswith("AlgebraSpec(name='E9', labels=('0', 'a',")
+    with pytest.raises(AttributeError, match="module 'unsharp.dsl' has no attribute 'Spec'"):
+        unsharp.dsl.Spec
 
 
 def test_e9_text_parses_to_nine_entries():

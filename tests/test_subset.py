@@ -1,5 +1,5 @@
-"""`Subset` as an immutable value: equality, hashing, repr, copies, and the
-checks its public constructors make.
+"""`Subset` as an immutable value: equality, hashing, repr, pattern matching,
+copies, and the checks its public constructors make.
 
 The package builds the Subsets it returns without re-checking them, so
 these tests hold its results to freshly checked ones.  The module imports
@@ -9,7 +9,6 @@ only the package, so it also runs without pytest, as a plain script:
 """
 
 import copy
-import dataclasses
 import pickle
 
 from unsharp import Subset, fixture, implies
@@ -43,19 +42,32 @@ def test_equality_hash_and_repr():
     s = Subset(0b101, 5)
     assert s == Subset.of(5, (2, 0)) == Subset.single(5, 0) | Subset.single(5, 2)
     assert s != Subset(0b101, 6) and s != (0b101, 5) and s != 0b101
-    assert hash(s) == hash(Subset.of(5, (0, 2))) and len({s, Subset.of(5, (0, 2))}) == 1
+    assert hash(s) == hash(Subset.of(5, (0, 2))) == hash((0b101, 5))
+    assert len({s, Subset.of(5, (0, 2))}) == 1
     assert repr(s) == "Subset(bits=5, n=5)" and repr(Subset.empty(0)) == "Subset(bits=0, n=0)"
-    assert dataclasses.is_dataclass(Subset)
-    assert [f.name for f in dataclasses.fields(Subset)] == ["bits", "n"]
+    assert Subset.__match_args__ == ("bits", "n")
+    match s:
+        case Subset(bits, n):
+            assert (bits, n) == (0b101, 5)
+        case _:
+            raise AssertionError("Subset(bits, n) did not match")
+    match Subset.empty(3):
+        case Subset(bits=0, n=4):
+            raise AssertionError("matched the wrong carrier")
+        case Subset(0, n=3):
+            pass
+        case _:
+            raise AssertionError("Subset(0, n=3) did not match")
     for name in ("bits", "n", "other"):
-        for change in (lambda: setattr(s, name, 1), lambda: delattr(s, name)):
+        for verb, change in (("assign to", lambda: setattr(s, name, 1)),
+                             ("delete", lambda: delattr(s, name))):
             try:
                 change()
-            except AttributeError:
-                pass
+            except AttributeError as exc:
+                assert str(exc) == f"cannot {verb} field {name!r}", str(exc)
             else:
                 raise AssertionError(f"changing {name} did not raise")
-    assert (s.bits, s.n) == (0b101, 5)
+    assert (s.bits, s.n) == (0b101, 5) and vars(s) == {"bits": 0b101, "n": 5}
 
 
 def test_pickle_and_copies_round_trip():
@@ -66,6 +78,7 @@ def test_pickle_and_copies_round_trip():
                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
         for t in (*copies, copy.copy(s), copy.deepcopy(s)):
             assert type(t) is Subset and t == s and hash(t) == hash(s) and repr(t) == repr(s)
+            assert vars(t) == vars(s)
 
 
 def test_public_constructors_keep_their_checks():
