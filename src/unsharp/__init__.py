@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("algebra", "EffectAlgebra InvalidAlgebraError MonotonicityResult"
-         " check_cone_equations check_sum_laws is_monotonous validate_tables"),
+        ("algebra", "EffectAlgebra InvalidAlgebraError"
+         " check_cone_equations check_sum_laws validate_tables"),
         ("deduction", "atoms characterization_agreement"
          " characterize count_ded ded_lattice enumerate_ded generate"
          " is_deductive_system"),
@@ -23,9 +23,9 @@ _HOME = {
         ("fixtures", "BUNDLED boolean_to_ea fixture fixture_text"),
         ("implication", "ImplicationTable element_implication_suite"
          " implication_table implies implies_sets set_implication_suite"),
-        ("laws", "check_comparable_contraposition check_cone_level_adjointness"
-         " check_lattice_identity contraposition_pair counterexample_search"
-         " identity_contraposition_equivalence"),
+        ("laws", "MonotonicityResult check_comparable_contraposition"
+         " check_cone_level_adjointness check_lattice_identity contraposition_pair"
+         " counterexample_search identity_contraposition_equivalence is_monotonous"),
         ("poset", "Poset Subset validate_involution"),
         ("residuation", "UnsharpResiduatedPoset adjointness_exchange_equivalence"
          " from_effect_algebra roundtrip_check"

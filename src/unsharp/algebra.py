@@ -10,7 +10,7 @@ everything downstream (cones, implication, residuation) lives on it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .poset import MAX_CARRIER, OrderError, Poset, Subset, check_order_axioms
 from .poset import _bits, _involution_clauses, iter_bits, maximal_bits
@@ -452,65 +452,3 @@ def check_cone_equations(E: EffectAlgebra) -> PropertyReport:
             ),
         ],
     )
-
-
-class MonotonicityResult(NamedTuple):
-    holds: bool
-    witness: Optional[tuple]  # (x, A, B) with A, B as Subsets
-    exhaustive: bool  # always True: the reduction is exact at every size
-
-    def __bool__(self):
-        return self.holds
-
-
-def is_monotonous(E: EffectAlgebra) -> MonotonicityResult:
-    """Does L(A) <= U(B) force L(x+A) <= U(x+B) whenever A, B <= x'?
-
-    A and B range over nonempty subsets; the empty set is excluded because
-    U({}) is the whole carrier by convention, which would fail the law
-    vacuously even on Boolean algebras.  x = 0 is skipped: there x + A = A
-    and the implication is a tautology.
-
-    Decided exactly at every size, with O(n^2) pairs (l, u) per x instead
-    of all 2^n x 2^n pairs (A, B).  The premise, U(B) inside UL(A), only
-    gets easier as A and B grow.  The conclusion fails when some l in
-    L(x+A) and u in U(x+B) have l not <= u, and for a fixed (l, u) that
-    means exactly A inside A_l = {a <= x' : l <= x+a} and B inside
-    B_u = {b <= x' : x+b <= u}.  So x fails iff some l not <= u with A_l
-    and B_u nonempty meets the premise at (A_l, B_u).
-
-    The witness is the one a sweep over A and B from dom down to 0 finds:
-    the first failing x, then the numerically largest failing A, which is
-    the largest such A_l since every failing A lies inside one, then
-    likewise the largest B_u failing with that A.  The A_l of the first
-    failing l need not be the largest: on EA8-40 of the labeled listing
-    (`enumerate_effect_algebras(8)`) it gives (x4, {x3,x4,x5}, {0,x6})
-    where the sweep gives (x4, {x3,x5,x6}, {0,x4}).
-    """
-    n, p = E.n, E.order
-    L, U, up, down = p.lower_bits, p.upper_bits, p.up, p.down
-    for x in range(n):
-        if x == E.zero:
-            continue
-        dom, row = down[E.comp[x]], E.sums[x]
-        a_of, b_of = [0] * n, [0] * n  # A_l and B_u
-        for a in iter_bits(dom):
-            for l in iter_bits(down[row[a]]):
-                a_of[l] |= 1 << a
-            for u in iter_bits(up[row[a]]):
-                b_of[u] |= 1 << a
-        lows = [(l, a_of[l], U(L(a_of[l]))) for l in range(n) if a_of[l]]
-        ups = [(u, b_of[u], U(b_of[u])) for u in range(n) if b_of[u]]
-
-        def fails(l, ul):
-            'The B_u failing with (l, UL(A)).'
-            return [b for u, b, ub in ups if not up[l] >> u & 1 and not ub & ~ul]
-
-        best_a = max((a for l, a, ul in lows if fails(l, ul)), default=0)
-        if best_a:
-            ul = U(L(best_a))
-            best_b = max(
-                b for l, a, _ in lows if not best_a & ~a for b in fails(l, ul)
-            )
-            return MonotonicityResult(False, (x, Subset(best_a, n), Subset(best_b, n)), True)
-    return MonotonicityResult(True, None, True)

@@ -19,7 +19,6 @@ from .algebra import (
     InvalidAlgebraError,
     check_cone_equations,
     check_sum_laws,
-    is_monotonous,
 )
 from .reports import PropertyReport
 
@@ -170,7 +169,7 @@ def cmd_laws(args) -> int:
                     f"({E.labels[x]},{E.labels[y]},{E.labels[z]}) ({kind})"
                 )
         else:
-            mono = adjointness.monotonicity if adjointness else is_monotonous(E)
+            mono = adjointness.monotonicity if adjointness else laws.is_monotonous(E)
             if mono.holds:
                 print("monotonous: yes (exhaustive)")
             else:

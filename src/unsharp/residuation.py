@@ -12,19 +12,15 @@ candidates report exactly what they break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional
 
 from .algebra import EffectAlgebra, InvalidAlgebraError, _image, first_asymmetric_pair
 from .algebra import first_nonassociative_triple
-from .implication import exchange_failures
-from .poset import Poset, Subset, _walk_u_classes, iter_bits
-from .poset import validate_involution
+from .poset import Poset, Subset, _walk_u_classes, iter_bits, validate_involution
 from .reports import ClauseResult, PropertyReport, ValidationReport, Violation, _check
 
 
-@dataclass
-class UnsharpResiduatedPoset:
+class UnsharpResiduatedPoset(NamedTuple):
     """Product and implication tables over a bounded involutive poset; each row of
     `imps` holds the cells x -> y as int masks over the carrier."""
 
@@ -170,7 +166,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
     divisible = all(
         odot(x, imp) == low for x in range(n) for imp, low in set(zip(imps[x], p.pair_lower[x]))
     )
-    return ValidationReport([], replace(c, divisible=divisible))
+    return ValidationReport([], c._replace(divisible=divisible))
 
 
 def _sum_rows(c: UnsharpResiduatedPoset) -> tuple[tuple[Optional[int], ...], ...]:
@@ -248,6 +244,7 @@ def adjointness_exchange_equivalence(E: EffectAlgebra) -> PropertyReport:
     Both biconditionals are computed per triple and must agree pointwise
     (and each holds outright on a valid algebra).
     """
+    from .implication import exchange_failures
     adj = list(adjointness_failures(E.order, E.comp, E.up_imp_bits, E.odot_bits))
     exch = list(exchange_failures(E))
     match_wit = min(set(adj) ^ set(exch), default=None)

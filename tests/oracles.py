@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import replace
 from typing import Optional, Union
 
 from unsharp import (
@@ -568,7 +567,7 @@ def validate_surp(c: UnsharpResiduatedPoset) -> ValidationReport:
 
     if violations:
         return ValidationReport(violations, None)
-    out = replace(c, divisible=divisible)
+    out = c._replace(divisible=divisible)
     return ValidationReport([], out)
 
 

@@ -210,13 +210,11 @@ def test_criterion_09_mutation_sensitivity():
         v = rep.first("E3")
         assert v is not None and v.witness == (1,)  # element a
 
-        from dataclasses import replace
-
         E = fixture("E9")
         c = from_effect_algebra(E)
         imps = [list(row) for row in c.imps]
         imps[1][0] = E.subset(7, 8).bits  # a -> 0 corrupted to {g,1}
-        broken = replace(c, imps=tuple(tuple(r) for r in imps))
+        broken = c._replace(imps=tuple(tuple(r) for r in imps))
         rep = validate_surp(broken)
         v = rep.first("C4")
         assert v is not None and v.witness == (1,)

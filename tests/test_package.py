@@ -13,8 +13,8 @@ import unsharp
 
 PUBLIC = {
     "algebra": [
-        "EffectAlgebra", "InvalidAlgebraError", "MonotonicityResult",
-        "check_cone_equations", "check_sum_laws", "is_monotonous", "validate_tables",
+        "EffectAlgebra", "InvalidAlgebraError",
+        "check_cone_equations", "check_sum_laws", "validate_tables",
     ],
     "deduction": [
         "atoms", "characterization_agreement", "characterize",
@@ -34,9 +34,9 @@ PUBLIC = {
         "implies", "implies_sets", "set_implication_suite",
     ],
     "laws": [
-        "check_comparable_contraposition", "check_cone_level_adjointness",
-        "check_lattice_identity", "contraposition_pair", "counterexample_search",
-        "identity_contraposition_equivalence",
+        "MonotonicityResult", "check_comparable_contraposition",
+        "check_cone_level_adjointness", "check_lattice_identity", "contraposition_pair",
+        "counterexample_search", "identity_contraposition_equivalence", "is_monotonous",
     ],
     "poset": ["Poset", "Subset", "validate_involution"],
     "residuation": [
@@ -117,8 +117,8 @@ def test_no_module_keeps_an_unused_import():
 RECORDS = {
     "ClauseResult", "CompEntry", "CompletenessReport", "ConeAdjointness", "DeductiveCheck",
     "EnumerationResult", "IdentityEquivalence", "LawReport", "LawViolation",
-    "MonotonicityResult", "PropertyReport", "RoundtripResult", "SumEntry", "ValidationReport",
-    "Violation",
+    "MonotonicityResult", "PropertyReport", "RoundtripResult", "SumEntry",
+    "UnsharpResiduatedPoset", "ValidationReport", "Violation",
 }
 
 

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -60,8 +59,8 @@ def test_implication_rows_are_masks_read_as_subsets(e9):
     assert [[c.imp(x, y) for y in range(n)] for x in range(n)] == [
         [implies(e9, x, y) for y in range(n)] for x in range(n)
     ]
-    copy = replace(c, imps=tuple(tuple(cell for cell in row) for row in c.imps))
-    assert copy == c and copy.imps is not c.imps
+    copy = c._replace(imps=tuple(tuple(cell for cell in row) for row in c.imps))
+    assert copy == c == tuple(c) and copy.imps is not c.imps
     assert validate_surp(copy) == validate_surp(c)
 
 
@@ -80,7 +79,7 @@ def test_cells_that_are_not_masks_are_refused(e9):
     for imps in (subsets, with_cell(3, 4, -1), with_cell(0, 0, 1 << n), with_cell(2, 5, 2.0),
                  c.imps[:-1], (*c.imps[:-1], c.imps[-1][1:])):
         with pytest.raises(ValueError, match="implication"):
-            validate_surp(replace(c, imps=imps))
+            validate_surp(c._replace(imps=imps))
     assert validate_surp(c).ok
 
 
@@ -94,7 +93,7 @@ def test_c1_breakage_short_circuits(e9):
     c = from_effect_algebra(e9)
     mapping = list(c.inv)
     mapping[1], mapping[2] = mapping[2], mapping[1]
-    broken = replace(c, inv=tuple(mapping))
+    broken = c._replace(inv=tuple(mapping))
     rep = validate_surp(broken)
     assert not rep.ok
     assert {v.axiom for v in rep.violations} == {"C1"}
@@ -105,7 +104,7 @@ def test_c2_strictness_witnessed(e9):
     prods = [list(row) for row in c.products]
     a = idx(e9, "a")
     prods[a][a] = e9.zero  # a' is not below a, so this pair must stay undefined
-    broken = replace(c, products=tuple(tuple(r) for r in prods))
+    broken = c._replace(products=tuple(tuple(r) for r in prods))
     rep = validate_surp(broken)
     assert rep.first("C2") is not None
 
@@ -115,7 +114,7 @@ def test_c4_mutation_reports_both_c3_and_c4(e9):
     imps = [list(row) for row in c.imps]
     a = idx(e9, "a")
     imps[a][e9.zero] = e9.subset(idx(e9, "g"), e9.one).bits
-    broken = replace(c, imps=tuple(tuple(r) for r in imps))
+    broken = c._replace(imps=tuple(tuple(r) for r in imps))
     rep = validate_surp(broken)
     axioms = {v.axiom for v in rep.violations}
     assert "C4" in axioms
@@ -132,7 +131,7 @@ def test_order_mismatch_rejected(e9):
     prods = [list(row) for row in c.products]
     d, f = idx(e9, "d"), idx(e9, "f")
     prods[f][f] = prods[f][d]
-    broken = replace(c, products=tuple(tuple(r) for r in prods))
+    broken = c._replace(products=tuple(tuple(r) for r in prods))
     with pytest.raises(InvalidAlgebraError) as err:
         to_effect_algebra(broken)
     assert [str(v) for v in err.value.report.violations] == [
@@ -162,7 +161,7 @@ def test_reverse_roundtrip_holds_iff_divisible():
                 y, z = rng.randrange(n), rng.choice([z for z in range(n) if z != E.zero])
                 cell = imps[y][z]
                 imps[y][z] = cell | rng.getrandbits(n) & p.lower_bits(p.upper_bits(cell))
-            report = validate_surp(replace(c, imps=tuple(map(tuple, imps))))
+            report = validate_surp(c._replace(imps=tuple(map(tuple, imps))))
             assert report.ok, (name, [str(v) for v in report.violations])
             divisible = report.algebra.divisible
             assert surp_roundtrip_check(report.algebra).equal == divisible, name
@@ -226,7 +225,7 @@ def test_divisibility_alone_pins_each_cell():
         c = from_effect_algebra(E)
         imps = [list(row) for row in c.imps]
         imps[y][z] = a
-        report = validate_surp(replace(c, imps=tuple(map(tuple, imps))))
+        report = validate_surp(c._replace(imps=tuple(map(tuple, imps))))
         derived = a == E.imp_bits[y][z]
         assert report.ok == (alternative or derived), (E.name, y, z, a)
         assert not report.ok or report.algebra.divisible == derived, (E.name, y, z, a)
@@ -283,7 +282,7 @@ def test_surp_roundtrip_check_reports_a_defined_product_off_its_domain(e9):
     prods = [list(row) for row in c.products]
     assert prods[0][0] is None
     prods[0][0] = 0
-    broken = replace(c, products=tuple(map(tuple, prods)))
+    broken = c._replace(products=tuple(map(tuple, prods)))
     assert validate_surp(broken).first("C2").witness == (0, 0)
     assert surp_roundtrip_check(broken) == RoundtripResult(False, [("product", 0, 0, 0, None)])
 
