@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import unsharp
 from unsharp import fixture, fixture_text, laws, load_algebra, residuation
 from unsharp.cli import SUITES, main, run_suite
 from unsharp.fixtures import BUNDLED, E9_TEXT
@@ -485,11 +487,8 @@ BASE_MODULES = {
 LOADS_AS_MAIN = """\
 import atexit, runpy, sys
 
-started = set(sys.modules)
-
 def report():
-    loaded = set(sys.modules) - started
-    print(" ".join(sorted(m for m in loaded if m.split(".")[0] == "unsharp"
+    print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "unsharp"
                           or m in ("csv", "dataclasses", "inspect"))), file=sys.stderr)
 
 atexit.register(report)
@@ -519,14 +518,17 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
     # loaded only by `table --format csv`, so no command here loads it.
     # No command imports `dataclasses`, nor `inspect`, which it would bring
     # in: the records are NamedTuples, `Subset` is a plain class and only
-    # `parse_spec` builds `AlgebraSpec`. What the interpreter loaded before
-    # the command ran (a `.pth` hook of `site` may import `inspect`) is not
-    # the command's
+    # `parse_spec` builds `AlgebraSpec`. The child starts with `-S`, so no
+    # `.pth` hook of `site` imports either before the command runs; it finds
+    # the package on PYTHONPATH alone
     doc = tmp_path / "e9.ea"
     doc.write_text(E9_TEXT, encoding="utf-8")
     argv = [str(doc) if a == "e9.ea" else a for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", LOADS_AS_MAIN, *argv], capture_output=True, text=True
+        [sys.executable, "-S", "-c", LOADS_AS_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(unsharp.__file__))},
     )
     assert proc.returncode == 0, proc.stderr
     modules = proc.stderr.splitlines()[-1]
