@@ -3,14 +3,16 @@
 Every FILE argument takes either a path to a document in the text format
 (see `dsl`) or `fixture:NAME` for a bundled algebra.  Exit codes: 0 on
 success, 1 when validation or a check fails, 2 for usage and parse
-problems and for paths that cannot be read or written.
+problems and for paths that cannot be read or written.  The command line
+is read off the table `COMMANDS`, which also writes the help: `-h` or
+`--help`, at the top or after a command, prints to stdout and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import dsl
@@ -267,77 +269,141 @@ def cmd_fixture(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="unsharp",
-        description="Finite effect algebras and their unsharp implication.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# name: (handler, positionals, flags, valued options, help line); a valued
+# option maps to its metavar, or to its choices with the default first
+COMMANDS = {
+    "validate": (cmd_validate, ("file",), (), {}, "check the axioms of a document"),
+    "order": (cmd_order, ("file",), ("--dot",), {}, "induced order matrix or DOT diagram"),
+    "implies": (cmd_implies, ("file", "x", "y"), (), {}, "the subset X -> Y"),
+    "table": (cmd_table, ("file",), ("--sums",), {"--format": ("aligned", "csv")},
+              "full implication table, or with --sums the sum table"),
+    "residuate": (cmd_residuate, ("file",), ("--roundtrip",), {},
+                  "derive products and check C1-C5"),
+    "ded": (cmd_ded, ("file",), ("--enumerate", "--atoms"), {"--generate": "X,Y,..."},
+            "count deductive systems, or list them, their atoms or the one generated "
+            "(one option at most)"),
+    "laws": (cmd_laws, ("file",), tuple(f"--{law}" for law in LAWS), {},
+             "contraposition and friends, all four unless some are named"),
+    "enumerate": (cmd_enumerate, ("n",), ("--up-to-iso", "--count-only"), {"--emit": "DIR"},
+                  "all effect algebras on n elements"),
+    "check": (cmd_check, ("file",), (), {"--suite": "SUITE,..."},
+              f"run law suites (default all: {','.join(SUITES)}), exit 0 iff all pass"),
+    "fixture": (cmd_fixture, ("name",), (), {}, "print a bundled document"),
+}
+EXCLUSIVE = ("--enumerate", "--atoms", "--generate")  # ded takes at most one
 
-    p = sub.add_parser("validate", help="check the axioms of a document")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("order", help="induced order matrix or DOT diagram")
-    p.add_argument("file")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_order)
+class UsageError(Exception):
+    'A command line the table refuses: the command (None before one) and the message.'
 
-    p = sub.add_parser("implies", help="the subset X -> Y")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_implies)
 
-    p = sub.add_parser("table", help="full implication (or sum) table")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("aligned", "csv"), default="aligned")
-    p.add_argument("--sums", action="store_true", help="emit the sum table instead")
-    p.set_defaults(func=cmd_table)
+def _help(name: Optional[str]) -> str:
+    'The help for one command or, with None, for all; its first line is the usage.'
+    if name is None:
+        rows = "".join(f"\n  {cmd:<10} {entry[-1]}" for cmd, entry in COMMANDS.items())
+        return (f"usage: unsharp [-h] {{{','.join(COMMANDS)}}} ...\n\nFinite effect algebras and "
+                f"their unsharp implication.\n\ncommands (COMMAND -h for its options):{rows}\n")
+    _, positionals, flags, valued, line = COMMANDS[name]
+    options = [*flags, *(f"{o} {{{','.join(v)}}}" if isinstance(v, tuple) else f"{o} {v}"
+                         for o, v in valued.items())]
+    usage = " ".join(["usage: unsharp", name, "[-h]", *(f"[{o}]" for o in options), *positionals])
+    return f"{usage}\n\n{line}\n"
 
-    p = sub.add_parser("residuate", help="derive products and check C1-C5")
-    p.add_argument("file")
-    p.add_argument("--roundtrip", action="store_true")
-    p.set_defaults(func=cmd_residuate)
 
-    p = sub.add_parser("ded", help="deductive systems")
-    p.add_argument("file")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--enumerate", action="store_true")
-    g.add_argument("--atoms", action="store_true")
-    g.add_argument("--generate", metavar="X,Y,...")
-    p.set_defaults(func=cmd_ded)
+def _print_help(name: Optional[str]) -> int:
+    sys.stdout.write(_help(name))
+    return 0
 
-    p = sub.add_parser("laws", help="contraposition and friends")
-    p.add_argument("file")
-    for law in LAWS:
-        p.add_argument(f"--{law}", action="store_true")
-    p.set_defaults(func=cmd_laws)
 
-    p = sub.add_parser("enumerate", help="all effect algebras on n elements")
-    p.add_argument("n", type=int)
-    p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--emit", metavar="DIR")
-    p.set_defaults(func=cmd_enumerate)
+def _option(name: Optional[str], arg: str, options: tuple) -> Optional[tuple]:
+    """The option `arg` names, exactly or by a unique prefix, and its `=value`
+    or None; ("", None) for an unknown option; None for a positional, which
+    as in argparse is `-`, a negative number or a dashed word with a space."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    opt, eq, value = arg.partition("=")
+    found = [opt] if opt in options else [
+        o for o in options if opt[:2] == "--" and o.startswith(opt)]
+    if len(found) > 1:
+        raise UsageError(name, f"ambiguous option: {arg} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    whole, dot, frac = arg[1:].partition(".")  # -3 and -.5, not -1. nor -1.2.3
+    number = (whole or "0" if dot else whole).isdecimal() and (frac.isdecimal() or not dot)
+    return None if number or " " in arg else ("", None)
 
-    p = sub.add_parser("check", help="run named law suites, exit 0 iff all pass")
-    p.add_argument("file")
-    p.add_argument("--suite", help="comma list from " + ",".join(SUITES))
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fixture", help="print a bundled document")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_fixture)
+def _integers(name: str, given: list) -> list:
+    'The positionals given, with the N of enumerate read as the integer it is.'
+    try:
+        return [int(given[0]), *given[1:]] if name == "enumerate" and given else given
+    except ValueError:
+        raise UsageError(name, f"argument n: invalid int value: {given[0]!r}") from None
 
-    return parser
+
+def parse(argv: list[str]) -> tuple:
+    """The handler for a command line and what it takes: the parsed arguments,
+    or the command whose help -h asks for.  Refusals raise UsageError."""
+    name, rest, given, extras, values = None, list(argv), [], [], {}
+    positionals, flags, valued, options = (), (), {}, ("-h", "--help")
+    while rest:
+        arg = rest.pop(0)
+        found = None if arg == "--" else _option(name, arg, options)
+        if arg == "--":  # the rest are positionals
+            given, rest = given + rest, []
+        elif found is None and name is None:  # the command: its options from here on
+            if arg not in COMMANDS:
+                raise UsageError(None, f"argument command: invalid choice: {arg!r}")
+            name, (func, positionals, flags, valued, _) = arg, COMMANDS[arg]
+            options += (*flags, *valued)
+            for later in rest[:rest.index("--") if "--" in rest else None]:
+                _option(name, later, options)  # an ambiguous prefix refuses the line, -h or not
+        elif found is None:
+            given.append(arg)
+        elif not found[0]:
+            extras.append(arg)
+        else:
+            opt, value = found
+            if opt in valued and value is None:
+                value = rest.pop(0) if rest else "--"
+                if value == "--" or _option(name, value, options) is not None:
+                    raise UsageError(name, f"argument {opt}: expected one argument")
+            if opt not in valued and value is not None:
+                raise UsageError(name, f"argument {opt}: ignored explicit argument {value!r}")
+            if isinstance(valued.get(opt), tuple) and value not in valued[opt]:
+                raise UsageError(name, f"argument {opt}: invalid choice: {value!r}")
+            if opt in ("-h", "--help"):
+                _integers(name, given)  # argparse reads N before it meets -h
+                return _print_help, name
+            clash = [o for o in EXCLUSIVE if opt in EXCLUSIVE and o in values and o != opt]
+            if clash:
+                raise UsageError(name, f"argument {opt}: not allowed with argument {clash[0]}")
+            values[opt] = True if value is None else value
+    if name is None:
+        raise UsageError(None, "the following arguments are required: command")
+    if len(given) < len(positionals):
+        missing = ", ".join(positionals[len(given):])
+        raise UsageError(name, f"the following arguments are required: {missing}")
+    extras += given[len(positionals):]
+    if extras:
+        raise UsageError(name, f"unrecognized arguments: {' '.join(extras)}")
+    values = dict.fromkeys(flags, False) | {
+        o: v[0] if isinstance(v, tuple) else None for o, v in valued.items()} | values
+    args = {o[2:].replace("-", "_"): v for o, v in values.items()}
+    return func, SimpleNamespace(**args, **dict(zip(positionals, _integers(name, given))))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    'Run one command line and return its exit code, 2 for a line the table refuses.'
     try:
-        return args.func(args)
+        func, args = parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        name, message = exc.args
+        prog = "unsharp" if name is None else f"unsharp {name}"
+        print(_help(name).split("\n")[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        return 2
+    try:
+        return func(args)
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -279,6 +280,77 @@ def test_check_suite_selection(capsys):
         assert err == "unknown suite ''; choose from lemma1,lemma2,th2,th4,c1-c5,th3,roundtrip\n"
 
 
+def run_usage(capsys, *argv):
+    'Like run, for a line main may refuse or answer with help: the code is returned or raised.'
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+USAGE_ERRORS = [
+    [], ["bogus", "fixture:E9"],  # no command, an unknown one
+    ["implies", "fixture:E9", "e"], ["validate", "fixture:E9", "extra"],
+    ["validate", "fixture:E9", "--bogus"],
+    ["table", "fixture:E9", "--format"], ["table", "fixture:E9", "--format", "xml"],
+    ["enumerate", "five"],
+    ["ded", "fixture:E9", "--atoms", "--enumerate"],
+    ["laws", "fixture:E9", "--i"],  # --identity1 or --intro-adjointness
+    # what argparse also refuses: a value on a flag, an ambiguous prefix or a
+    # bad N ahead of -h, and an option where a value belongs
+    ["order", "fixture:E9", "--dot=x"], ["laws", "fixture:E9", "-h", "--i"],
+    ["enumerate", "five", "-h"], ["check", "fixture:E9", "--suite", "--sums"],
+]
+
+
+def test_usage_errors_exit_2_with_the_usage_line_on_stderr(capsys):
+    for argv in USAGE_ERRORS:
+        code, out, err = run_usage(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: unsharp"), argv
+        assert err.splitlines()[-1].startswith("unsharp") and ": error: " in err, argv
+    # a negative N is an integer, so the search's range check refuses it
+    assert run_usage(capsys, "enumerate", "-3")[:2] == (2, "")
+
+
+COMMAND_OPTIONS = {
+    "validate": [], "order": ["--dot"], "implies": [], "table": ["--format", "--sums"],
+    "residuate": ["--roundtrip"], "ded": ["--enumerate", "--atoms", "--generate"],
+    "laws": ["--contraposition", "--identity1", "--intro-adjointness", "--monotonous"],
+    "enumerate": ["--up-to-iso", "--count-only", "--emit"], "check": ["--suite"], "fixture": [],
+}
+
+
+def test_help_goes_to_stdout_and_exits_0(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run_usage(capsys, flag)
+        assert (code, err) == (0, "")
+        assert set(COMMAND_OPTIONS) <= set(re.findall(r"[\w-]+", out))
+        for name, options in COMMAND_OPTIONS.items():
+            code, out, err = run_usage(capsys, name, flag)
+            assert (code, err) == (0, ""), name
+            assert set(options) <= set(re.findall(r"[\w-]+", out)), name
+
+
+def test_option_spellings(capsys):
+    # --opt=value, a unique prefix of a long option and the last of a repeated
+    # option read as the full spelling does
+    csv = run(capsys, "table", "fixture:E9", "--sums", "--format", "csv")
+    assert csv[0] == 0 and csv[1].startswith("+,0,a")
+    assert run(capsys, "table", "fixture:E9", "--sums", "--format=csv") == csv
+    assert run(capsys, "table", "fixture:E9", "--form=csv", "--sums") == csv
+    th2 = (0, "th2: pass\n", "")
+    assert run(capsys, "check", "fixture:E9", "--suite=th2") == th2
+    assert run(capsys, "check", "fixture:E9", "--suite", "wrong", "--suite", "th2") == th2
+    assert run(capsys, "residuate", "fixture:E9", "--round") == run(
+        capsys, "residuate", "fixture:E9", "--roundtrip")
+    # after `--` every argument is a positional, one with a dash included
+    assert run(capsys, "implies", "--", "fixture:E9", "e", "a") == (0, "{c,f}\n", "")
+    assert run(capsys, "implies", "fixture:E9", "--", "-e", "a")[:2] == (2, "")
+
+
 def test_check_invalid_file(tmp_path, capsys):
     # a document that parses but fails validation exits 1 with the report
     bad = tmp_path / "bad.ea"
@@ -487,9 +559,11 @@ BASE_MODULES = {
 LOADS_AS_MAIN = """\
 import atexit, runpy, sys
 
+REPORTED = ("csv", "dataclasses", "inspect", "argparse", "gettext", "locale", "shutil")
+
 def report():
     print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "unsharp"
-                          or m in ("csv", "dataclasses", "inspect"))), file=sys.stderr)
+                          or m in REPORTED)), file=sys.stderr)
 
 atexit.register(report)
 sys.argv[0] = "unsharp"
@@ -511,6 +585,7 @@ runpy.run_module("unsharp", run_name="__main__", alter_sys=True)
         (["fixture", "E9"], {"fixtures"}),
         (["enumerate", "5"], {"enumeration"}),
         (["validate", "e9.ea"], set()),
+        (["--help"], set()),
     ],
 )
 def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
@@ -518,9 +593,12 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, extra):
     # loaded only by `table --format csv`, so no command here loads it.
     # No command imports `dataclasses`, nor `inspect`, which it would bring
     # in: the records are NamedTuples, `Subset` is a plain class and only
-    # `parse_spec` builds `AlgebraSpec`. The child starts with `-S`, so no
-    # `.pth` hook of `site` imports either before the command runs; it finds
-    # the package on PYTHONPATH alone
+    # `parse_spec` builds `AlgebraSpec`. Nor does any, help included, import
+    # `argparse`, the `gettext` and `locale` it translates with or the
+    # `shutil` its help formatter asks for the terminal width: `cli` reads
+    # the command line off its own table. The child starts with `-S`, so no
+    # `.pth` hook of `site` imports any of them before the command runs; it
+    # finds the package on PYTHONPATH alone
     doc = tmp_path / "e9.ea"
     doc.write_text(E9_TEXT, encoding="utf-8")
     argv = [str(doc) if a == "e9.ea" else a for a in argv]
